@@ -114,7 +114,7 @@ def run_benchmark(quick: bool = False, repetitions: int = REPETITIONS) -> Table:
     serial_results = []
     for spec in specs:
         began = time.perf_counter()
-        serial_results.append(run_sweep(spec, workers=1, fabric=False))
+        serial_results.append(run_sweep(spec, workers=1))
         serial_samples.append(time.perf_counter() - began)
 
     service_samples: list[float] = []

@@ -21,8 +21,7 @@ Commands
     of recomputing.  ``--stream`` folds records into summaries as
     they arrive (O(batch) memory, grids too large to hold);
     ``--warehouse`` persists the cache as a columnar results
-    warehouse (:mod:`repro.experiments.warehouse`) instead of JSONL;
-    ``--no-fabric`` forces the pre-fabric execution path.
+    warehouse (:mod:`repro.experiments.warehouse`) instead of JSONL.
 ``report PATH [PATH ...]``
     Summarize exported records as grouped tables.  JSON-lines files
     are folded record by record (streaming, arbitrarily large);
@@ -196,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runtime.lockstep import LOCKSTEP_ENV
 
     if args.lockstep is not None:
-        # Exported (not passed) so fabric/pool workers inherit it.
+        # Exported (not passed) so fabric workers inherit it.
         os.environ[LOCKSTEP_ENV] = "1" if args.lockstep else "0"
     if args.stream and args.out:
         print(
@@ -230,7 +229,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             resume=args.resume,
             progress=progress,
             stream=args.stream,
-            fabric=args.fabric,
             warehouse=args.warehouse,
         )
     except ReproError as error:
@@ -563,11 +561,6 @@ def main(argv: list[str] | None = None) -> int:
         "--stream", action="store_true",
         help="fold records into summaries as they arrive (O(batch) memory); "
              "incompatible with --out, pair with --cache-dir for raw records",
-    )
-    sweep_parser.add_argument(
-        "--fabric", action=argparse.BooleanOptionalAction, default=None,
-        help="--no-fabric forces the pre-fabric pool (per-call workers, "
-             "object-pickled records); default: fabric when --workers > 1",
     )
     sweep_parser.add_argument(
         "--lockstep", action=argparse.BooleanOptionalAction, default=None,

@@ -18,7 +18,8 @@ Two execution shapes:
   building (``docs/performance.md`` quantifies the difference).
 
 :func:`repeat_trials` keeps its historical signature and routes to the
-batched executor automatically whenever its keyword arguments allow.
+batched executor automatically whenever its keyword arguments allow
+(:func:`run_seeds` holds that dispatch).
 """
 
 from __future__ import annotations
@@ -56,20 +57,15 @@ __all__ = [
     "aggregate_rounds",
 ]
 
-#: Keyword arguments :func:`run_trials` understands; ``repeat_trials``
-#: (and the sweep engine's per-worker batches) take the batched path
-#: only when every forwarded kwarg is in this set, falling back to
-#: per-seed :func:`run_trial` calls otherwise (e.g. ``record_trace``).
+#: Keyword arguments :func:`run_trials` understands; :func:`run_seeds`
+#: takes the batched path only when every forwarded kwarg is in this
+#: set, falling back to per-seed :func:`run_trial` calls otherwise
+#: (e.g. ``record_trace``).
 _BATCHABLE_KWARGS = frozenset({
     "plan", "constants", "delta", "start_a", "start_b",
     "max_rounds", "check_instance", "port_model", "labeling",
     "scenario",
 })
-
-
-def batchable_kwargs(kwargs: dict[str, Any]) -> bool:
-    """Whether ``kwargs`` can be served by :func:`run_trials`."""
-    return set(kwargs) <= _BATCHABLE_KWARGS
 
 
 @dataclass(frozen=True)
@@ -323,9 +319,23 @@ def repeat_trials(
     )
     if count > 1 and len(seed_list) > 1:
         return parallel.map_trials(graph, algorithm, seed_list, count, **kwargs)
-    if batchable_kwargs(kwargs):
-        return run_trials(graph, algorithm, seed_list, **kwargs)
-    return [run_trial(graph, algorithm, seed, **kwargs) for seed in seed_list]
+    return run_seeds(graph, algorithm, seed_list, **kwargs)
+
+
+def run_seeds(
+    graph: StaticGraph, algorithm: str, seeds: list[int], **kwargs: Any
+) -> list[TrialRecord]:
+    """One trial per seed in this process: the one seed-batch dispatch.
+
+    :func:`run_trials` (one compiled plan, lockstep when eligible)
+    whenever every keyword argument is one it understands, per-seed
+    :func:`run_trial` calls otherwise (e.g. ``record_trace``).
+    :func:`repeat_trials` and both sides of
+    :func:`repro.experiments.parallel.map_trials` route through here.
+    """
+    if set(kwargs) <= _BATCHABLE_KWARGS:
+        return run_trials(graph, algorithm, seeds, **kwargs)
+    return [run_trial(graph, algorithm, seed, **kwargs) for seed in seeds]
 
 
 class StreamSummary:

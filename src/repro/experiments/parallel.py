@@ -7,6 +7,13 @@ keeping the output *bit-for-bit deterministic*:
 * a :class:`SweepSpec` names a grid — graph family × n × δ rule ×
   algorithm × scenario × seeds — and every grid point is enumerated in
   one fixed order, independent of worker count;
+* one chunker (:func:`_chunk_tasks`) cuts pending points into
+  per-instance :class:`_ChunkTask` chunks and one executor
+  (:func:`_execute_chunk_task`) runs them, batching each run of one
+  algorithm and scenario through
+  :func:`~repro.experiments.harness.run_trials` (lockstep kernels
+  included) — inline for ``workers=1``, in fabric workers otherwise,
+  and on single-worker service hosts alike;
 * a **persistent worker pool** (created on first use, reused by every
   later :func:`run_sweep` / :func:`map_trials` call) pulls chunks
   from a dynamic work queue, so stragglers steal work instead of the
@@ -33,12 +40,6 @@ keeping the output *bit-for-bit deterministic*:
 * an optional content-addressed cache (:mod:`repro.experiments.cache`)
   makes re-runs and interrupted sweeps resume instead of recompute.
 
-``fabric=False`` forces the pre-fabric execution path (a fresh
-``ProcessPoolExecutor`` per call, statically chunked, object-pickled
-records) — kept as the benchmark baseline
-(``benchmarks/bench_sweep_fabric.py``) and as a belt-and-braces
-escape hatch.  Both paths produce byte-identical records.
-
 Existing callers opt in without code changes: set the
 ``REPRO_PARALLEL_WORKERS`` environment variable (or call
 :func:`configure`) and :func:`repro.experiments.harness.repeat_trials`
@@ -49,6 +50,7 @@ fans its seeds out through :func:`map_trials` transparently.
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import pickle
 import queue as _queue
@@ -56,14 +58,14 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import multiprocessing
 import random
+from multiprocessing import resource_tracker
 
 from repro.analysis.stats import PartialSummary, merge_partial_summaries, summarize
 from repro.core.constants import Constants
@@ -74,7 +76,7 @@ from repro.experiments.warehouse import WarehouseCache
 from repro.experiments.harness import (
     StreamSummary,
     TrialRecord,
-    batchable_kwargs,
+    run_seeds,
     run_trial,
     run_trials,
 )
@@ -644,84 +646,61 @@ class SweepStreamResult:
 
 
 # ----------------------------------------------------------------------
-# Worker-side execution
+# Chunks: the unit of work on every path
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _GraphChunk:
-    """All pending trials of one instance, shipped to one worker."""
+class _ChunkTask:
+    """Pending grid trials of one instance, run as one unit of work."""
 
+    task_id: int
     family: str
     n: int
     delta_spec: str
     preset: str
     max_rounds: int | None
-    trials: tuple[tuple[int, str, str, int], ...]  # (point index, algorithm, scenario, seed)
+    trials: tuple[tuple[int, str, str, int], ...]  # (grid index, algorithm, scenario, seed)
+    plan_handle: SharedPlanHandle | None = None  # None → the per-process memo
 
 
-def _run_chunk(chunk: _GraphChunk) -> list[tuple[int, TrialRecord]]:
-    """Run every trial of one instance chunk against the memoized plan.
-
-    Both the graph and its compiled execution plan come from the
-    per-process instance cache, so consecutive chunks of the same
-    instance handled by one worker pay neither generator time nor
-    plan compilation — only the trials themselves.
-    """
-    graph, plan = _instance_for(chunk.family, chunk.n, chunk.delta_spec)
-    constants = CONSTANTS_PRESETS[chunk.preset]()
-    out: list[tuple[int, TrialRecord]] = []
-    for index, algorithm, scenario, seed in chunk.trials:
-        record = run_trial(
-            graph, algorithm, seed,
-            constants=constants, max_rounds=chunk.max_rounds,
-            plan=plan, scenario=scenario,
-        )
-        out.append((index, record))
-    return out
-
-
-def _chunk_points(
+def _chunk_tasks(
     spec: SweepSpec,
     pending: Sequence[SweepPoint],
-    workers: int,
-    batch_size: int | None = None,
-) -> list[_GraphChunk]:
-    """Group pending points by instance, preserving enumeration order.
+    batch_size: int,
+    handle_for: Callable[[str, int, str], SharedPlanHandle | None] | None = None,
+) -> Iterator[_ChunkTask]:
+    """Cut pending points into per-instance chunks of ``batch_size`` trials.
 
-    With more than one worker, each instance's trials are further
-    split into batches sized to keep every worker busy — otherwise a
-    single-instance grid (one family, one n, many seeds: the most
-    common sweep shape) would collapse into one chunk and run
-    serially.  Sub-chunks rebuild the same graph, trading a little
-    generator time for load balance; chunking never affects results,
-    which are reassembled by grid index.  ``batch_size`` overrides the
-    heuristic (the streaming inline path caps it to bound resident
-    records).
+    The one chunker of every sweep path: points are grouped by
+    instance in enumeration order, and each instance's trials are
+    split into chunks (the fabric sizes them to keep every worker
+    busy; inline runs take whole instances, or capped batches when
+    streaming).  Chunking never affects results, which are
+    reassembled by grid index.  A generator, so the fabric's
+    ``handle_for`` exports each instance's plan right before that
+    instance's chunks go out.
     """
     grouped: dict[tuple[str, int, str], list[SweepPoint]] = {}
     for point in pending:
         grouped.setdefault(point.graph_key(), []).append(point)
-    if batch_size is None:
-        if workers > 1 and pending:
-            batch_size = max(1, -(-len(pending) // (workers * 4)))
-        else:
-            batch_size = max(1, len(pending))
-    chunks: list[_GraphChunk] = []
+    task_ids = itertools.count(1)
     for (family, n, delta_spec), points in grouped.items():
+        handle = handle_for(family, n, delta_spec) if handle_for else None
         for start in range(0, len(points), batch_size):
-            batch = points[start:start + batch_size]
-            chunks.append(_GraphChunk(
+            yield _ChunkTask(
+                task_id=next(task_ids),
                 family=family,
                 n=n,
                 delta_spec=delta_spec,
                 preset=spec.preset,
                 max_rounds=spec.max_rounds,
                 trials=tuple(
-                    (p.index, p.algorithm, p.scenario, p.seed) for p in batch
+                    (p.index, p.algorithm, p.scenario, p.seed)
+                    for p in points[start:start + batch_size]
                 ),
-            ))
-    return chunks
+                plan_handle=handle,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -792,20 +771,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 
 @dataclass(frozen=True)
-class _ChunkTask:
-    """One instance chunk for a fabric worker (grid trials)."""
-
-    task_id: int
-    family: str
-    n: int
-    delta_spec: str
-    preset: str
-    max_rounds: int | None
-    trials: tuple[tuple[int, str, str, int], ...]  # (grid index, algorithm, scenario, seed)
-    plan_handle: SharedPlanHandle | None  # None → regenerate from the tag
-
-
-@dataclass(frozen=True)
 class _MapTask:
     """One ``map_trials`` seed batch for a fabric worker."""
 
@@ -847,12 +812,15 @@ def _release_attached_plans() -> None:
 def _execute_chunk_task(task: _ChunkTask) -> tuple[tuple[int, ...], list[TrialRecord]]:
     """Run one grid chunk; returns (grid indices, records) in chunk order.
 
-    The instance comes from the attached shared plan when the task
-    carries a handle (no generator run in this process), falling back
-    to the per-process memo otherwise.  Consecutive same-algorithm
-    trials take the batched executor
+    The only grid executor: inline sweeps, fabric workers, and service
+    hosts all run their chunks here.  The instance comes from the
+    attached shared plan when the task carries a handle (no generator
+    run in this process), falling back to the per-process memo
+    otherwise.  Each run of consecutive same-algorithm, same-scenario
+    trials takes the batched executor
     (:func:`~repro.experiments.harness.run_trials`, byte-identical to
-    per-trial calls) so one engine serves the whole run.
+    per-trial calls, lockstep kernels when eligible) so one engine
+    serves the whole run.
     """
     instance = None
     if task.plan_handle is not None:
@@ -889,14 +857,7 @@ def _execute_chunk_task(task: _ChunkTask) -> tuple[tuple[int, ...], list[TrialRe
 
 def _execute_map_task(task: _MapTask) -> tuple[tuple[int, ...], list[TrialRecord]]:
     """Run one ``map_trials`` seed batch (same routing as the serial path)."""
-    seeds = list(task.seeds)
-    kwargs = task.kwargs
-    if batchable_kwargs(kwargs):
-        records = run_trials(task.graph, task.algorithm, seeds, **kwargs)
-    else:
-        records = [
-            run_trial(task.graph, task.algorithm, seed, **kwargs) for seed in seeds
-        ]
+    records = run_seeds(task.graph, task.algorithm, list(task.seeds), **task.kwargs)
     return tuple(range(len(records))), records
 
 
@@ -953,6 +914,12 @@ class _FabricPool:
 
     def __init__(self, workers: int) -> None:
         context = _pool_context()
+        # Start the resource tracker before forking, so every worker
+        # shares the parent's: an attached segment's registration then
+        # lands in the exporter's tracker (a no-op re-add) and the
+        # exporter's unlink retires it, instead of each worker's own
+        # tracker unlinking segments still in use when it exits.
+        resource_tracker.ensure_running()
         self.workers = workers
         self.tasks = context.Queue()
         self.results = context.Queue()
@@ -966,11 +933,6 @@ class _FabricPool:
         ]
         for process in self.processes:
             process.start()
-        self._next_task_id = 0
-
-    def next_task_id(self) -> int:
-        self._next_task_id += 1
-        return self._next_task_id
 
     def alive(self) -> bool:
         return all(process.is_alive() for process in self.processes)
@@ -1149,8 +1111,8 @@ def shutdown_fabric() -> None:
 
 atexit.register(shutdown_fabric)
 
-#: Chunks per worker the fabric aims for — finer than the static
-#: chunker because re-dispatch is cheap (no graph rebuild per chunk).
+#: Chunks per worker the fabric aims for — fine enough for stragglers
+#: to balance, cheap because re-dispatch rebuilds no graph.
 _FABRIC_CHUNKS_PER_WORKER = 8
 
 #: Inline (workers=1) streaming batch cap: bounds resident records.
@@ -1162,68 +1124,53 @@ def _fabric_batch_size(pending: int, workers: int) -> int:
     return max(1, -(-pending // (workers * _FABRIC_CHUNKS_PER_WORKER)))
 
 
-def _run_fabric(
+def _run_points(
     spec: SweepSpec,
     pending: Sequence[SweepPoint],
     workers: int,
     consume: Callable[[Iterable[tuple[int, TrialRecord]]], None],
+    stream: bool = False,
 ) -> None:
-    """Execute ``pending`` on the warm fabric, feeding ``consume`` batches.
+    """Execute ``pending``, feeding ``consume`` each chunk's (index, record) pairs.
 
-    Tasks are enqueued instance by instance — each instance's plan is
-    compiled and exported right before its chunks go out, so workers
-    start executing the first instance while the parent is still
-    exporting later ones.  Any failure (worker error, death,
-    interrupt) tears the whole fabric down before propagating, so no
-    stale task or result can leak into a later call.  The fabric lock
-    is held throughout: concurrent sweeps from other threads
-    serialize rather than cross-reading one shared result queue.
+    Every path cuts the points with :func:`_chunk_tasks` and runs each
+    chunk through :func:`_execute_chunk_task`.  One worker (or nothing
+    pending) runs the chunks inline, a whole instance at a time —
+    ``_STREAM_INLINE_BATCH`` trials at a time when ``stream`` bounds
+    resident records.  More workers enqueue them on the warm fabric
+    instance by instance: each instance's plan is compiled and
+    exported right before its chunks go out, so workers start
+    executing the first instance while the parent is still exporting
+    later ones.  Any fabric failure (worker error, death, interrupt)
+    tears the whole fabric down before propagating, so no stale task
+    or result can leak into a later call.  The fabric lock is held
+    throughout: concurrent sweeps from other threads serialize rather
+    than cross-reading one shared result queue.
     """
+    if workers <= 1 or not pending:
+        batch_size = _STREAM_INLINE_BATCH if stream else max(1, len(pending))
+        for task in _chunk_tasks(spec, pending, batch_size):
+            indices, records = _execute_chunk_task(task)
+            consume(zip(indices, records))
+        return
     with _fabric_lock:
-        _run_fabric_locked(spec, pending, workers, consume)
-
-
-def _run_fabric_locked(
-    spec: SweepSpec,
-    pending: Sequence[SweepPoint],
-    workers: int,
-    consume: Callable[[Iterable[tuple[int, TrialRecord]]], None],
-) -> None:
-    pool, arena = _get_fabric(workers)
-    try:
-        grouped: dict[tuple[str, int, str], list[SweepPoint]] = {}
-        for point in pending:
-            grouped.setdefault(point.graph_key(), []).append(point)
-        batch_size = _fabric_batch_size(len(pending), workers)
-        pending_ids: set[int] = set()
-        for (family, n, delta_spec), points in grouped.items():
-            handle = arena.handle_for(family, n, delta_spec)
-            for start in range(0, len(points), batch_size):
-                batch = points[start:start + batch_size]
-                task = _ChunkTask(
-                    task_id=pool.next_task_id(),
-                    family=family,
-                    n=n,
-                    delta_spec=delta_spec,
-                    preset=spec.preset,
-                    max_rounds=spec.max_rounds,
-                    trials=tuple(
-                        (p.index, p.algorithm, p.scenario, p.seed) for p in batch
-                    ),
-                    plan_handle=handle,
-                )
+        pool, arena = _get_fabric(workers)
+        try:
+            batch_size = _fabric_batch_size(len(pending), workers)
+            pending_ids: set[int] = set()
+            for task in _chunk_tasks(spec, pending, batch_size, arena.handle_for):
                 pool.submit(task)
                 pending_ids.add(task.task_id)
 
-        def on_result(
-            task_id: int, indices: tuple[int, ...], records: list[TrialRecord]
-        ) -> None:
-            consume(zip(indices, records))
+            def on_result(
+                task_id: int, indices: tuple[int, ...], records: list[TrialRecord]
+            ) -> None:
+                consume(zip(indices, records))
 
-        pool.collect(pending_ids, on_result)
-    except BaseException:
-        shutdown_fabric()
-        raise
+            pool.collect(pending_ids, on_result)
+        except BaseException:
+            shutdown_fabric()
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -1368,7 +1315,6 @@ def run_sweep(
     progress: Callable[[int, int], None] | None = None,
     *,
     stream: bool = False,
-    fabric: bool | None = None,
     warehouse: bool = False,
 ) -> SweepResult | SweepStreamResult:
     """Run (or finish) a sweep; records in grid order, or streamed summaries.
@@ -1379,8 +1325,10 @@ def run_sweep(
         The grid to run.
     workers:
         Process count; ``None`` or ``0`` use every core, ``1`` runs
-        inline (no pool).  The records are identical either way —
-        parallelism only changes the wall clock.
+        inline (no pool), more run on the persistent zero-copy
+        fabric.  Both paths cut and execute chunks the same way and
+        the records are identical — parallelism only changes the wall
+        clock.
     cache_dir:
         When given, completed trials are streamed into a
         content-addressed cache there and later runs of the same spec
@@ -1397,13 +1345,6 @@ def run_sweep(
         :class:`SweepStreamResult` with summaries identical to the
         default mode's; pair with ``cache_dir`` when the raw records
         must also land on disk.
-    fabric:
-        ``None`` (default) runs multi-worker sweeps on the persistent
-        zero-copy fabric; ``False`` forces the pre-fabric path (a
-        fresh pool per call, statically chunked, object-pickled
-        records — the benchmark baseline).  One-worker sweeps always
-        run inline, whatever the flag.  Records are byte-identical on
-        every path.
     warehouse:
         Persist records into a columnar warehouse directory
         (:mod:`repro.experiments.warehouse`) instead of the JSONL
@@ -1416,7 +1357,6 @@ def run_sweep(
     points = spec.points()
     total = len(points)
     worker_count = resolve_workers(workers)
-    use_fabric = worker_count > 1 if fabric is None else bool(fabric)
     if warehouse and cache_dir is None:
         raise WarehouseError("run_sweep(warehouse=True) requires cache_dir=")
 
@@ -1479,29 +1419,7 @@ def run_sweep(
             progress(sink.count(), total)
 
     try:
-        if worker_count <= 1 or not pending:
-            inline_batch = _STREAM_INLINE_BATCH if stream else None
-            for chunk in _chunk_points(spec, pending, 1, batch_size=inline_batch):
-                consume(_run_chunk(chunk))
-        elif use_fabric:
-            _run_fabric(spec, pending, worker_count, consume)
-        else:
-            chunks = _chunk_points(spec, pending, worker_count)
-            if len(chunks) <= 1:
-                for chunk in chunks:
-                    consume(_run_chunk(chunk))
-            else:
-                context = _pool_context()
-                pool_size = min(worker_count, len(chunks))
-                with ProcessPoolExecutor(pool_size, mp_context=context) as pool:
-                    futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
-                    remaining = set(futures)
-                    while remaining:
-                        finished, remaining = wait(
-                            remaining, return_when=FIRST_COMPLETED
-                        )
-                        for future in finished:
-                            consume(future.result())
+        _run_points(spec, pending, worker_count, consume, stream=stream)
     finally:
         if cache is not None:
             cache.close()
@@ -1538,16 +1456,6 @@ def run_sweep(
 # ----------------------------------------------------------------------
 # Drop-in fan-out for the serial harness
 # ----------------------------------------------------------------------
-
-
-def _run_seed_batch(
-    payload: tuple[StaticGraph, str, list[int], dict[str, Any]]
-) -> list[TrialRecord]:
-    graph, algorithm, seeds, kwargs = payload
-    if batchable_kwargs(kwargs):
-        # One plan compilation per worker batch instead of per trial.
-        return run_trials(graph, algorithm, seeds, **kwargs)
-    return [run_trial(graph, algorithm, seed, **kwargs) for seed in seeds]
 
 
 #: Per-class memo of the graph picklability probe (see
@@ -1613,23 +1521,15 @@ def map_trials(
     recompiles its own (the records are identical either way).
     """
     seeds = [int(s) for s in seeds]
-    kwargs = dict(kwargs)
-    caller_plan = kwargs.pop("plan", None)
-
-    def serial() -> list[TrialRecord]:
-        if batchable_kwargs(kwargs):
-            return run_trials(graph, algorithm, seeds, plan=caller_plan, **kwargs)
-        if caller_plan is not None:
-            kwargs["plan"] = caller_plan
-        return [run_trial(graph, algorithm, seed, **kwargs) for seed in seeds]
-
+    # What crosses the boundary: everything but a caller-supplied plan.
+    shipped = {key: value for key, value in kwargs.items() if key != "plan"}
     worker_count = min(resolve_workers(workers), len(seeds))
     if worker_count > 1 and not (
-        _graph_transportable(graph) and _kwargs_transportable(kwargs)
+        _graph_transportable(graph) and _kwargs_transportable(shipped)
     ):
         worker_count = 1
     if worker_count <= 1:
-        return serial()
+        return run_seeds(graph, algorithm, seeds, **kwargs)
     batches: list[list[int]] = [[] for _ in range(worker_count)]
     for position in range(len(seeds)):
         batches[position % worker_count].append(position)
@@ -1642,19 +1542,19 @@ def map_trials(
         # not strand half a fan-out on the queue.
         try:
             payloads = []
-            for batch in batches:
+            for task_id, batch in enumerate(batches):
                 task = _MapTask(
-                    task_id=pool.next_task_id(),
+                    task_id=task_id,
                     graph=graph,
                     algorithm=algorithm,
                     seeds=tuple(seeds[i] for i in batch),
-                    kwargs=kwargs,
+                    kwargs=shipped,
                 )
                 payloads.append((pickle.dumps(task), task.task_id, batch))
         except Exception:
             payloads = None
         if payloads is None:
-            return serial()
+            return run_seeds(graph, algorithm, seeds, **kwargs)
         try:
             batch_of: dict[int, list[int]] = {}
             for payload, task_id, batch in payloads:

@@ -244,17 +244,13 @@ def _run_walk_batch(
     if plan.n == 0 or min(degrees) == 0:
         # randrange(0) raises in the serial engine; let it.
         return None
-    offsets = plan.neighbor_offsets
-    if plan.port_model is PortModel.KT1:
-        table = plan.neighbor_indices
-    else:
-        table = plan.port_targets
     # Lists index measurably faster than array('q') in the kernels
     # (CPython specializes list subscripts and returns the stored int
-    # objects instead of boxing a fresh one per lookup); one C-level
-    # conversion per batch buys ~25% off every tape round.
-    table = list(table)
-    offsets = list(offsets)
+    # objects instead of boxing a fresh one per lookup), which buys
+    # ~25% off every tape round.  The O(m) table is built once per
+    # plan (``plan.walk_table``); the O(n) columns once per batch.
+    table = plan.walk_table
+    offsets = list(plan.neighbor_offsets)
     degrees_l = list(degrees)
     bits = list(map(int.bit_length, degrees_l))
     uniform = max(degrees_l) if min(degrees_l) == max(degrees_l) else 0

@@ -18,7 +18,11 @@ over dense vertex indices ``0 .. n-1``:
 * ``degrees`` — per-vertex degree, one ``array('q')`` lookup;
 * ``port_targets`` (KT0 plans) — the hidden port table flattened the
   same way: entry ``neighbor_offsets[i] + p`` is the dense index
-  behind port ``p`` of vertex ``i``.
+  behind port ``p`` of vertex ``i``;
+* ``walk_table`` — the table a walker moves through
+  (``neighbor_indices`` under KT1, ``port_targets`` under KT0) as a
+  plain list, built lazily once per plan for the lockstep walk
+  kernels.
 
 **CSR-backed graphs compile zero-copy.**  Every generator builds its
 graph through :mod:`repro.graphs.build`, which already produces exactly
@@ -112,6 +116,7 @@ class ExecutionPlan:
         "nbr_index",
         "kt0_rows",
         "kt0_ports",
+        "walk_table",
         "_labeling",
         "_closed_sets",
         "_csr",
@@ -197,8 +202,18 @@ class ExecutionPlan:
 
     def __getattr__(self, name: str):
         # Reached only when a slot is unset: the lazy per-vertex rows
-        # of CSR-backed plans.  Materialize once, cache in the slot.
-        if name == "nbr_ids":
+        # of CSR-backed plans, and every plan's lockstep walk table.
+        # Materialize once, cache in the slot.
+        if name == "walk_table":
+            # Mapping through one shared int object per vertex costs
+            # one pointer per arc, not a freshly boxed int per arc.
+            flat = (
+                self.neighbor_indices
+                if self.port_model is PortModel.KT1
+                else self.port_targets
+            )
+            value = list(map(list(range(self.n)).__getitem__, flat))
+        elif name == "nbr_ids":
             offsets, indices = self._csr
             getter = self.ids.__getitem__
             value: list = []
@@ -604,18 +619,12 @@ def attach_plan(handle: SharedPlanHandle) -> AttachedPlan:
     """
     if _shared_memory is None:
         raise SchedulerError("multiprocessing.shared_memory is unavailable")
+    # CPython ≤ 3.12 registers *attached* segments with the resource
+    # tracker as if this process created them.  That is harmless only
+    # when the attacher shares the exporter's tracker (the sweep fabric
+    # starts it before forking its workers): the registration is then a
+    # no-op re-add, and the exporter's unlink retires the name.
     segment = _shared_memory.SharedMemory(name=handle.name)
-    try:
-        # CPython ≤ 3.12 registers *attached* segments with the
-        # resource tracker as if this process created them; under the
-        # spawn start method the tracker would then unlink the segment
-        # when this worker exits, yanking it from every other reader.
-        # The exporter owns the lifetime, so undo the registration.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker API moved/absent
-        pass
     meta = handle.meta
     n = meta["n"]
     m2 = meta["m2"]

@@ -11,7 +11,7 @@ completed records back as columnar batches:
   fabric worker uses, so consecutive units of one instance pay the
   generator and plan compilation once;
 * with ``workers > 1`` the host fans each unit out over its **own
-  warm local fabric** (:func:`repro.experiments.parallel._run_fabric`
+  warm local fabric** (:func:`repro.experiments.parallel._run_points`
   — persistent pool, shared-memory plans, lockstep batches), so the
   service *composes with* the single-host stack instead of replacing
   it: a fleet of 4-worker hosts is 4 warm fabrics behind one broker;
@@ -36,13 +36,7 @@ from typing import Any, Callable
 
 from repro.errors import ReproError, ServiceError, WireError
 from repro.experiments.harness import TrialRecord
-from repro.experiments.parallel import (
-    SweepPoint,
-    SweepSpec,
-    _chunk_points,
-    _run_chunk,
-    _run_fabric,
-)
+from repro.experiments.parallel import SweepPoint, SweepSpec, _run_points
 from repro.service.backoff import DEFAULT_POLICY, BackoffPolicy
 from repro.service.protocol import (
     encode_records,
@@ -183,17 +177,8 @@ def _execute_unit(
     hosts run inline through the same chunk executor the fabric's
     processes use.  Both paths produce byte-identical records.
     """
-    chosen = [points[index] for index in indices]
     done: dict[int, TrialRecord] = {}
-
-    def consume(pairs: Any) -> None:
-        done.update(pairs)
-
-    if workers > 1:
-        _run_fabric(spec, chosen, workers, consume)
-    else:
-        for chunk in _chunk_points(spec, chosen, 1):
-            consume(_run_chunk(chunk))
+    _run_points(spec, [points[index] for index in indices], workers, done.update)
     return [done[index] for index in indices]
 
 

@@ -98,14 +98,11 @@ class TestSweepCommand:
         assert main(args) == 2
         assert "--stream" in capsys.readouterr().err
 
-    def test_no_fabric_output_identical(self, capsys, tmp_path):
-        fabric_out = tmp_path / "fabric.jsonl"
-        legacy_out = tmp_path / "legacy.jsonl"
-        assert main([*self._grid, "--workers", "2", "--out", str(fabric_out)]) == 0
-        assert main([
-            *self._grid, "--workers", "2", "--no-fabric", "--out", str(legacy_out),
-        ]) == 0
-        assert fabric_out.read_bytes() == legacy_out.read_bytes()
+    def test_removed_no_fabric_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self._grid, "--workers", "1", "--no-fabric"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-fabric" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.experiments.harness import aggregate_rounds, repeat_trials, run_trial
 from repro.experiments.parallel import (
     CONSTANTS_PRESETS,
     GRAPH_FAMILIES,
     SweepSpec,
-    _GraphChunk,
-    _run_chunk,
+    _ChunkTask,
+    _execute_chunk_task,
     ambient_workers,
     build_graph,
     clear_instance_cache,
@@ -116,18 +122,19 @@ class TestInstanceMemoization:
 
     def test_one_generator_call_per_worker_per_instance(self, counting_family):
         """Two chunks of one instance in one process: one generator call."""
-        chunk = _GraphChunk(
-            family="counting-test", n=20, delta_spec="8",
+        chunk = _ChunkTask(
+            task_id=1, family="counting-test", n=20, delta_spec="8",
             preset="tuned", max_rounds=None,
             trials=((0, "trivial", "none", 0), (1, "trivial", "none", 1)),
         )
-        again = _GraphChunk(
-            family="counting-test", n=20, delta_spec="8",
+        again = _ChunkTask(
+            task_id=2, family="counting-test", n=20, delta_spec="8",
             preset="tuned", max_rounds=None,
             trials=((2, "trivial", "none", 2),),
         )
-        records = dict(_run_chunk(chunk) + _run_chunk(again))
-        assert sorted(records) == [0, 1, 2]
+        indices, _ = _execute_chunk_task(chunk)
+        more, _ = _execute_chunk_task(again)
+        assert indices + more == (0, 1, 2)
         assert counting_family == [(20, 8)], (
             "the worker regenerated a graph it had already built"
         )
@@ -138,11 +145,19 @@ class TestInstanceMemoization:
         assert plan_for_instance("counting-test", 20, "8") is plan
         assert counting_family == [(20, 8)]
 
-    def test_sweep_identical_with_and_without_plan_cache(self):
-        """Acceptance: cached-plan sweep == fresh per-trial execution."""
-        spec = small_spec()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_identical_with_and_without_plan_cache(self, workers):
+        """Acceptance: cached-plan sweep == fresh per-trial execution.
+
+        The per-trial oracle for every executor path: the sweep runs
+        chunks through batched ``run_trials`` (lockstep for the
+        eligible baselines), the oracle runs each point alone.
+        """
+        spec = small_spec(
+            algorithms=("theorem1", "theorem2", "trivial", "random-walk"),
+        )
         clear_instance_cache()
-        swept = run_sweep(spec, workers=2)
+        swept = run_sweep(spec, workers=workers)
         fresh = []
         for point in spec.points():
             # Rebuild the instance outside every cache and run the trial
@@ -361,17 +376,80 @@ class TestHarnessOptIn:
         assert [r.rounds for r in records] == [r.rounds for r in serial]
 
 
+#: Sweeps on one fabric, restarts it, sweeps twice more with a one-slot
+#: plan arena (the second sweep evicts and unlinks the first export),
+#: then reports the live export and worker pids and waits to be killed.
+_SECOND_FABRIC_SCRIPT = """
+import json, time
+from repro.experiments import parallel
+from repro.experiments.parallel import SweepSpec, run_sweep, shutdown_fabric
+
+def spec(n):
+    return SweepSpec(name="tracker", families=("er-min-degree",), ns=(n,),
+                     algorithms=("trivial",), seeds=tuple(range(8)))
+
+run_sweep(spec(40), workers=2)
+shutdown_fabric()
+run_sweep(spec(40), workers=2)
+run_sweep(spec(44), workers=2)
+print(json.dumps({
+    "segments": [s.handle.name for s in parallel._plan_arena._shares.values()],
+    "workers": [p.pid for p in parallel._fabric_pool.processes],
+}), flush=True)
+time.sleep(120)
+"""
+
+
 class TestFabric:
-    def test_fabric_and_legacy_paths_byte_identical(self, tmp_path):
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not Path("/dev/shm").is_dir(),
+        reason="needs fork workers and /dev/shm",
+    )
+    def test_parent_killed_in_a_later_fabric_leaks_no_segments(self):
+        """Every fabric's workers share the exporter's resource tracker.
+
+        A pool forked after the tracker started used to unregister the
+        exporter's own segments on attach, so the exporter's unlink hit
+        a tracker ``KeyError`` and a SIGKILLed parent left its exports
+        in ``/dev/shm``.  Now the tracker outlives parent and workers
+        and unlinks the live export, printing no traceback.
+        """
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            REPRO_PLAN_ARENA="1",
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _SECOND_FABRIC_SCRIPT],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        state = {"segments": [], "workers": []}
+        try:
+            line = child.stdout.readline()
+            if line:
+                state = json.loads(line)
+        finally:
+            for pid in [child.pid, *state["workers"]]:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            # stderr closes once the tracker, its last holder, has exited.
+            _, stderr = child.communicate(timeout=60)
+        assert state["segments"], stderr
+        for name in state["segments"]:
+            assert not (Path("/dev/shm") / name.lstrip("/")).exists(), name
+        assert "Traceback" not in stderr, stderr
+
+    def test_fabric_and_inline_paths_byte_identical(self, tmp_path):
         spec = small_spec()
         serial = run_sweep(spec, workers=1)
         fabric = run_sweep(spec, workers=3)
-        legacy = run_sweep(spec, workers=3, fabric=False)
-        assert serial.records == fabric.records == legacy.records
+        assert serial.records == fabric.records
         paths = []
-        for name, result in (("s", serial), ("f", fabric), ("l", legacy)):
+        for name, result in (("s", serial), ("f", fabric)):
             paths.append(write_records_jsonl(result.records, tmp_path / f"{name}.jsonl"))
-        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_pool_persists_across_sweeps(self):
         from repro.experiments import parallel

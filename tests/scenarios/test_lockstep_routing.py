@@ -1,11 +1,13 @@
-"""Routing regression: active scenarios never reach the lockstep kernels.
+"""Routing regression: which batches reach the lockstep kernels.
 
 The lockstep executor replays pre-drawn tapes over a *static* world —
 its kernels cannot churn edges, corrupt whiteboards, or crash agents.
 :func:`lockstep_supported` therefore declines any batch carrying an
 active scenario (even under an explicit ``REPRO_LOCKSTEP=1``), while
 no-op scenarios are normalized away before the check and keep routing
-exactly as before the scenario axis existed.
+exactly as before the scenario axis existed.  Conversely, every
+in-process entry point of the sweep engine must hand an eligible batch
+to the kernels instead of running it trial by trial.
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ import random
 
 import pytest
 
-from repro.experiments import harness
-from repro.experiments.harness import run_trial, run_trials
+from repro.experiments import harness, parallel
+from repro.experiments.harness import repeat_trials, run_trial, run_trials
+from repro.experiments.parallel import (
+    SweepSpec,
+    _ChunkTask,
+    _execute_chunk_task,
+    run_sweep,
+)
 from repro.graphs.generators import random_graph_with_min_degree
 from repro.graphs.ports import PortModel
 from repro.runtime.lockstep import LOCKSTEP_ENV, lockstep_supported
@@ -44,6 +52,17 @@ def lockstep_spy(monkeypatch):
     spy = _Spy()
     monkeypatch.setattr(harness, "run_lockstep_batch", spy)
     return spy
+
+
+@pytest.fixture
+def no_per_trial_runs(monkeypatch):
+    """Fail any ``run_trial`` call from the harness or the sweep engine."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eligible batch ran trial by trial")
+
+    monkeypatch.setattr(harness, "run_trial", forbidden)
+    monkeypatch.setattr(parallel, "run_trial", forbidden)
 
 
 class TestStaticEligibility:
@@ -117,3 +136,47 @@ class TestBatchRouting:
         run_trial(graph, "random-walk", 0, scenario="edge-churn", max_rounds=400)
         run_trial(graph, "random-walk", 0, scenario=None, max_rounds=400)
         assert lockstep_spy.calls == 0
+
+
+#: An eligible random-walk grid: one instance, three seeds.
+WALK_SPEC = SweepSpec(
+    name="routing", families=("er-min-degree",), ns=(48,), deltas=("9",),
+    algorithms=("random-walk",), seeds=(0, 1, 2), max_rounds=400,
+)
+
+
+class TestEntryPointRouting:
+    """Each in-process entry point batches eligible trials into lockstep."""
+
+    @pytest.fixture(autouse=True)
+    def _lockstep_on(self, monkeypatch):
+        monkeypatch.setenv(LOCKSTEP_ENV, "1")
+
+    def test_inline_sweep(self, lockstep_spy, no_per_trial_runs):
+        result = run_sweep(WALK_SPEC, workers=1)
+        assert len(result.records) == 3
+        assert lockstep_spy.calls == 1
+
+    def test_single_worker_service_host(self, lockstep_spy, no_per_trial_runs):
+        from repro.service.worker import _execute_unit
+
+        points = WALK_SPEC.points()
+        records = _execute_unit(WALK_SPEC, points, [2, 0], 1)
+        assert [record.seed for record in records] == [2, 0]
+        assert lockstep_spy.calls == 1
+
+    def test_chunk_executor(self, lockstep_spy, no_per_trial_runs):
+        task = _ChunkTask(
+            task_id=1, family="er-min-degree", n=48, delta_spec="9",
+            preset="tuned", max_rounds=400,
+            trials=((0, "random-walk", "none", 0), (1, "random-walk", "none", 1)),
+            plan_handle=None,
+        )
+        indices, records = _execute_chunk_task(task)
+        assert indices == (0, 1) and len(records) == 2
+        assert lockstep_spy.calls == 1
+
+    def test_repeat_trials(self, graph, lockstep_spy, no_per_trial_runs):
+        records = repeat_trials(graph, "random-walk", [0, 1], workers=1, max_rounds=400)
+        assert [record.seed for record in records] == [0, 1]
+        assert lockstep_spy.calls == 1

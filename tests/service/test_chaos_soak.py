@@ -52,7 +52,7 @@ WATCHDOG = 75.0
 @pytest.fixture(scope="module")
 def serial():
     """The ground truth every faulted run must reproduce byte-for-byte."""
-    return run_sweep(SPEC, workers=1, fabric=False)
+    return run_sweep(SPEC, workers=1)
 
 
 def _serial_bytes(serial, tmp_path) -> bytes:

@@ -84,7 +84,7 @@ class TestSpecPayload:
 class TestEndToEnd:
     def test_fleet_matches_serial_sweep_byte_for_byte(self, tmp_path):
         spec = small_spec(families=("complete", "er-min-degree"), ns=(24, 32))
-        serial = run_sweep(spec, workers=1, fabric=False)
+        serial = run_sweep(spec, workers=1)
         with Broker(tmp_path / "cache", unit_size=4) as broker:
             for _ in range(2):
                 start_worker_thread(broker.address, max_units=None, reconnect=2.0)
@@ -117,7 +117,7 @@ class TestEndToEnd:
 
     def test_multiworker_host_matches_inline_host(self, tmp_path):
         spec = small_spec(seeds=tuple(range(8)))
-        serial = run_sweep(spec, workers=1, fabric=False)
+        serial = run_sweep(spec, workers=1)
         with Broker(tmp_path / "cache", unit_size=4) as broker:
             start_worker_thread(broker.address, workers=2, reconnect=2.0)
             result = submit_sweep(broker.address, spec)
@@ -171,7 +171,7 @@ class TestCacheSemantics:
             result = submit_sweep(broker.address, spec)
         assert result.cached == 4
         assert result.executed == 4
-        assert result.records == run_sweep(spec, workers=1, fabric=False).records
+        assert result.records == run_sweep(spec, workers=1).records
 
     def test_concurrent_submissions_share_one_job(self, tmp_path):
         spec = small_spec()
@@ -228,7 +228,7 @@ class TestFaultPaths:
             # An honest worker now finishes the whole grid.
             start_worker_thread(broker.address, reconnect=2.0)
             result = submit_sweep(broker.address, spec)
-        assert result.records == run_sweep(spec, workers=1, fabric=False).records
+        assert result.records == run_sweep(spec, workers=1).records
 
     def test_duplicate_result_is_acked_and_dropped(self, tmp_path):
         spec = small_spec(seeds=(0, 1))

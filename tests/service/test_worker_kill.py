@@ -75,7 +75,7 @@ def _poll(predicate, timeout: float = 20.0, interval: float = 0.01):
 @pytest.mark.parametrize("warehouse", [False, True], ids=["jsonl", "warehouse"])
 def test_sigkilled_worker_is_invisible_in_the_output(tmp_path, warehouse):
     spec = kill_spec()
-    serial = run_sweep(spec, workers=1, fabric=False)
+    serial = run_sweep(spec, workers=1)
     fork = multiprocessing.get_context("fork")
     with Broker(
         tmp_path / "cache", warehouse=warehouse, unit_size=1, lease_timeout=30.0
@@ -184,4 +184,4 @@ def test_broker_killed_and_restarted_resumes_without_rerunning(tmp_path):
     assert executed_units.isdisjoint(leased_ids)  # no re-run of merged work
     assert result.cached == 10
     assert result.executed == 0
-    assert result.records == run_sweep(spec, workers=1, fabric=False).records
+    assert result.records == run_sweep(spec, workers=1).records
