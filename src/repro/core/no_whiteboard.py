@@ -149,7 +149,7 @@ class NoWhiteboardA(AgentProgram):
 
         self._stats.update(
             target_set_size=len(target_set),
-            target_set=target_set,
+            target_set=list(target_set),
             phi_size=len(phi),
             max_block_size=max((len(b) for b in blocks.values()), default=0),
             t_prime=t_prime,

@@ -67,9 +67,9 @@ class WhiteboardRendezvousA(AgentProgram):
             constants_preset=constants.preset,
         )
         # Expose the constructed set for test-side verification of the
-        # dense condition (Lemma 8).
-        self._stats["target_set"] = outcome.target_set
-        self._stats["selected"] = outcome.selected
+        # dense condition (Lemma 8), as lists: reports must be JSON-native.
+        self._stats["target_set"] = list(outcome.target_set)
+        self._stats["selected"] = list(outcome.selected)
 
         yield from main_rendezvous_a_run(
             ctx, outcome.target_set, outcome.local_map, self._stats

@@ -10,21 +10,19 @@ never recomputes a trial it already has on disk.
 Storage is one JSON-lines file per spec (``<dir>/<spec_hash>.jsonl``,
 one ``{"key": ..., "record": ...}`` object per line) plus a
 human-readable ``<spec_hash>.spec.json`` manifest.  Appending
-line-by-line makes interrupted sweeps resumable: loading tolerates a
-truncated final line and simply re-runs whatever is missing.  All
-record (de)serialization goes through
+line-by-line makes interrupted sweeps resumable: reading back skips a
+torn line with a warning and the sweep re-runs whatever is missing.
+All record (de)serialization goes through
 :mod:`repro.experiments.results_io`, so cached records round-trip
 exactly like exported ones.
 
-**Crash-safety boundary.**  :meth:`ResultCache.append` flushes after
-every record — a crash loses at most the record being written.  The
-batched :meth:`ResultCache.append_many` (what the sweep fabric uses)
-writes a whole batch with **one** flush at the end: a crash loses at
-most the records of the in-flight batch, every batch flushed before
-it is durable, and a torn line inside the lost batch is skipped by
-:meth:`ResultCache.load` like any other truncation.  Since the sweep
-engine appends a batch only after all of its trials completed, resume
-recomputes exactly the lost trials and nothing else.
+**Crash-safety boundary.**  :meth:`ResultCache.append_many` writes a
+whole batch with **one** flush at the end: a crash loses at most the
+records of the in-flight batch, every batch flushed before it is
+durable, and a torn line inside the lost batch is skipped by
+:meth:`ResultCache.iter_records`.  Since sweeps and the broker append
+a batch only after all of its trials completed, resume recomputes
+exactly the lost trials and nothing else.
 """
 
 from __future__ import annotations
@@ -91,40 +89,14 @@ class ResultCache:
         """The human-readable spec manifest next to the data file."""
         return self._directory / f"{self._spec_hash}.spec.json"
 
-    def load(self) -> dict[str, TrialRecord]:
-        """All cached records, keyed by content hash.
-
-        Blank, truncated, or otherwise corrupt lines (an interrupted
-        writer) are skipped — the sweep engine recomputes those keys.
-        Duplicate keys keep the last occurrence.
-        """
-        if not self.path.exists():
-            return {}
-        loaded: dict[str, TrialRecord] = {}
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    key = payload["key"]
-                    record = record_from_jsonable(payload["record"])
-                except (ValueError, KeyError, TypeError):
-                    continue
-                loaded[key] = record
-        return loaded
-
     def iter_records(self) -> Iterator[tuple[str, TrialRecord]]:
         """Stream cached ``(key, record)`` pairs one at a time.
 
-        The streaming twin of :meth:`load` for consumers that fold
-        records and drop them (the sweep's ``stream=True`` resume):
-        resident memory is one record plus the set of keys already
-        seen.  Corrupt lines are skipped exactly like :meth:`load`,
-        but each skip also emits a :class:`UserWarning` naming the
-        file — a truncated tail after a crash is expected (the sweep
-        recomputes those keys), yet it should be *visible*, not
+        Resident memory is one record plus the set of keys already
+        seen.  Blank lines are skipped; corrupt lines (an interrupted
+        writer) are skipped too, with one :class:`UserWarning` naming
+        the file — a truncated tail after a crash is expected (the
+        sweep recomputes those keys), yet it should be *visible*, not
         silent, when it happens mid-resume.  Duplicate keys yield
         their *first* occurrence — for the deterministic trials this
         cache stores, duplicates are byte-identical re-runs, so first
@@ -173,10 +145,6 @@ class ResultCache:
                 )
             self._handle = self.path.open("a", encoding="utf-8")
         return self._handle
-
-    def append(self, key: str, record: TrialRecord) -> None:
-        """Persist one record; flushed immediately for crash safety."""
-        self.append_many([(key, record)])
 
     def append_many(self, pairs: Iterable[tuple[str, TrialRecord]]) -> None:
         """Persist a batch of records with **one** flush at the end.

@@ -34,7 +34,7 @@ from repro.analysis.stats import PartialSummary, Summary, summarize
 from repro.core.api import prepare_rendezvous, rendezvous
 from repro.core.verification import verify_result
 from repro.core.constants import Constants
-from repro.errors import SchedulerError
+from repro.errors import ProtocolError, SchedulerError
 from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortLabeling, PortModel
 from repro.graphs.validation import require_neighborhood_instance
@@ -55,6 +55,7 @@ __all__ = [
     "run_trials",
     "repeat_trials",
     "aggregate_rounds",
+    "json_native",
 ]
 
 #: Keyword arguments :func:`run_trials` understands; :func:`run_seeds`
@@ -68,9 +69,45 @@ _BATCHABLE_KWARGS = frozenset({
 })
 
 
+#: The scalar int fields of a :class:`TrialRecord`, in the column order
+#: of the batch codec and the warehouse (one int64 column each).
+_INT_COLUMNS = (
+    "n", "id_space", "delta", "max_degree", "seed",
+    "rounds", "total_moves", "whiteboard_writes",
+)
+_INT64_MIN = -(2 ** 63)
+_INT64_MAX = 2 ** 63 - 1
+_JSON_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
+def json_native(value: Any) -> bool:
+    """Whether ``value`` survives a JSON round trip *unchanged*.
+
+    Only ``dict`` (with ``str`` keys), ``list``, ``str``, ``int``,
+    ``float``, ``bool`` and ``None`` do: JSON turns a tuple into a
+    list, and it cannot carry a set or an arbitrary object at all.
+    """
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return True
+    if kind is list:
+        return all(json_native(item) for item in value)
+    if kind is dict:
+        return all(
+            type(key) is str and json_native(item) for key, item in value.items()
+        )
+    return False
+
+
 @dataclass(frozen=True)
 class TrialRecord:
-    """One execution of one algorithm on one instance."""
+    """One execution of one algorithm on one instance.
+
+    Records made by the harness hold JSON-native ``reports`` and int64
+    scalars (:func:`_trial_record` checks both), which is what lets
+    every codec — JSON lines, the columnar batch, the warehouse —
+    return them unchanged.
+    """
 
     algorithm: str
     graph_name: str
@@ -103,8 +140,15 @@ def _trial_record(
     result: ExecutionResult,
     scenario: str | None = None,
 ) -> TrialRecord:
-    """Fold one execution result into the harness's record shape."""
-    return TrialRecord(
+    """Fold one execution result into the harness's record shape.
+
+    The one place an execution becomes a record, so the one place its
+    values are checked: a program whose report JSON would not return
+    unchanged, or a scalar outside int64, raises
+    :class:`~repro.errors.ProtocolError` naming the algorithm here,
+    before any transport or store sees the record.
+    """
+    record = TrialRecord(
         algorithm=algorithm,
         graph_name=graph.name,
         n=graph.n,
@@ -119,6 +163,19 @@ def _trial_record(
         reports=result.reports,
         scenario=scenario,
     )
+    if not json_native(record.reports):
+        raise ProtocolError(
+            f"algorithm {algorithm!r} reported a value JSON cannot carry "
+            "unchanged; reports may hold only dict (str keys), list, str, "
+            "int, float, bool and None"
+        )
+    for name in _INT_COLUMNS:
+        value = getattr(record, name)
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise ProtocolError(
+                f"algorithm {algorithm!r}: {name}={value} is outside int64"
+            )
+    return record
 
 
 def run_trial(

@@ -74,6 +74,8 @@ from repro.errors import ReproError, SchedulerError, WarehouseError
 from repro.experiments.cache import CACHE_FORMAT_VERSION, ResultCache, content_hash
 from repro.experiments.warehouse import WarehouseCache
 from repro.experiments.harness import (
+    _INT64_MAX,
+    _INT64_MIN,
     StreamSummary,
     TrialRecord,
     run_seeds,
@@ -82,7 +84,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.report import Table
 from repro.experiments.results_io import (
-    json_native,
     pack_record_batch,
     unpack_record_batch,
     write_records_jsonl,
@@ -373,11 +374,20 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        object.__setattr__(self, "ns", tuple(self.ns))
         object.__setattr__(self, "deltas", tuple(str(d) for d in self.deltas))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "scenarios", tuple(str(s) for s in self.scenarios))
+        for axis in ("ns", "seeds"):
+            for value in getattr(self, axis):
+                if type(value) is not int:  # bool and float are refused too
+                    raise ReproError(
+                        f"sweep {axis} must be plain integers, got {value!r}"
+                    )
+        for seed in self.seeds:
+            if not _INT64_MIN <= seed <= _INT64_MAX:
+                raise ReproError(f"sweep seed {seed} is outside int64")
         for family in self.families:
             if family not in GRAPH_FAMILIES:
                 known = ", ".join(sorted(GRAPH_FAMILIES))
@@ -867,15 +877,11 @@ def _fabric_worker(task_queue, result_queue) -> None:
     Tasks arrive pre-pickled (the parent serializes them itself so a
     pickling failure surfaces *there*, at submit time, instead of
     being dropped by a queue feeder thread).  Results travel as
-    ``("ok", task_id, indices, payload)`` where the payload is a
-    columnar ``("batch", bytes)`` blob
-    (:func:`~repro.experiments.results_io.pack_record_batch`) or, if a
-    record does not fit the codec losslessly (int64 overflow, non-JSON
-    report values that the codec would coerce), a ``("records",
-    bytes)`` pickle fallback — serialized eagerly here for the same
-    reason: if the records cannot be pickled at all, the failure is
-    caught below and reported as an error message rather than hanging
-    the parent.  Failures come back as
+    ``("ok", task_id, indices, batch)`` where the batch is the
+    columnar blob of
+    :func:`~repro.experiments.results_io.pack_record_batch` — exact
+    for every record, because the harness refuses reports JSON would
+    change.  Failures, that refusal included, come back as
     ``("error", task_id, formatted traceback)``.
     """
     while True:
@@ -888,13 +894,9 @@ def _fabric_worker(task_queue, result_queue) -> None:
                 indices, records = _execute_chunk_task(task)
             else:
                 indices, records = _execute_map_task(task)
-            try:
-                if not all(json_native(record.reports) for record in records):
-                    raise ValueError("reports would not survive JSON exactly")
-                payload = ("batch", pack_record_batch(records))
-            except (OverflowError, ValueError):
-                payload = ("records", pickle.dumps(records))
-            result_queue.put(("ok", task.task_id, indices, payload))
+            result_queue.put(
+                ("ok", task.task_id, indices, pack_record_batch(records))
+            )
         except Exception:
             result_queue.put(("error", task.task_id, traceback.format_exc()))
     _release_attached_plans()
@@ -976,13 +978,9 @@ class _FabricPool:
                 raise ReproError(
                     f"sweep worker failed:\n{message[2]}"
                 )
-            _, task_id, indices, payload = message
+            _, task_id, indices, batch = message
             pending_ids.discard(task_id)
-            if payload[0] == "batch":
-                records = unpack_record_batch(payload[1])
-            else:
-                records = pickle.loads(payload[1])
-            on_result(task_id, indices, records)
+            on_result(task_id, indices, unpack_record_batch(batch))
 
     def shutdown(self) -> None:
         """Stop the workers (sentinels first, terminate stragglers)."""

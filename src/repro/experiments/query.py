@@ -16,13 +16,10 @@ galloping probes plus binary search, each candidate run is verified
 constant at C speed (``slice.count(value) == length``, or a min/max
 check for floordiv keys), and every aggregation consumes the run as
 one slice — ``sum``, ``count``, masked variants via
-``itertools.compress`` with the ``met`` byte column as the mask.  Rows
-listed in the warehouse's fallback side channel (records the columns
-cannot hold exactly) are spliced into the same group states
-row-by-row, in row order, so results are exact.  Plans the fused
-kernel does not cover (filters over a warehouse, computed keys) fall
-back to a row-wise fold with identical semantics — ``describe_plan()``
-says which executor a plan gets.
+``itertools.compress`` with the ``met`` byte column as the mask.  Plans
+the fused kernel does not cover (filters over a warehouse, computed
+keys) fall back to a row-wise fold with identical semantics —
+``describe_plan()`` says which executor a plan gets.
 
 Aggregation results are deliberately bit-compatible with the legacy
 paths: ``mean`` is :func:`statistics.fmean`, ``median`` is
@@ -40,8 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import QueryError, WarehouseError
-from repro.experiments.harness import TrialRecord
-from repro.experiments.results_io import _INT_COLUMNS
+from repro.experiments.harness import _INT_COLUMNS, TrialRecord
 from repro.experiments.warehouse import SweepWarehouse, is_warehouse
 
 __all__ = [
@@ -842,38 +838,15 @@ def _collect_grouped_fused(
     key_plans = [_key_plan(warehouse, key) for key in group_keys]
     fused_aggs = [_FusedAgg(warehouse, agg) for _name, agg in aggs]
     states: dict[tuple, list[_AggState]] = {}
-    stops = list(warehouse.fallback_rows)
-    fallback = warehouse.fallback_records() if stops else {}
-    points = warehouse.column("_point") if warehouse.has_point else None
-
-    def group_states(key: tuple) -> list[_AggState]:
-        group = states.get(key)
-        if group is None:
-            group = states[key] = [_AggState(agg) for _name, agg in aggs]
-        return group
-
     row = 0
-    stop_index = 0
     while row < rows:
-        if stop_index < len(stops) and stops[stop_index] == row:
-            # A fallback row: splice the exact record through the
-            # row-wise path so group states stay in row order.
-            record = fallback[row]
-            get = _record_get(record, points[row] if points is not None else None)
-            key = tuple(expr.evaluate(get) for expr in group_keys)
-            for state in group_states(key):
-                state.add_row(get)
-            stop_index += 1
-            row += 1
-            continue
-        limit = stops[stop_index] if stop_index < len(stops) else rows
         probes = tuple(plan.probe(row) for plan in key_plans)
         # Gallop for a candidate boundary, then binary-search it.
         low, step = row, 1
-        high = limit
+        high = rows
         while True:
             candidate = row + step
-            if candidate >= limit:
+            if candidate >= rows:
                 break
             if all(
                 plan.probe(candidate) == probes[i]
@@ -892,7 +865,7 @@ def _collect_grouped_fused(
                 low = mid
             else:
                 high = mid
-        boundary = high if high < limit else limit
+        boundary = high
         # The keys need not be sorted, so the searched boundary is a
         # candidate: shrink until every key column is constant on it.
         while boundary > row + 1 and not all(
@@ -900,7 +873,9 @@ def _collect_grouped_fused(
         ):
             boundary = row + (boundary - row + 1) // 2
         key = tuple(plan.logical(row) for plan in key_plans)
-        group = group_states(key)
+        group = states.get(key)
+        if group is None:
+            group = states[key] = [_AggState(agg) for _name, agg in aggs]
         for state, driver in zip(group, fused_aggs):
             driver.add_segment(state, row, boundary)
         row = boundary
@@ -923,7 +898,6 @@ def _collect_select_fused(
             )
         raise QueryError(f"no such column {name!r}")
     columns: dict[str, list[Any]] = {}
-    fallback = warehouse.fallback_records()
     for expr in projection:
         name = expr.args[0]
         output = expr.output_name
@@ -936,8 +910,5 @@ def _collect_select_fused(
             column = list(warehouse.column("reports"))
         else:
             column = warehouse.column(name).tolist()
-        for row, record in fallback.items():
-            if name != "_point":
-                column[row] = getattr(record, name)
         columns[output] = column
     return Frame(columns)

@@ -1,9 +1,10 @@
 """Persistence and transport of raw trial records.
 
 Tables summarize; raw records let downstream users re-analyze.  Every
-:class:`~repro.experiments.harness.TrialRecord` round-trips through
-JSON lines losslessly (per-agent reports included, with non-JSON
-values stringified); CSV export flattens the scalar fields for
+:class:`~repro.experiments.harness.TrialRecord` the harness makes
+holds JSON-native reports and int64 scalars (checked where it is
+made), so it round-trips through JSON lines unchanged, per-agent
+reports included; CSV export flattens the scalar fields for
 spreadsheet work.
 
 Two access shapes for JSON lines: :func:`read_records_jsonl`
@@ -16,13 +17,12 @@ The **columnar batch codec** (:func:`pack_record_batch` /
 :func:`unpack_record_batch`) is the wire format of the sweep fabric
 (:mod:`repro.experiments.parallel`): the nine scalar fields of a whole
 batch of records travel as typed ``array``/``struct`` columns and the
-variable-shape fields (algorithm, graph name, per-agent reports) as
-one compact JSON side channel, so a worker→parent transfer is a
-single ``bytes`` object instead of one pickled ``TrialRecord`` per
-trial.  The codec is exact with respect to the JSON export surface:
-``record_to_jsonable(unpack(pack([r]))[0]) == record_to_jsonable(r)``
-byte-for-byte (reports are passed through the same coercion in both
-directions); ``docs/performance.md`` documents the layout.
+variable-shape fields (algorithm, graph name, scenario, per-agent
+reports) as one compact JSON side channel, so a worker→parent transfer
+is a single ``bytes`` object instead of one pickled ``TrialRecord`` per
+trial.  The codec is object-exact: ``unpack(pack(records)) == records``
+for every record the harness makes; ``docs/performance.md`` documents
+the layout.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.experiments.harness import TrialRecord
+from repro.experiments.harness import _INT_COLUMNS, TrialRecord
 
 __all__ = [
     "record_to_jsonable",
@@ -45,7 +45,6 @@ __all__ = [
     "read_records_jsonl",
     "iter_records_jsonl",
     "write_records_csv",
-    "json_native",
     "pack_record_batch",
     "unpack_record_batch",
 ]
@@ -56,24 +55,9 @@ _CSV_FIELDS = [
 ]
 
 
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion of report values into JSON types."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    return repr(value)
-
-
 def record_to_jsonable(record: TrialRecord) -> dict[str, Any]:
-    """One record as a plain JSON-able dict (reports coerced)."""
-    payload = asdict(record)
-    payload["reports"] = _jsonable(payload["reports"])
-    return payload
+    """One record as a plain JSON-able dict."""
+    return asdict(record)
 
 
 def record_from_jsonable(payload: dict[str, Any]) -> TrialRecord:
@@ -143,33 +127,6 @@ def read_records_jsonl(path: str | Path) -> list[TrialRecord]:
 #: channel (the scalar column layout is unchanged from TRB1).
 _BATCH_MAGIC = b"TRB2"
 
-#: The scalar int columns, in wire order (one ``array('q')`` each).
-_INT_COLUMNS = (
-    "n", "id_space", "delta", "max_degree", "seed",
-    "rounds", "total_moves", "whiteboard_writes",
-)
-
-
-def json_native(value: Any) -> bool:
-    """Whether ``value`` survives a JSON round trip *unchanged*.
-
-    The batch codec is always exact with respect to the JSON export
-    surface, but a record whose reports hold non-JSON values (tuples,
-    sets, arbitrary objects — coerced by :func:`record_to_jsonable`)
-    would come back coerced rather than identical.  Transport layers
-    that promise object-identical records (the sweep fabric) check
-    this and fall back to object transport when it fails.
-    """
-    if value is None or type(value) in (bool, int, float, str):
-        return True
-    if type(value) is list:
-        return all(json_native(item) for item in value)
-    if type(value) is dict:
-        return all(
-            type(key) is str and json_native(item) for key, item in value.items()
-        )
-    return False
-
 
 def pack_record_batch(records: Sequence[TrialRecord]) -> bytes:
     """Pack many records into one columnar ``bytes`` blob.
@@ -186,11 +143,9 @@ def pack_record_batch(records: Sequence[TrialRecord]) -> bytes:
               |                        "scenario": [...],
               |                        "reports": [...]} (to the end)
 
-    Reports go through the same coercion as
-    :func:`record_to_jsonable`, so unpacking and then JSON-exporting a
-    record produces bytes identical to exporting the original.
-    Raises ``OverflowError`` if a scalar exceeds int64 (callers fall
-    back to object transport).
+    Records the harness makes unpack equal to the originals: their
+    reports are JSON-native and their scalars fit int64.  A scalar
+    outside int64 raises ``OverflowError``.
     """
     count = len(records)
     parts = [_BATCH_MAGIC, struct.pack("<I", count)]
@@ -202,7 +157,7 @@ def pack_record_batch(records: Sequence[TrialRecord]) -> bytes:
         "algorithm": [r.algorithm for r in records],
         "graph_name": [r.graph_name for r in records],
         "scenario": [r.scenario for r in records],
-        "reports": [_jsonable(r.reports) for r in records],
+        "reports": [r.reports for r in records],
     }
     parts.append(json.dumps(side, separators=(",", ":")).encode("utf-8"))
     return b"".join(parts)

@@ -26,19 +26,17 @@ ships them — as typed columns, not JSON objects.  One directory holds:
     batch; the manifest records ``[first_row, rows, offset, nbytes]``
     per frame so readers that never select ``reports`` never touch it.
 
-``fallback.jsonl``
-    The side channel for records the columns cannot hold exactly: a
-    scalar outside int64 stores the whole record here (as exact JSON,
-    or pickled when its reports are not JSON-native), and JSON-native
-    columns with non-native reports store just the pickled reports.
-    Rows present here are listed in the manifest; readers substitute
-    them during scans, so round-trips are object-exact.
-
 ``manifest.json``
     Schema, committed row count, dictionary tables, report-frame
-    table, fallback row map, and a chained content hash
+    table, and a chained content hash
     (``sha256(prev_chain + sha256(batch payload))`` per append, so the
-    hash extends across crash-resumed runs).
+    hash extends across crash-resumed runs).  Its ``"fallback"`` map
+    is always empty: every record the harness makes fits the columns
+    exactly (JSON-native reports, int64 scalars), so round trips are
+    object-exact.  Warehouses whose manifest lists fallback rows were
+    written by an older version with a pickled side channel; readers
+    and the resume writer refuse them with a
+    :class:`~repro.errors.WarehouseError`.
 
 **Crash safety** mirrors :class:`~repro.experiments.cache.ResultCache`
 batch-append semantics: column bytes are appended and flushed first,
@@ -58,12 +56,10 @@ O(records) JSON parses).  The fused query layer on top lives in
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import mmap
 import os
-import pickle
 import sys
 import zlib
 from array import array
@@ -71,13 +67,7 @@ from pathlib import Path
 from typing import Any, IO, Iterable, Iterator, Sequence
 
 from repro.errors import WarehouseError
-from repro.experiments.harness import TrialRecord
-from repro.experiments.results_io import (
-    _INT_COLUMNS,
-    json_native,
-    record_from_jsonable,
-    record_to_jsonable,
-)
+from repro.experiments.harness import _INT_COLUMNS, _INT64_MAX, TrialRecord
 
 __all__ = [
     "WAREHOUSE_FORMAT",
@@ -98,9 +88,8 @@ MANIFEST_NAME = "manifest.json"
 _DICT_COLUMNS = ("algorithm", "graph_name", "scenario")
 _POINT = "_point"
 _REPORTS_FILE = "reports.seg"
-_FALLBACK_FILE = "fallback.jsonl"
-_INT64_MIN = -(2 ** 63)
-_INT64_MAX = 2 ** 63 - 1
+#: The pickled side channel of older warehouses; only ever deleted.
+_LEGACY_FALLBACK_FILE = "fallback.jsonl"
 #: Code-width ladder for dictionary columns; widened on demand.
 _CODE_CAPACITY = {"B": 256, "H": 65536, "q": _INT64_MAX}
 _NEXT_CODE_TYPE = {"B": "H", "H": "q"}
@@ -123,20 +112,18 @@ def _le(column: array) -> array:
     return column
 
 
-def _b64_pickle(value: Any) -> str:
-    return base64.b64encode(pickle.dumps(value)).decode("ascii")
+def _refuse_fallback(manifest: dict[str, Any], directory: Path) -> None:
+    """Refuse a manifest that lists rows of the retired side channel.
 
-
-def _b64_unpickle(payload: str) -> Any:
-    return pickle.loads(base64.b64decode(payload.encode("ascii")))
-
-
-def _record_fallback(record: TrialRecord) -> tuple[str, Any]:
-    """Fallback (kind, payload) for a record whose scalars overflow int64."""
-    if json_native(record.reports):
-        # JSON integers are arbitrary precision, so this is exact.
-        return "record", record_to_jsonable(record)
-    return "pickled", _b64_pickle(record)
+    Those rows hold placeholders in the columns (zero scalars or null
+    reports), so reading them as records would be silently wrong.
+    """
+    if manifest.get("fallback"):
+        raise WarehouseError(
+            f"{directory}: written by an older version that stored "
+            f"{len(manifest['fallback'])} row(s) in a pickled side channel "
+            "this version does not read; re-run the sweep with --no-resume"
+        )
 
 
 def is_warehouse(path: str | Path) -> bool:
@@ -150,7 +137,7 @@ def _wipe(directory: Path) -> None:
     if not directory.is_dir():
         return
     for entry in directory.iterdir():
-        if entry.name in (MANIFEST_NAME, _FALLBACK_FILE):
+        if entry.name in (MANIFEST_NAME, _LEGACY_FALLBACK_FILE):
             entry.unlink()
         elif entry.suffix == ".seg" or entry.suffix == ".tmp":
             entry.unlink()
@@ -190,7 +177,6 @@ class WarehouseWriter:
         self._dict_index: dict[str, dict[Any, int]] = {n: {} for n in _DICT_COLUMNS}
         self._dict_types: dict[str, str] = {n: "B" for n in _DICT_COLUMNS}
         self._frames: list[list[int]] = []
-        self._fallback_kinds: dict[int, str] = {}
         self._chain = hashlib.sha256(WAREHOUSE_FORMAT.encode("ascii")).hexdigest()
         if (self._directory / MANIFEST_NAME).exists():
             if resume:
@@ -230,15 +216,13 @@ class WarehouseWriter:
                 f"{'has' if manifest.get('has_point') else 'lacks'} a _point "
                 "column; cannot reopen it in the other mode"
             )
+        _refuse_fallback(manifest, self._directory)
         self._rows = int(manifest["rows"])
         for name, meta in manifest.get("dict_columns", {}).items():
             self._dict_values[name] = list(meta["values"])
             self._dict_index[name] = {v: i for i, v in enumerate(meta["values"])}
             self._dict_types[name] = meta["type"]
         self._frames = [list(map(int, f)) for f in manifest.get("report_frames", [])]
-        self._fallback_kinds = {
-            int(row): kind for row, kind in manifest.get("fallback", {}).items()
-        }
         self._chain = manifest.get("content_hash", self._chain)
         if self._spec_payload is None:
             self._spec_payload = manifest.get("spec")
@@ -279,7 +263,6 @@ class WarehouseWriter:
             if actual > size:
                 os.truncate(path, size)
         self._drop_stale_dict_segments()
-        self._filter_fallback_file()
 
     def _drop_stale_dict_segments(self) -> None:
         """Remove dict segments whose width is not the committed one.
@@ -300,58 +283,6 @@ class WarehouseWriter:
                     if handle is not None:
                         handle.close()
                     stale.unlink()
-
-    def _filter_fallback_file(self) -> None:
-        """Drop fallback lines past the commit point (the torn tail).
-
-        A crashed append can only damage the *end* of the file: whole
-        lines for rows the manifest never committed, plus at most one
-        partial final line.  Anything else — an unparsable line before
-        the tail, or a committed row whose payload is gone — is real
-        corruption and raises instead of being rewritten away.
-        """
-        path = self._directory / _FALLBACK_FILE
-        if not path.exists():
-            if self._fallback_kinds:
-                raise WarehouseError(
-                    f"{path}: fallback side channel missing but manifest "
-                    f"references {len(self._fallback_kinds)} row(s)"
-                )
-            return
-        lines = path.read_text(encoding="utf-8").splitlines()
-        kept: list[str] = []
-        kept_rows: set[int] = set()
-        changed = False
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            try:
-                entry = json.loads(line)
-                row = int(entry["row"])
-            except (ValueError, KeyError, TypeError):
-                if lineno == len(lines) - 1:
-                    changed = True  # torn partial line from a crashed append
-                    continue
-                raise WarehouseError(
-                    f"{path}: unparsable fallback line {lineno + 1} before "
-                    "the file tail — corrupt side channel"
-                ) from None
-            if row >= self._rows:
-                changed = True
-                continue
-            kept.append(line)
-            kept_rows.add(row)
-        missing = set(self._fallback_kinds) - kept_rows
-        if missing:
-            raise WarehouseError(
-                f"{path}: fallback payload missing for committed row(s) "
-                f"{sorted(missing)[:5]}"
-            )
-        if changed:
-            tmp = path.with_suffix(".jsonl.tmp")
-            tmp.write_text(
-                "".join(f"{line}\n" for line in kept), encoding="utf-8"
-            )
-            os.replace(tmp, path)
 
     # -- writing -------------------------------------------------------
 
@@ -419,31 +350,16 @@ class WarehouseWriter:
         if not records:
             return
 
-        ints = {name: array("q") for name in _INT_COLUMNS}
-        met = bytearray()
-        raw_strings: dict[str, list[Any]] = {n: [] for n in _DICT_COLUMNS}
-        reports_payload: list[Any] = []
-        fallback_entries: list[tuple[int, str, Any]] = []
-        for i, record in enumerate(records):
-            row = self._rows + i
-            scalars = [int(getattr(record, name)) for name in _INT_COLUMNS]
-            met.append(1 if record.met else 0)
-            for name in _DICT_COLUMNS:
-                raw_strings[name].append(getattr(record, name))
-            if not all(_INT64_MIN <= v <= _INT64_MAX for v in scalars):
-                kind, payload = _record_fallback(record)
-                fallback_entries.append((row, kind, payload))
-                for name in _INT_COLUMNS:
-                    ints[name].append(0)  # placeholder; readers use the fallback
-                reports_payload.append(None)
-                continue
-            for name, value in zip(_INT_COLUMNS, scalars):
-                ints[name].append(value)
-            if json_native(record.reports):
-                reports_payload.append(record.reports)
-            else:
-                fallback_entries.append((row, "reports", _b64_pickle(record.reports)))
-                reports_payload.append(None)
+        ints = {
+            name: array("q", (getattr(record, name) for record in records))
+            for name in _INT_COLUMNS
+        }
+        met = bytes(1 if record.met else 0 for record in records)
+        raw_strings = {
+            name: [getattr(record, name) for record in records]
+            for name in _DICT_COLUMNS
+        }
+        reports_payload = [record.reports for record in records]
 
         codes: dict[str, array] = {}
         for name in _DICT_COLUMNS:
@@ -475,7 +391,7 @@ class WarehouseWriter:
 
         for name in _INT_COLUMNS:
             write(_segment_file(name), _le(ints[name]).tobytes())
-        write(_segment_file("met"), bytes(met))
+        write(_segment_file("met"), met)
         for name in _DICT_COLUMNS:
             write(
                 _dict_segment_file(name, self._dict_types[name]),
@@ -484,20 +400,10 @@ class WarehouseWriter:
         if self._with_point:
             write(_segment_file(_POINT), _le(array("q", points)).tobytes())
         write(_REPORTS_FILE, frame)
-        if fallback_entries:
-            lines = "".join(
-                json.dumps(
-                    {"row": row, "kind": kind, "payload": payload}, sort_keys=True
-                ) + "\n"
-                for row, kind, payload in fallback_entries
-            ).encode("utf-8")
-            write(_FALLBACK_FILE, lines)
         for handle in self._handles.values():
             handle.flush()
 
         self._frames.append([self._rows, len(records), frame_offset, len(frame)])
-        for row, kind, _payload in fallback_entries:
-            self._fallback_kinds[row] = kind
         self._rows += len(records)
         self._chain = hashlib.sha256(
             (self._chain + digest.hexdigest()).encode("ascii")
@@ -520,10 +426,7 @@ class WarehouseWriter:
             },
             "has_point": self._with_point,
             "report_frames": self._frames,
-            "fallback": {
-                str(row): kind
-                for row, kind in sorted(self._fallback_kinds.items())
-            },
+            "fallback": {},
             "content_hash": self._chain,
             "spec": self._spec_payload,
         }
@@ -550,7 +453,6 @@ class WarehouseWriter:
         self._dict_index = {n: {} for n in _DICT_COLUMNS}
         self._dict_types = {n: "B" for n in _DICT_COLUMNS}
         self._frames = []
-        self._fallback_kinds = {}
         self._chain = hashlib.sha256(WAREHOUSE_FORMAT.encode("ascii")).hexdigest()
 
     def close(self) -> None:
@@ -597,13 +499,11 @@ class SweepWarehouse:
                 f"{self._directory}: manifest version {manifest.get('version')} "
                 f"is newer than this reader (understands {WAREHOUSE_VERSION})"
             )
+        _refuse_fallback(manifest, self._directory)
         try:
             self.rows = int(manifest["rows"])
             self._dict_meta = dict(manifest["dict_columns"])
             self._frames = [tuple(map(int, f)) for f in manifest["report_frames"]]
-            self._fallback_kinds = {
-                int(row): kind for row, kind in manifest["fallback"].items()
-            }
         except (KeyError, TypeError, ValueError) as error:
             raise WarehouseError(
                 f"{manifest_path}: malformed manifest ({error!r})"
@@ -612,7 +512,6 @@ class SweepWarehouse:
         self.content_hash = manifest.get("content_hash")
         self.spec = manifest.get("spec")
         self._columns: dict[str, Any] = {}
-        self._fallback_cache: dict[int, TrialRecord] | None = None
 
     @property
     def directory(self) -> Path:
@@ -622,11 +521,6 @@ class SweepWarehouse:
     def column_names(self) -> tuple[str, ...]:
         names = _INT_COLUMNS + ("met",) + _DICT_COLUMNS + ("reports",)
         return names + ((_POINT,) if self.has_point else ())
-
-    @property
-    def fallback_rows(self) -> tuple[int, ...]:
-        """Rows whose exact payload lives in the fallback side channel."""
-        return tuple(sorted(self._fallback_kinds))
 
     def _load_segment(self, filename: str, expected: int) -> bytes:
         path = self._directory / filename
@@ -713,76 +607,11 @@ class SweepWarehouse:
             )
         return json.loads(zlib.decompress(blob).decode("utf-8"))
 
-    def _fallback_payloads(self) -> dict[int, tuple[str, Any]]:
-        path = self._directory / _FALLBACK_FILE
-        if not self._fallback_kinds:
-            return {}
-        if not path.exists():
-            raise WarehouseError(
-                f"{path}: fallback side channel missing but manifest "
-                f"references {len(self._fallback_kinds)} row(s)"
-            )
-        payloads: dict[int, tuple[str, Any]] = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                row = int(entry["row"])
-            except (ValueError, KeyError, TypeError):
-                continue  # torn tail past the commit point
-            if row in self._fallback_kinds:
-                payloads[row] = (entry["kind"], entry["payload"])
-        missing = set(self._fallback_kinds) - set(payloads)
-        if missing:
-            raise WarehouseError(
-                f"{path}: fallback payload missing for row(s) "
-                f"{sorted(missing)[:5]}"
-            )
-        return payloads
-
-    def fallback_records(self) -> dict[int, TrialRecord]:
-        """Exact records for every fallback row, keyed by row number."""
-        if self._fallback_cache is None:
-            out: dict[int, TrialRecord] = {}
-            for row, (kind, payload) in self._fallback_payloads().items():
-                if kind == "record":
-                    out[row] = record_from_jsonable(payload)
-                elif kind == "pickled":
-                    out[row] = _b64_unpickle(payload)
-                elif kind == "reports":
-                    out[row] = self._record_at(row, _b64_unpickle(payload))
-                else:
-                    raise WarehouseError(
-                        f"{self._directory}: unknown fallback kind {kind!r}"
-                    )
-            self._fallback_cache = out
-        return self._fallback_cache
-
-    def _record_at(self, row: int, reports: Any) -> TrialRecord:
-        """Materialize one row from the columns (reports supplied)."""
-        dicts = {
-            name: self.dictionary(name)[self.column(name)[row]]
-            for name in _DICT_COLUMNS
-        }
-        scalars = {name: self.column(name)[row] for name in _INT_COLUMNS}
-        return TrialRecord(
-            algorithm=dicts["algorithm"],
-            graph_name=dicts["graph_name"],
-            met=bool(self.column("met")[row]),
-            reports=reports,
-            scenario=dicts["scenario"],
-            **scalars,
-        )
-
     def iter_records(self) -> Iterator[TrialRecord]:
         """Stream the rows back as :class:`TrialRecord` objects in order.
 
         Report frames decompress one at a time, so resident memory is
-        one batch of reports, not the whole channel.  Fallback rows
-        come back from the side channel, making the round trip exact
-        for every record the warehouse holds.
+        one batch of reports, not the whole channel.
         """
         if self.rows == 0:
             return
@@ -792,7 +621,6 @@ class SweepWarehouse:
             name: (self.column(name), self.dictionary(name))
             for name in _DICT_COLUMNS
         }
-        fallback = self.fallback_records() if self._fallback_kinds else {}
         for first_row, nrows, offset, nbytes in self._frames:
             frame = self._read_frame(offset, nbytes)
             if len(frame) != nrows:
@@ -800,11 +628,7 @@ class SweepWarehouse:
                     f"{self._directory}: report frame at offset {offset} "
                     "does not match its manifest entry"
                 )
-            for i, reports in enumerate(frame):
-                row = first_row + i
-                if row in fallback:
-                    yield fallback[row]
-                    continue
+            for row, reports in enumerate(frame, first_row):
                 yield TrialRecord(
                     algorithm=dict_cols["algorithm"][1][
                         dict_cols["algorithm"][0][row]

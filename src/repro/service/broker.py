@@ -482,7 +482,7 @@ class Broker:
         header: dict[str, Any], payload: bytes,
     ) -> None:
         """Accept one completed unit; duplicates are acked and dropped."""
-        records = decode_records(header.get("codec", "batch"), payload)
+        records = decode_records(payload)
         indices = [int(i) for i in header.get("indices", [])]
         if len(indices) != len(records):
             raise WireError(
@@ -683,9 +683,7 @@ class Broker:
         if header.get("records", True):
             from repro.service.protocol import encode_records
 
-            codec, payload = encode_records(records)
-            done_header["codec"] = codec
-            self._send(conn, done_header, payload)
+            self._send(conn, done_header, encode_records(records))
         else:
             self._send(conn, done_header)
 

@@ -71,7 +71,7 @@ def submit_sweep(
                 if progress is not None:
                     progress(int(header["done"]), int(header["total"]))
                 continue
-            records = decode_records(header.get("codec", "batch"), payload)
+            records = decode_records(payload)
             if len(records) != int(header["total"]):
                 raise WireError(
                     f"broker sent {len(records)} record(s) for a "

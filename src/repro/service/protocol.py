@@ -17,10 +17,10 @@ client is one **frame** on a stream socket::
 * the **payload** is raw bytes for the messages that carry bulk data
   — completed trial records travel as the *same* columnar batch blob
   the in-process fabric uses
-  (:func:`repro.experiments.results_io.pack_record_batch`), with the
-  identical pickle fallback for records the codec cannot represent
-  losslessly, so the wire format is the shm transport's batch format
-  with a length prefix in front.
+  (:func:`repro.experiments.results_io.pack_record_batch`), so the
+  wire format is the fabric's batch format with a length prefix in
+  front.  Nothing read off a socket is unpickled: a payload that is
+  not a batch is a :class:`~repro.errors.WireError`.
 
 Both length prefixes are capped (:data:`MAX_HEADER_BYTES`,
 :data:`MAX_PAYLOAD_BYTES`): a corrupt or hostile prefix raises
@@ -40,16 +40,14 @@ A frame round-trips over any stream socket pair:
 ('lease', b'')
 >>> a.close(); b.close()
 
-The service trusts its transport exactly like
-:mod:`multiprocessing` does: record batches that cannot take the
-columnar codec travel pickled, so brokers and workers must only be
-pointed at hosts you control.
+The protocol has no authentication: any peer that connects can submit
+work or return records, and the CRC catches accidents, not
+adversaries.  Point brokers and workers only at hosts you control.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 import struct
 import time
@@ -58,11 +56,7 @@ from typing import Any
 
 from repro.errors import WireError
 from repro.experiments.harness import TrialRecord
-from repro.experiments.results_io import (
-    json_native,
-    pack_record_batch,
-    unpack_record_batch,
-)
+from repro.experiments.results_io import pack_record_batch, unpack_record_batch
 
 __all__ = [
     "MAGIC",
@@ -304,41 +298,17 @@ def recv_message(
 # ----------------------------------------------------------------------
 
 
-def encode_records(records: list[TrialRecord]) -> tuple[str, bytes]:
-    """Encode a completed batch as ``(codec, payload)``.
+def encode_records(records: list[TrialRecord]) -> bytes:
+    """Encode a completed batch as the fabric's columnar batch blob."""
+    return pack_record_batch(records)
 
-    The columnar batch codec is exact on the JSON export surface; a
-    record it would coerce (int64 overflow, non-JSON report values)
-    sends the whole batch down the pickled object channel instead —
-    the same two-tier transport the in-process fabric uses, so a
-    record crosses the network byte-identical to how it crosses a
-    pipe.
-    """
+
+def decode_records(payload: bytes) -> list[TrialRecord]:
+    """Inverse of :func:`encode_records`; :class:`WireError` on anything else."""
     try:
-        if not all(json_native(record.reports) for record in records):
-            raise ValueError("reports would not survive JSON exactly")
-        return "batch", pack_record_batch(records)
-    except (OverflowError, ValueError):
-        return "pickle", pickle.dumps(records)
-
-
-def decode_records(codec: str, payload: bytes) -> list[TrialRecord]:
-    """Inverse of :func:`encode_records`; :class:`WireError` on junk."""
-    try:
-        if codec == "batch":
-            return unpack_record_batch(payload)
-        if codec == "pickle":
-            records = pickle.loads(payload)
-            if not isinstance(records, list) or not all(
-                isinstance(r, TrialRecord) for r in records
-            ):
-                raise ValueError("pickled payload is not a list of TrialRecords")
-            return records
-    except WireError:
-        raise
-    except Exception as error:
-        raise WireError(f"undecodable {codec!r} record payload: {error}") from None
-    raise WireError(f"unknown record codec {codec!r}")
+        return unpack_record_batch(payload)
+    except (ValueError, TypeError, LookupError, struct.error, RecursionError) as error:
+        raise WireError(f"undecodable record payload: {error}") from None
 
 
 # ----------------------------------------------------------------------

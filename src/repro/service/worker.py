@@ -16,9 +16,9 @@ completed records back as columnar batches:
   service *composes with* the single-host stack instead of replacing
   it: a fleet of 4-worker hosts is 4 warm fabrics behind one broker;
 * results are encoded by :func:`repro.service.protocol.encode_records`
-  — the fabric's columnar batch codec with its pickle fallback — and
-  each unit is reported in one frame, so a host that dies mid-unit
-  simply never reports and the broker re-queues the lease.
+  — the fabric's columnar batch codec — and each unit is reported in
+  one frame, so a host that dies mid-unit simply never reports and
+  the broker re-queues the lease.
 
 Deterministic trial errors (:class:`~repro.errors.ReproError`) are
 reported as unit failures — re-running them would only fail again —
@@ -264,11 +264,9 @@ def run_worker(
                     )
                     recv_message(sock, "ack")
                     continue
-                codec, payload = encode_records(records)
                 send_message(
-                    sock, "result", payload,
-                    job=header["job"], unit=header["unit"],
-                    indices=indices, codec=codec,
+                    sock, "result", encode_records(records),
+                    job=header["job"], unit=header["unit"], indices=indices,
                 )
                 recv_message(sock, "ack")
                 completed += 1

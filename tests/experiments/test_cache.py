@@ -32,42 +32,44 @@ class TestResultCache:
     def test_round_trip(self, tmp_path):
         record = one_record()
         with ResultCache(tmp_path, "abc123") as cache:
-            cache.append("k1", record)
-        loaded = ResultCache(tmp_path, "abc123").load()
-        assert loaded == {"k1": record}
+            cache.append_many([("k1", record)])
+        loaded = list(ResultCache(tmp_path, "abc123").iter_records())
+        assert loaded == [("k1", record)]
 
     def test_missing_file_loads_empty(self, tmp_path):
-        assert ResultCache(tmp_path, "nothing").load() == {}
+        assert list(ResultCache(tmp_path, "nothing").iter_records()) == []
 
     def test_corrupt_lines_skipped(self, tmp_path):
         record = one_record()
         cache = ResultCache(tmp_path, "abc123")
-        cache.append("k1", record)
+        cache.append_many([("k1", record)])
         cache.close()
         with cache.path.open("a", encoding="utf-8") as handle:
             handle.write("{truncated\n")
             handle.write("\n")
             handle.write(json.dumps({"no_key": 1}) + "\n")
-        assert ResultCache(tmp_path, "abc123").load() == {"k1": record}
+        with pytest.warns(UserWarning, match="skipped 2 corrupt line"):
+            loaded = list(ResultCache(tmp_path, "abc123").iter_records())
+        assert loaded == [("k1", record)]
 
-    def test_duplicate_keys_keep_last(self, tmp_path):
+    def test_duplicate_keys_keep_first(self, tmp_path):
         first = one_record()
         second = run_trial(complete_graph(16), "trivial", seed=1)
         with ResultCache(tmp_path, "abc123") as cache:
-            cache.append("k", first)
-            cache.append("k", second)
-        assert ResultCache(tmp_path, "abc123").load() == {"k": second}
+            cache.append_many([("k", first)])
+            cache.append_many([("k", second)])
+        assert list(ResultCache(tmp_path, "abc123").iter_records()) == [("k", first)]
 
     def test_reset_discards(self, tmp_path):
         cache = ResultCache(tmp_path, "abc123")
-        cache.append("k1", one_record())
+        cache.append_many([("k1", one_record())])
         cache.reset()
         assert not cache.path.exists()
-        assert cache.load() == {}
+        assert list(cache.iter_records()) == []
 
     def test_manifest_written_once(self, tmp_path):
         cache = ResultCache(tmp_path, "abc123", spec_payload={"name": "demo"})
-        cache.append("k1", one_record())
+        cache.append_many([("k1", one_record())])
         cache.close()
         manifest = json.loads(cache.manifest_path.read_text())
         assert manifest == {"name": "demo"}
@@ -80,7 +82,7 @@ class TestAppendMany:
             cache.append_many([(f"k{i}", r) for i, r in enumerate(records)])
         with ResultCache(tmp_path, "single") as cache:
             for i, record in enumerate(records):
-                cache.append(f"k{i}", record)
+                cache.append_many([(f"k{i}", record)])
         assert (
             (tmp_path / "batched.jsonl").read_bytes()
             == (tmp_path / "single.jsonl").read_bytes()
@@ -97,10 +99,10 @@ class TestAppendMany:
             run_trial(complete_graph(16), "trivial", seed=s) for s in range(3)
         )
         with ResultCache(tmp_path, "mix") as cache:
-            cache.append("a", first)
+            cache.append_many([("a", first)])
             cache.append_many([("b", second), ("c", third)])
-        loaded = ResultCache(tmp_path, "mix").load()
-        assert loaded == {"a": first, "b": second, "c": third}
+        loaded = list(ResultCache(tmp_path, "mix").iter_records())
+        assert loaded == [("a", first), ("b", second), ("c", third)]
 
 
 class TestIterRecords:
@@ -119,19 +121,21 @@ class TestIterRecords:
     def test_corrupt_lines_and_duplicates(self, tmp_path):
         record = one_record()
         cache = ResultCache(tmp_path, "dirty")
-        cache.append("k", record)
-        cache.append("k", record)  # duplicate: first occurrence wins
+        cache.append_many([("k", record)])
+        cache.append_many([("k", record)])  # duplicate: first occurrence wins
         cache.close()
         with cache.path.open("a", encoding="utf-8") as handle:
             handle.write("{torn")
-        assert list(ResultCache(tmp_path, "dirty").iter_records()) == [("k", record)]
+        with pytest.warns(UserWarning):
+            loaded = list(ResultCache(tmp_path, "dirty").iter_records())
+        assert loaded == [("k", record)]
 
 
 class TestCorruptLineWarning:
     def test_iter_records_warns_on_skipped_lines(self, tmp_path):
         record = one_record()
         cache = ResultCache(tmp_path, "dirty")
-        cache.append("k", record)
+        cache.append_many([("k", record)])
         cache.close()
         with cache.path.open("a", encoding="utf-8") as handle:
             handle.write("{torn")
@@ -145,7 +149,7 @@ class TestCorruptLineWarning:
 
         record = one_record()
         with ResultCache(tmp_path, "clean") as cache:
-            cache.append("k", record)
+            cache.append_many([("k", record)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert list(ResultCache(tmp_path, "clean").iter_records()) == [

@@ -72,6 +72,31 @@ class TestSweepSpec:
         with pytest.raises(ReproError):
             small_spec(seeds=())
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"seeds": (0, 1.5)},
+            {"seeds": (True,)},
+            {"seeds": ("7",)},
+            {"seeds": (2 ** 63,)},
+            {"seeds": (-(2 ** 63) - 1,)},
+            {"ns": (64.9,)},
+            {"ns": (False,)},
+        ],
+        ids=repr,
+    )
+    def test_ns_and_seeds_are_checked_not_coerced(self, axes):
+        with pytest.raises(ReproError, match="sweep (ns|seed)"):
+            small_spec(**axes)
+        # A spec read off the wire gets the same check.
+        payload = {**small_spec().describe(), **{k: list(v) for k, v in axes.items()}}
+        with pytest.raises(ReproError, match="sweep (ns|seed)"):
+            SweepSpec.from_payload(payload)
+
+    def test_int64_seed_bounds_accepted(self):
+        spec = small_spec(seeds=(-(2 ** 63), 2 ** 63 - 1))
+        assert spec.seeds == (-(2 ** 63), 2 ** 63 - 1)
+
     def test_resolve_delta(self):
         assert resolve_delta("90", 400) == 90
         assert resolve_delta("n^0.75", 400) == max(8, round(400 ** 0.75))

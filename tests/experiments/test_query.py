@@ -9,9 +9,9 @@ import pytest
 
 from repro.errors import QueryError, WarehouseError
 from repro.experiments import query
-from repro.experiments.harness import TrialRecord, repeat_trials, run_trial
+from repro.experiments.harness import repeat_trials
 from repro.experiments.query import col, from_records, lit, scan
-from repro.experiments.results_io import record_to_jsonable, write_records_jsonl
+from repro.experiments.results_io import write_records_jsonl
 from repro.experiments.warehouse import write_records_warehouse
 from repro.graphs.generators import complete_graph, random_graph_with_min_degree
 
@@ -27,10 +27,6 @@ def mixed_records():
                 repeat_trials(graph, algorithm, range(3), max_rounds=60)
             )
     return records
-
-
-def mutate(record: TrialRecord, **overrides) -> TrialRecord:
-    return TrialRecord(**{**record_to_jsonable(record), **overrides})
 
 
 @pytest.fixture(scope="module")
@@ -158,20 +154,6 @@ class TestFusedKernel:
         oracle = from_records(records).group_by(*keys).agg(**aggs)
         assert list(fused.collect().sort_by(*keys).iter_rows()) == list(
             oracle.collect().sort_by(*keys).iter_rows()
-        )
-
-    def test_fused_with_fallback_rows(self, records, tmp_path):
-        """Fallback rows (overflow + pickled reports) splice in exactly."""
-        patched = list(records)
-        patched[1] = mutate(patched[1], total_moves=2 ** 70)
-        patched[5] = mutate(patched[5], reports={"a": {"pair": (1, 2)}})
-        path = write_records_warehouse(patched, tmp_path / "fb")
-        aggs = dict(moves=query.sum_("total_moves"), total=query.count())
-        fused = scan(path).group_by("algorithm").agg(**aggs)
-        assert "fused single pass" in fused.describe_plan()
-        oracle = from_records(patched).group_by("algorithm").agg(**aggs)
-        assert list(fused.collect().sort_by("algorithm").iter_rows()) == list(
-            oracle.collect().sort_by("algorithm").iter_rows()
         )
 
     def test_floordiv_key_fuses(self, records, tmp_path):

@@ -56,20 +56,6 @@ class TestJsonl:
         path.write_text(path.read_text() + "\n\n")
         assert len(read_records_jsonl(path)) == 3
 
-    def test_nonjson_report_values_stringified(self, tmp_path):
-        from repro.experiments.harness import TrialRecord
-
-        record = TrialRecord(
-            algorithm="x", graph_name="g", n=2, id_space=2, delta=1,
-            max_degree=1, seed=0, met=True, rounds=1, total_moves=0,
-            whiteboard_writes=0,
-            reports={"a": {"odd": frozenset({3, 1}), "obj": object()}},
-        )
-        path = write_records_jsonl([record], tmp_path / "odd.jsonl")
-        loaded = read_records_jsonl(path)
-        assert loaded[0].reports["a"]["odd"] == [1, 3]
-        assert isinstance(loaded[0].reports["a"]["obj"], str)
-
 
 class TestIterRecords:
     def test_streaming_matches_bulk_load(self, tmp_path):
@@ -125,20 +111,18 @@ class TestRecordBatchCodec:
         ]
         restored = unpack_record_batch(pack_record_batch(records))
         assert _export_bytes(restored) == _export_bytes(records)
-        # KT1 reports are JSON-native, so the records themselves (not
-        # just their exports) must survive the wire exactly.
         assert restored == records
 
     def test_empty_batch(self):
         assert unpack_record_batch(pack_record_batch([])) == []
 
     def test_json_native_detects_lossless_reports(self):
-        from repro.experiments.results_io import json_native
+        from repro.experiments.harness import json_native
 
         assert json_native({"a": {"moves": 3, "ok": True, "note": None}})
         assert json_native({"a": {"path": [1, 2, 3], "rate": 0.5}})
-        # Values record_to_jsonable would *coerce* are not native: the
-        # fabric must ship such records as objects, not columns.
+        # Values JSON would change or cannot carry are not native: the
+        # harness refuses reports that hold them.
         assert not json_native({"a": {"pair": (1, 2)}})
         assert not json_native({"a": {"seen": frozenset({1})}})
         assert not json_native({"a": {"obj": object()}})
@@ -190,8 +174,9 @@ class TestRecordBatchCodec:
         )
     )
     def test_round_trip_property(self, records):
-        """Any JSON-native record list survives the wire byte-for-byte."""
+        """Any JSON-native record list survives the wire unchanged."""
         restored = unpack_record_batch(pack_record_batch(records))
+        assert restored == records
         assert _export_bytes(restored) == _export_bytes(records)
 
 

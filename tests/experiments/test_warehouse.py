@@ -56,26 +56,6 @@ class TestRoundTrip:
         assert [r.scenario for r in restored] == [r.scenario for r in records]
         assert restored == records
 
-    def test_int64_overflow_falls_back_to_side_channel(self, tmp_path):
-        """Satellite: a record the columns cannot hold round-trips exactly."""
-        records = sample_records()
-        records[1] = mutate(records[1], total_moves=2 ** 70, met=True)
-        path = write_records_warehouse(records, tmp_path / "wh")
-        warehouse = SweepWarehouse(path)
-        assert warehouse.fallback_rows == (1,)
-        restored = list(warehouse.iter_records())
-        assert restored == records
-        assert restored[1].total_moves == 2 ** 70
-
-    def test_non_json_native_reports_fall_back(self, tmp_path):
-        """Satellite: tuple-valued reports survive via the pickle channel."""
-        records = sample_records()
-        records[2] = mutate(records[2], reports={"a": {"pair": (1, 2)}})
-        path = write_records_warehouse(records, tmp_path / "wh")
-        restored = list(SweepWarehouse(path).iter_records())
-        assert restored == records
-        assert restored[2].reports["a"]["pair"] == (1, 2)  # tuple, not list
-
     def test_pack_persist_scan_object_identity(self, tmp_path):
         """Satellite: pack → persist → scan returns equal record objects."""
         from repro.experiments.results_io import (
@@ -165,33 +145,11 @@ class TestCrashRecovery:
         for name in ("rounds.seg", "met.seg"):
             with open(path / name, "ab") as handle:
                 handle.write(b"\xff" * 11)
-        with open(path / "fallback.jsonl", "ab") as handle:
-            handle.write(b'{"torn')
         with WarehouseWriter(path) as writer:
             assert writer.rows == 3
             writer.append_batch(records[3:])
             writer.commit()
         assert list(SweepWarehouse(path).iter_records()) == records
-
-    def test_corrupt_fallback_midfile_is_an_error(self, tmp_path):
-        """Only the torn tail may be dropped; earlier damage raises."""
-        records = sample_records()
-        records[1] = mutate(records[1], total_moves=2 ** 70, met=True)
-        records[3] = mutate(records[3], total_moves=2 ** 71, met=True)
-        path = write_records_warehouse(records, tmp_path / "wh")
-        lines = (path / "fallback.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        (path / "fallback.jsonl").write_text(f"{{corrupt\n{lines[1]}\n")
-        with pytest.raises(WarehouseError, match="unparsable"):
-            WarehouseWriter(path)
-
-    def test_missing_committed_fallback_payload_is_an_error(self, tmp_path):
-        records = sample_records()
-        records[1] = mutate(records[1], total_moves=2 ** 70, met=True)
-        path = write_records_warehouse(records, tmp_path / "wh")
-        (path / "fallback.jsonl").write_text("")
-        with pytest.raises(WarehouseError, match="missing"):
-            WarehouseWriter(path)
 
     def test_shrunk_segment_is_an_error(self, tmp_path):
         path = write_records_warehouse(sample_records(), tmp_path / "wh")
@@ -232,6 +190,27 @@ class TestValidation:
             SweepWarehouse(path)
         with pytest.raises(WarehouseError, match="newer"):
             WarehouseWriter(path)
+
+    def test_manifest_listing_fallback_rows_refused(self, tmp_path):
+        """Older warehouses kept some rows in a pickled side channel and
+        placeholders in their columns; neither reader nor resume may use
+        them."""
+        records = sample_records()
+        path = write_records_warehouse(records, tmp_path / "wh")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        assert manifest["fallback"] == {}
+        manifest["fallback"] = {"1": "reports"}
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        (path / "fallback.jsonl").write_text('{"kind": "reports", "row": 1}\n')
+        with pytest.raises(WarehouseError, match="--no-resume"):
+            SweepWarehouse(path)
+        with pytest.raises(WarehouseError, match="--no-resume"):
+            WarehouseWriter(path)
+        # --no-resume discards it, side channel included.
+        with WarehouseWriter(path, resume=False) as writer:
+            writer.append_batch(records)
+        assert not (path / "fallback.jsonl").exists()
+        assert list(SweepWarehouse(path).iter_records()) == records
 
     def test_malformed_manifest_rejected(self, tmp_path):
         target = tmp_path / "wh"

@@ -9,7 +9,6 @@ reconnect loop both key off that one exception.
 
 from __future__ import annotations
 
-import dataclasses
 import socket
 import struct
 import threading
@@ -267,38 +266,26 @@ class TestMessages:
 class TestRecordCodec:
     def test_batch_codec_round_trip(self):
         records = sample_records()
-        codec, payload = encode_records(records)
-        assert codec == "batch"
-        assert decode_records(codec, payload) == records
-
-    def test_pickle_fallback_round_trip(self):
-        # A tuple report value does not survive JSON exactly, so the
-        # batch must take the object channel — same rule as the fabric.
-        records = [
-            dataclasses.replace(
-                record, reports={"a": {"odd": (1, 2)}, "b": {}}
-            )
-            for record in sample_records()
-        ]
-        codec, payload = encode_records(records)
-        assert codec == "pickle"
-        assert decode_records(codec, payload) == records
+        assert decode_records(encode_records(records)) == records
 
     def test_undecodable_payload_is_wire_error(self):
         with pytest.raises(WireError, match="undecodable"):
-            decode_records("batch", b"this is not a batch")
+            decode_records(b"this is not a batch")
         with pytest.raises(WireError, match="undecodable"):
-            decode_records("pickle", b"\x80\x04junk")
+            decode_records(b"TRB2\x05\x00\x00\x00" + b"\x00" * 7)
 
-    def test_pickled_non_records_rejected(self):
+    def test_former_pickle_payload_is_wire_error(self, monkeypatch):
+        """A pickled result payload is refused without being unpickled."""
         import pickle
 
-        with pytest.raises(WireError, match="undecodable"):
-            decode_records("pickle", pickle.dumps(["not", "records"]))
+        payload = pickle.dumps(sample_records())
 
-    def test_unknown_codec_is_wire_error(self):
-        with pytest.raises(WireError, match="unknown record codec"):
-            decode_records("msgpack", b"")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decode_records unpickled a wire payload")
+
+        monkeypatch.setattr(pickle, "loads", forbidden)
+        with pytest.raises(WireError, match="undecodable"):
+            decode_records(payload)
 
 
 class TestAddresses:

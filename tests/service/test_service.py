@@ -73,6 +73,18 @@ class TestSpecPayload:
         with pytest.raises(ReproError, match="malformed"):
             SweepSpec.from_payload(missing)
 
+    def test_broker_answers_a_non_integer_seed_with_an_error_frame(self, tmp_path):
+        payload = {**small_spec().describe(), "seeds": [0, 1.5]}
+        with Broker(tmp_path / "cache") as broker:
+            sock = socket.create_connection(broker.address)
+            try:
+                send_message(sock, "submit", spec=payload, wait=False)
+                header, _ = recv_message(sock, "error")
+            finally:
+                sock.close()
+            assert "sweep seeds must be plain integers" in header["message"]
+            assert broker_status(broker.address)["jobs"] == {}
+
     def test_unit_ids_are_stable_content_addresses(self):
         spec = small_spec()
         h = spec.spec_hash()
@@ -247,11 +259,8 @@ class TestFaultPaths:
                 records = _execute_unit(rebuilt, rebuilt.points(), indices, 1)
                 from repro.service.protocol import encode_records
 
-                codec, payload = encode_records(records)
-                frame = dict(
-                    job=unit["job"], unit=unit["unit"],
-                    indices=indices, codec=codec,
-                )
+                payload = encode_records(records)
+                frame = dict(job=unit["job"], unit=unit["unit"], indices=indices)
                 send_message(sock, "result", payload, **frame)
                 first, _ = recv_message(sock, "ack")
                 send_message(sock, "result", payload, **frame)
