@@ -14,9 +14,9 @@ Both paths replay identical multi-seed random-walk workloads:
 * **baseline** — :func:`repro.runtime.reference.reference_run_trials`,
   the frozen pre-lockstep batched executor (PR 3's engine-reset loop:
   one compiled plan, one reused engine, every round interpreted);
-* **lockstep** — the wired :func:`repro.experiments.harness.run_trials`
-  with ``REPRO_LOCKSTEP=1``, exactly what sweeps and fabric workers
-  run for eligible algorithm × port-model batches.
+* **lockstep** — the wired :func:`repro.experiments.harness.run_trials`,
+  exactly what sweeps and fabric workers run for eligible algorithm ×
+  port-model batches.
 
 Two promises are asserted on every machine:
 
@@ -35,7 +35,6 @@ perf-smoke job).  Emits ``results/BENCH_lockstep.json`` via
 from __future__ import annotations
 
 import json
-import os
 import random
 import sys
 import time
@@ -48,7 +47,7 @@ from repro.experiments.parallel import GRAPH_FAMILIES
 from repro.experiments.report import Table
 from repro.experiments.results_io import record_to_jsonable
 from repro.graphs.ports import PortModel
-from repro.runtime.lockstep import LOCKSTEP_ENV, lockstep_supported
+from repro.runtime.lockstep import lockstep_supported
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.reference import reference_run_trials
 
@@ -109,18 +108,10 @@ def _run_baseline(graph, plan, workload: _Workload):
 
 
 def _run_lockstep(graph, plan, workload: _Workload):
-    previous = os.environ.get(LOCKSTEP_ENV)
-    os.environ[LOCKSTEP_ENV] = "1"
-    try:
-        return run_trials(
-            graph, "random-walk", range(workload.seeds),
-            plan=plan, max_rounds=workload.max_rounds, check_instance=False,
-        )
-    finally:
-        if previous is None:
-            del os.environ[LOCKSTEP_ENV]
-        else:
-            os.environ[LOCKSTEP_ENV] = previous
+    return run_trials(
+        graph, "random-walk", range(workload.seeds),
+        plan=plan, max_rounds=workload.max_rounds, check_instance=False,
+    )
 
 
 def run_benchmark(quick: bool = False, repetitions: int = 3) -> Table:

@@ -61,7 +61,6 @@ copy-pasteable examples.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -192,11 +191,7 @@ def _spec_from_args(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.experiments.parallel import run_sweep
-    from repro.runtime.lockstep import LOCKSTEP_ENV
 
-    if args.lockstep is not None:
-        # Exported (not passed) so fabric workers inherit it.
-        os.environ[LOCKSTEP_ENV] = "1" if args.lockstep else "0"
     if args.stream and args.out:
         print(
             "sweep: --stream keeps only O(batch) records, so --out has "
@@ -561,12 +556,6 @@ def main(argv: list[str] | None = None) -> int:
         "--stream", action="store_true",
         help="fold records into summaries as they arrive (O(batch) memory); "
              "incompatible with --out, pair with --cache-dir for raw records",
-    )
-    sweep_parser.add_argument(
-        "--lockstep", action=argparse.BooleanOptionalAction, default=None,
-        help="--no-lockstep forces every batch down the serial engine "
-             "(sets REPRO_LOCKSTEP for this run); default: lockstep on "
-             "for eligible algorithm × port-model batches",
     )
     sweep_parser.add_argument(
         "--profile-setup", action="store_true",

@@ -18,8 +18,7 @@ Two execution shapes:
   building (``docs/performance.md`` quantifies the difference).
 
 :func:`repeat_trials` keeps its historical signature and routes to the
-batched executor automatically whenever its keyword arguments allow
-(:func:`run_seeds` holds that dispatch).
+batched executor automatically whenever its keyword arguments allow.
 """
 
 from __future__ import annotations
@@ -39,11 +38,7 @@ from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortLabeling, PortModel
 from repro.graphs.validation import require_neighborhood_instance
 from repro.runtime.engine import Engine, ExecutionResult
-from repro.runtime.lockstep import (
-    lockstep_enabled,
-    lockstep_supported,
-    run_lockstep_batch,
-)
+from repro.runtime.lockstep import lockstep_supported, run_lockstep_batch
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.scheduler import SyncScheduler
 from repro.scenarios.spec import active_scenario
@@ -58,7 +53,7 @@ __all__ = [
     "json_native",
 ]
 
-#: Keyword arguments :func:`run_trials` understands; :func:`run_seeds`
+#: Keyword arguments :func:`run_trials` understands; :func:`repeat_trials`
 #: takes the batched path only when every forwarded kwarg is in this
 #: set, falling back to per-seed :func:`run_trial` calls otherwise
 #: (e.g. ``record_trace``).
@@ -261,9 +256,9 @@ def run_trials(
     Eligible batches (see
     :func:`repro.runtime.lockstep.lockstep_supported`) first try the
     lockstep executor — the same records from struct-of-arrays tapes
-    at a fraction of the cost; ``REPRO_LOCKSTEP=0`` opts out and any
-    non-vectorizable batch falls back here automatically
-    (``docs/performance.md`` § Lockstep execution).
+    at a fraction of the cost; any batch the kernels decline falls
+    back here automatically (``docs/performance.md`` § Lockstep
+    execution).
 
     ``scenario`` selects the world-mutation axis exactly as in
     :func:`run_trial`; a batch with an *active* scenario never routes
@@ -278,7 +273,7 @@ def run_trials(
     active = active_scenario(scenario)
     record_scenario = active.name if active is not None else None
 
-    if lockstep_enabled() and lockstep_supported(algorithm, port_model, scenario=active):
+    if lockstep_supported(algorithm, port_model, scenario=active):
         results = run_lockstep_batch(
             graph,
             algorithm,
@@ -348,47 +343,17 @@ def repeat_trials(
     graph: StaticGraph,
     algorithm: str,
     seeds: range | list[int],
-    workers: int | None = None,
     **kwargs: Any,
 ) -> list[TrialRecord]:
     """Run one trial per seed (new random starts and tapes each time).
 
-    ``workers`` above 1 fans the seeds out over a process pool via
-    :func:`repro.experiments.parallel.map_trials` (``0`` means one
-    worker per core, as everywhere in the sweep engine); the default
-    of ``None`` consults the ambient configuration (the
-    ``REPRO_PARALLEL_WORKERS`` environment variable or
-    :func:`repro.experiments.parallel.configure`), so existing callers
-    opt in without code changes.  Serial runs take the batched
-    :func:`run_trials` path (one compiled plan for the whole seed
-    list) whenever the keyword arguments allow.  Every trial is
-    independently seeded, so the returned records are identical
-    across all of these routes.
-    """
-    seed_list = list(seeds)
-    # Imported lazily: parallel imports run_trial from this module.
-    from repro.experiments import parallel
-
-    count = (
-        parallel.ambient_workers()
-        if workers is None
-        else parallel.resolve_workers(workers)
-    )
-    if count > 1 and len(seed_list) > 1:
-        return parallel.map_trials(graph, algorithm, seed_list, count, **kwargs)
-    return run_seeds(graph, algorithm, seed_list, **kwargs)
-
-
-def run_seeds(
-    graph: StaticGraph, algorithm: str, seeds: list[int], **kwargs: Any
-) -> list[TrialRecord]:
-    """One trial per seed in this process: the one seed-batch dispatch.
-
-    :func:`run_trials` (one compiled plan, lockstep when eligible)
-    whenever every keyword argument is one it understands, per-seed
-    :func:`run_trial` calls otherwise (e.g. ``record_trace``).
-    :func:`repeat_trials` and both sides of
-    :func:`repro.experiments.parallel.map_trials` route through here.
+    Takes the batched :func:`run_trials` path (one compiled plan for
+    the whole seed list, lockstep when eligible) whenever every
+    keyword argument is one it understands, and per-seed
+    :func:`run_trial` calls otherwise (e.g. ``record_trace``).  Every
+    trial is independently seeded, so the records are identical on
+    both routes.  Grids that should fan out over cores run through
+    :func:`repro.experiments.parallel.run_sweep`.
     """
     if set(kwargs) <= _BATCHABLE_KWARGS:
         return run_trials(graph, algorithm, seeds, **kwargs)

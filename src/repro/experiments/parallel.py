@@ -15,9 +15,9 @@ keeping the output *bit-for-bit deterministic*:
   included) — inline for ``workers=1``, in fabric workers otherwise,
   and on single-worker service hosts alike;
 * a **persistent worker pool** (created on first use, reused by every
-  later :func:`run_sweep` / :func:`map_trials` call) pulls chunks
-  from a dynamic work queue, so stragglers steal work instead of the
-  grid being dealt out statically up front;
+  later :func:`run_sweep` call) pulls chunks from a dynamic work
+  queue, so stragglers steal work instead of the grid being dealt out
+  statically up front;
 * the parent compiles each ``(family, n, δ)`` instance's
   :class:`~repro.runtime.plan.ExecutionPlan` **once** and exports it
   over ``multiprocessing.shared_memory``; workers attach read-only
@@ -40,10 +40,7 @@ keeping the output *bit-for-bit deterministic*:
 * an optional content-addressed cache (:mod:`repro.experiments.cache`)
   makes re-runs and interrupted sweeps resume instead of recompute.
 
-Existing callers opt in without code changes: set the
-``REPRO_PARALLEL_WORKERS`` environment variable (or call
-:func:`configure`) and :func:`repro.experiments.harness.repeat_trials`
-fans its seeds out through :func:`map_trials` transparently.
+:func:`run_sweep` is the only way trials fan out.
 ``docs/performance.md`` documents the fabric's lifetimes and layouts.
 """
 
@@ -51,6 +48,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import math
 import os
 import pickle
 import queue as _queue
@@ -78,7 +76,6 @@ from repro.experiments.harness import (
     _INT64_MIN,
     StreamSummary,
     TrialRecord,
-    run_seeds,
     run_trial,
     run_trials,
 )
@@ -117,49 +114,17 @@ __all__ = [
     "plan_for_instance",
     "clear_instance_cache",
     "profile_setup",
-    "bounded_cache_size",
     "resolve_delta",
     "run_sweep",
-    "map_trials",
-    "configure",
-    "ambient_workers",
     "resolve_workers",
     "shutdown_fabric",
 ]
 
-#: Environment variable that disables shared-memory plan transport
-#: (``0``/``off``) without touching the persistent pool itself.
-SHM_ENV_VAR = "REPRO_SWEEP_SHM"
+#: Bound of the per-process instance memo (``_instance_for``).
+_INSTANCE_CACHE_CAP = 32
 
-#: Environment variable consulted by :func:`ambient_workers`.
-WORKERS_ENV_VAR = "REPRO_PARALLEL_WORKERS"
-
-#: Environment variable bounding the per-process instance memo
-#: (``_instance_for``); read once at import.  Default 32, clamped ≥ 1.
-INSTANCE_CACHE_ENV_VAR = "REPRO_INSTANCE_CACHE"
-DEFAULT_INSTANCE_CACHE = 32
-
-#: Environment variable bounding the parent-side plan arena
-#: (exported shared-memory segments); read when the arena is created.
-#: Default 64, clamped ≥ 1.
-PLAN_ARENA_ENV_VAR = "REPRO_PLAN_ARENA"
-DEFAULT_PLAN_ARENA = 64
-
-
-def bounded_cache_size(variable: str, default: int) -> int:
-    """Resolve a cache-bound environment variable, clamped to ``>= 1``.
-
-    An unset or blank variable yields ``default``; a non-integer value
-    raises :class:`ReproError` (silently shrinking a cache on a typo
-    would be a very quiet way to lose throughput).
-    """
-    raw = os.environ.get(variable, "").strip()
-    if not raw:
-        return int(default)
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ReproError(f"{variable}={raw!r} is not an integer") from None
+#: Bound of the parent-side plan arena (exported shared-memory segments).
+_PLAN_ARENA_CAP = 64
 
 #: Graph families a sweep can range over: ``name -> builder(n, delta, rng)``.
 GRAPH_FAMILIES: dict[str, Callable[[int, int, random.Random], StaticGraph]] = {
@@ -184,7 +149,10 @@ def resolve_delta(delta_spec: str, n: int) -> int:
 
     Two forms are accepted: a plain integer (``"90"``) used verbatim,
     or an exponent rule ``"n^0.75"`` resolving to ``max(8, round(n^e))``
-    — the convention the registry experiments use throughout.
+    — the convention the registry experiments use throughout.  A rule
+    with no finite real value at ``n`` (``n^inf``, ``n^nan``, a power
+    too large for a float, ``0^-1``, a fractional power of a negative
+    ``n``) raises :class:`ReproError`.
     """
     spec = delta_spec.strip()
     if spec.startswith("n^"):
@@ -192,7 +160,13 @@ def resolve_delta(delta_spec: str, n: int) -> int:
             exponent = float(spec[2:])
         except ValueError:
             raise ReproError(f"bad delta rule {delta_spec!r}: want 'n^<float>'") from None
-        return max(8, round(n ** exponent))
+        try:
+            value = n ** exponent
+        except ArithmeticError:  # 0 ** -1, or a float overflow
+            value = math.nan
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise ReproError(f"delta rule {delta_spec!r} has no finite value at n={n}")
+        return max(8, round(value))
     try:
         return int(spec)
     except ValueError:
@@ -201,7 +175,7 @@ def resolve_delta(delta_spec: str, n: int) -> int:
         ) from None
 
 
-@lru_cache(maxsize=bounded_cache_size(INSTANCE_CACHE_ENV_VAR, DEFAULT_INSTANCE_CACHE))
+@lru_cache(maxsize=_INSTANCE_CACHE_CAP)
 def _instance_for(family: str, n: int, delta_spec: str) -> tuple[StaticGraph, ExecutionPlan]:
     """Per-process memo of one sweep instance and its compiled plan.
 
@@ -209,11 +183,10 @@ def _instance_for(family: str, n: int, delta_spec: str) -> tuple[StaticGraph, Ex
     generator RNG — so every chunk a worker handles for the same
     instance reuses one graph object and one
     :class:`~repro.runtime.plan.ExecutionPlan` instead of regenerating
-    both.  The cache is bounded (default ``32`` entries, overridable
-    via ``REPRO_INSTANCE_CACHE``, clamped ≥ 1 — a worker rarely
-    touches more than a couple of instances at a time) and holds graph
-    and plan together: a plan is only valid for the exact graph object
-    it was compiled from, so they must be evicted as one.
+    both.  The cache is bounded (32 entries — a worker rarely touches
+    more than a couple of instances at a time) and holds graph and
+    plan together: a plan is only valid for the exact graph object it
+    was compiled from, so they must be evicted as one.
     """
     try:
         builder = GRAPH_FAMILIES[family]
@@ -303,7 +276,7 @@ def profile_setup(spec: "SweepSpec") -> Table:
         t_compile = time.perf_counter() - began
 
         t_export: float | None = None
-        if _shm_enabled():
+        if shared_plans_available():
             try:
                 began = time.perf_counter()
                 PlanShare.export(plan).close()
@@ -359,7 +332,8 @@ class SweepSpec:
     Every axis is a tuple; the grid is the cross product in the fixed
     order families × ns × deltas × algorithms × scenarios × seeds.
     The spec (not the worker count) determines the result, which is
-    why its hash names the cache file.
+    why its hash names the cache file.  No axis may repeat a value: a
+    repeated value would only compute identical trials twice.
     """
 
     name: str
@@ -385,6 +359,16 @@ class SweepSpec:
                     raise ReproError(
                         f"sweep {axis} must be plain integers, got {value!r}"
                     )
+        for n in self.ns:
+            if n < 2:  # an instance needs two adjacent vertices
+                raise ReproError(f"sweep ns must be at least 2, got {n}")
+        if self.max_rounds is not None and not (
+            type(self.max_rounds) is int and self.max_rounds >= 0
+        ):
+            raise ReproError(
+                "sweep max_rounds must be None or a plain integer >= 0, "
+                f"got {self.max_rounds!r}"
+            )
         for seed in self.seeds:
             if not _INT64_MIN <= seed <= _INT64_MAX:
                 raise ReproError(f"sweep seed {seed} is outside int64")
@@ -403,9 +387,17 @@ class SweepSpec:
             resolve_scenario(scenario)  # raises ScenarioError on unknown names
         for delta_spec, n in ((d, n) for d in self.deltas for n in self.ns):
             resolve_delta(delta_spec, n)  # raises on malformed rules
-        if not (self.families and self.ns and self.deltas
-                and self.algorithms and self.scenarios and self.seeds):
-            raise ReproError("every sweep axis needs at least one value")
+        for axis in ("families", "ns", "deltas", "algorithms", "scenarios", "seeds"):
+            values = getattr(self, axis)
+            if not values:
+                raise ReproError("every sweep axis needs at least one value")
+            seen: set[Any] = set()
+            for value in values:
+                if value in seen:
+                    raise ReproError(
+                        f"sweep {axis} must not repeat a value, got {value!r} twice"
+                    )
+                seen.add(value)
 
     def points(self) -> list[SweepPoint]:
         """The grid in its one canonical enumeration order."""
@@ -472,7 +464,6 @@ class SweepSpec:
                 f"this build's format version {CACHE_FORMAT_VERSION}"
             )
         try:
-            max_rounds = payload.get("max_rounds")
             return cls(
                 name=str(payload["name"]),
                 families=tuple(payload["families"]),
@@ -481,7 +472,7 @@ class SweepSpec:
                 algorithms=tuple(payload["algorithms"]),
                 seeds=tuple(payload["seeds"]),
                 preset=str(payload["preset"]),
-                max_rounds=None if max_rounds is None else int(max_rounds),
+                max_rounds=payload.get("max_rounds"),
                 scenarios=tuple(payload.get("scenarios", ("none",))),
             )
         except (KeyError, TypeError, ValueError) as error:
@@ -717,41 +708,6 @@ def _chunk_tasks(
 # Worker-count policy
 # ----------------------------------------------------------------------
 
-_configured_workers: int | None = None
-
-
-def configure(workers: int | None) -> None:
-    """Set (or with ``None`` clear) the process-wide default workers.
-
-    This is the programmatic twin of ``REPRO_PARALLEL_WORKERS``: once
-    set above 1 (or to 0 = one per core), every
-    :func:`repro.experiments.harness.repeat_trials` call fans out
-    without its callers changing.
-    """
-    global _configured_workers
-    _configured_workers = None if workers is None else int(workers)
-
-
-def ambient_workers() -> int:
-    """The opt-in default worker count (1 means stay serial).
-
-    Precedence: :func:`configure` > ``REPRO_PARALLEL_WORKERS`` > 1.
-    A value of 0 means one worker per core, as everywhere in the
-    engine; the serial default keeps library behaviour unchanged
-    unless a caller or the environment explicitly opts in.
-    """
-    if _configured_workers is not None:
-        return resolve_workers(_configured_workers)
-    env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if env:
-        try:
-            return resolve_workers(int(env))
-        except ValueError:
-            raise ReproError(
-                f"{WORKERS_ENV_VAR}={env!r} is not an integer"
-            ) from None
-    return 1
-
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a ``workers`` argument (``None``/``0`` → all cores)."""
@@ -778,17 +734,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 # ----------------------------------------------------------------------
 # The persistent fabric: pool, plan arena, columnar transport
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _MapTask:
-    """One ``map_trials`` seed batch for a fabric worker."""
-
-    task_id: int
-    graph: StaticGraph
-    algorithm: str
-    seeds: tuple[int, ...]
-    kwargs: dict
 
 
 #: Worker-side memo of attached shared plans, keyed by segment name.
@@ -865,12 +810,6 @@ def _execute_chunk_task(task: _ChunkTask) -> tuple[tuple[int, ...], list[TrialRe
     return tuple(indices), records
 
 
-def _execute_map_task(task: _MapTask) -> tuple[tuple[int, ...], list[TrialRecord]]:
-    """Run one ``map_trials`` seed batch (same routing as the serial path)."""
-    records = run_seeds(task.graph, task.algorithm, list(task.seeds), **task.kwargs)
-    return tuple(range(len(records))), records
-
-
 def _fabric_worker(task_queue, result_queue) -> None:
     """Worker loop: pull tasks until the ``None`` sentinel arrives.
 
@@ -890,10 +829,7 @@ def _fabric_worker(task_queue, result_queue) -> None:
             break
         task = pickle.loads(item)
         try:
-            if isinstance(task, _ChunkTask):
-                indices, records = _execute_chunk_task(task)
-            else:
-                indices, records = _execute_map_task(task)
+            indices, records = _execute_chunk_task(task)
             result_queue.put(
                 ("ok", task.task_id, indices, pack_record_batch(records))
             )
@@ -908,10 +844,10 @@ class _FabricPool:
     Every worker pulls from the same queue, so load balances itself:
     a straggling chunk delays only its worker while the others drain
     the rest (the work *stealing* the static round-robin chunker could
-    not do).  The pool survives across :func:`run_sweep` /
-    :func:`map_trials` calls — worker-side plan attachments and
-    instance memos stay warm — until :func:`shutdown_fabric`, a
-    mismatched worker count, or interpreter exit.
+    not do).  The pool survives across :func:`run_sweep` calls —
+    worker-side plan attachments and instance memos stay warm — until
+    :func:`shutdown_fabric`, a mismatched worker count, or interpreter
+    exit.
     """
 
     def __init__(self, workers: int) -> None:
@@ -939,7 +875,7 @@ class _FabricPool:
     def alive(self) -> bool:
         return all(process.is_alive() for process in self.processes)
 
-    def submit(self, task: "_ChunkTask | _MapTask") -> None:
+    def submit(self, task: _ChunkTask) -> None:
         """Serialize and enqueue one task.
 
         Pickling happens *here*, synchronously, so an unpicklable task
@@ -947,11 +883,7 @@ class _FabricPool:
         thread, the failure would be printed and the message silently
         dropped, hanging :meth:`collect` forever.
         """
-        self.submit_pickled(pickle.dumps(task))
-
-    def submit_pickled(self, payload: bytes) -> None:
-        """Enqueue an already-serialized task (see :meth:`submit`)."""
-        self.tasks.put(payload)
+        self.tasks.put(pickle.dumps(task))
 
     def collect(
         self,
@@ -1006,8 +938,7 @@ class _PlanArena:
     ``handle_for`` compiles an instance's plan **once** (through the
     same per-process memo the workers' fallback uses) and exports it
     to shared memory; repeated sweeps over the same instances reuse
-    the segment.  Bounded (default ``64`` exports, overridable via
-    ``REPRO_PLAN_ARENA``, clamped ≥ 1): beyond the cap the oldest
+    the segment.  Bounded (64 exports): beyond the cap the oldest
     export is unlinked (attached workers keep their mappings until
     they close — POSIX frees the pages with the last detach).
     ``close`` unlinks everything; it runs on :func:`shutdown_fabric`
@@ -1017,15 +948,14 @@ class _PlanArena:
     def __init__(self) -> None:
         self._shares: dict[tuple[str, int, str], PlanShare] = {}
         self._disabled = False
-        self.cap = bounded_cache_size(PLAN_ARENA_ENV_VAR, DEFAULT_PLAN_ARENA)
 
     def handle_for(self, family: str, n: int, delta_spec: str) -> SharedPlanHandle | None:
-        if self._disabled or not _shm_enabled():
+        if self._disabled or not shared_plans_available():
             return None
         tag = (family, n, delta_spec)
         share = self._shares.get(tag)
         if share is None:
-            while len(self._shares) >= self.cap:
+            while len(self._shares) >= _PLAN_ARENA_CAP:
                 self._shares.pop(next(iter(self._shares))).close()
             _, plan = _instance_for(family, n, delta_spec)
             try:
@@ -1044,13 +974,6 @@ class _PlanArena:
             share.close()
 
 
-def _shm_enabled() -> bool:
-    """Shared-plan transport toggle (env override, platform support)."""
-    if os.environ.get(SHM_ENV_VAR, "").strip().lower() in {"0", "off", "no"}:
-        return False
-    return shared_plans_available()
-
-
 _fabric_pool: _FabricPool | None = None
 _plan_arena: _PlanArena | None = None
 
@@ -1062,25 +985,16 @@ _plan_arena: _PlanArena | None = None
 _fabric_lock = threading.RLock()
 
 
-def _get_fabric(workers: int, allow_larger: bool = False) -> tuple[_FabricPool, _PlanArena]:
+def _get_fabric(workers: int) -> tuple[_FabricPool, _PlanArena]:
     """The warm (pool, arena) pair; caller must hold ``_fabric_lock``.
 
-    An explicit ``run_sweep(workers=N)`` gets a pool of exactly ``N``
-    (restarting a mismatched one — the worker count is an explicit
-    concurrency request).  ``allow_larger`` callers (``map_trials``,
-    whose count is merely clamped by the seed count) reuse any warm
-    pool of at least that size instead of tearing it down: they limit
-    concurrency by submitting that many tasks, so idle workers stay
-    idle and the warm state survives.
+    ``run_sweep(workers=N)`` gets a pool of exactly ``N``, restarting a
+    mismatched one: the worker count is an explicit concurrency
+    request.
     """
     global _fabric_pool, _plan_arena
     if _fabric_pool is not None:
-        acceptable = (
-            _fabric_pool.workers >= workers
-            if allow_larger
-            else _fabric_pool.workers == workers
-        )
-        if not acceptable or not _fabric_pool.alive():
+        if _fabric_pool.workers != workers or not _fabric_pool.alive():
             shutdown_fabric()
     if _fabric_pool is None:
         _fabric_pool = _FabricPool(workers)
@@ -1094,8 +1008,8 @@ def shutdown_fabric() -> None:
 
     Safe to call at any time (idempotent); registered with ``atexit``
     so a process that used the fabric never leaks worker processes or
-    ``/dev/shm`` segments.  The next :func:`run_sweep` /
-    :func:`map_trials` call simply warms a fresh pool.
+    ``/dev/shm`` segments.  The next :func:`run_sweep` call simply
+    warms a fresh pool.
     """
     global _fabric_pool, _plan_arena
     with _fabric_lock:
@@ -1289,19 +1203,10 @@ def _warehouse_stream_groups(
         point = points[row["group"] * seeds]
         key = (point.family, point.n, point.delta_spec, point.algorithm,
                point.scenario)
-        existing = groups[key]
-        if existing.total:
-            # Duplicate axis values map two grid ordinals onto one
-            # group; merge like the fold would.
-            existing.total += row["total"]
-            existing.met += row["met"]
-            existing._orders.extend(row["orders"])
-            existing._rounds.extend(row["rounds"])
-        else:
-            groups[key] = StreamSummary._from_parts(
-                row["total"], row["met"], row["delta"],
-                row["orders"], row["rounds"],
-            )
+        groups[key] = StreamSummary._from_parts(
+            row["total"], row["met"], row["delta"],
+            row["orders"], row["rounds"],
+        )
     return groups
 
 
@@ -1449,124 +1354,3 @@ def run_sweep(
         workers=worker_count,
         elapsed=elapsed,
     )
-
-
-# ----------------------------------------------------------------------
-# Drop-in fan-out for the serial harness
-# ----------------------------------------------------------------------
-
-
-#: Per-class memo of the graph picklability probe (see
-#: :func:`_graph_transportable`).  Instances of one class share their
-#: transportability in practice; a class whose instances genuinely
-#: differ can still opt out by raising in ``__reduce__`` — the actual
-#: transport failure then falls back per call.
-_graph_probe_cache: dict[type, bool] = {}
-
-
-def _graph_transportable(graph: StaticGraph) -> bool:
-    """Whether ``graph`` can cross a process boundary — probed cheaply.
-
-    The old probe pickled the *entire* graph (an O(m) serialization)
-    on every ``map_trials`` call just to test transportability.
-    :class:`StaticGraph` itself is always picklable, so the common
-    case is now a type check; unknown subclasses are probed once and
-    memoized per class.
-    """
-    cls = type(graph)
-    if cls is StaticGraph:
-        return True
-    cached = _graph_probe_cache.get(cls)
-    if cached is None:
-        try:
-            pickle.dumps(graph)
-            cached = True
-        except Exception:
-            cached = False
-        _graph_probe_cache[cls] = cached
-    return cached
-
-
-def _kwargs_transportable(kwargs: dict[str, Any]) -> bool:
-    """Probe the (small) keyword arguments — cheap relative to a graph."""
-    try:
-        pickle.dumps(kwargs)
-        return True
-    except Exception:
-        return False
-
-
-def map_trials(
-    graph: StaticGraph,
-    algorithm: str,
-    seeds: Sequence[int],
-    workers: int,
-    **kwargs: Any,
-) -> list[TrialRecord]:
-    """Parallel twin of the ``repeat_trials`` loop, same return value.
-
-    The seed list is dealt round-robin into one batch per worker
-    (each trial is independently seeded, so batch composition does
-    not change any record), executed on the same persistent fabric
-    pool the sweep engine uses (so repeated calls share warm
-    workers), and results are reassembled in seed order.  Arguments
-    that cannot cross a process boundary (unpicklable graph subclass
-    or kwargs) fall back to the serial loop rather than failing —
-    probed cheaply up front (type check plus a per-class memo; the
-    graph itself is no longer serialized just to test the water).
-    A caller-supplied ``plan`` never crosses the boundary: plans are
-    identity-bound to the parent's graph object, so each worker batch
-    recompiles its own (the records are identical either way).
-    """
-    seeds = [int(s) for s in seeds]
-    # What crosses the boundary: everything but a caller-supplied plan.
-    shipped = {key: value for key, value in kwargs.items() if key != "plan"}
-    worker_count = min(resolve_workers(workers), len(seeds))
-    if worker_count > 1 and not (
-        _graph_transportable(graph) and _kwargs_transportable(shipped)
-    ):
-        worker_count = 1
-    if worker_count <= 1:
-        return run_seeds(graph, algorithm, seeds, **kwargs)
-    batches: list[list[int]] = [[] for _ in range(worker_count)]
-    for position in range(len(seeds)):
-        batches[position % worker_count].append(position)
-    by_position: dict[int, TrialRecord] = {}
-    with _fabric_lock:
-        pool, _ = _get_fabric(worker_count, allow_larger=True)
-        # Serialize every task *before* submitting any: the per-class
-        # probe above is only a heuristic, and an instance that turns
-        # out unpicklable after all must degrade to the serial loop,
-        # not strand half a fan-out on the queue.
-        try:
-            payloads = []
-            for task_id, batch in enumerate(batches):
-                task = _MapTask(
-                    task_id=task_id,
-                    graph=graph,
-                    algorithm=algorithm,
-                    seeds=tuple(seeds[i] for i in batch),
-                    kwargs=shipped,
-                )
-                payloads.append((pickle.dumps(task), task.task_id, batch))
-        except Exception:
-            payloads = None
-        if payloads is None:
-            return run_seeds(graph, algorithm, seeds, **kwargs)
-        try:
-            batch_of: dict[int, list[int]] = {}
-            for payload, task_id, batch in payloads:
-                pool.submit_pickled(payload)
-                batch_of[task_id] = batch
-
-            def on_result(
-                task_id: int, indices: tuple[int, ...], records: list[TrialRecord]
-            ) -> None:
-                for position, record in zip(batch_of[task_id], records):
-                    by_position[position] = record
-
-            pool.collect(set(batch_of), on_result)
-        except BaseException:
-            shutdown_fabric()
-            raise
-    return [by_position[position] for position in range(len(seeds))]

@@ -28,12 +28,7 @@ from repro.runtime.whiteboard import BLANK, WhiteboardStore
 from repro.runtime.view import AgentView
 from repro.runtime.agent import AgentContext, AgentProgram, walk, walk_and_return
 from repro.runtime.engine import Engine
-from repro.runtime.lockstep import (
-    LOCKSTEP_ENV,
-    lockstep_enabled,
-    lockstep_supported,
-    run_lockstep_batch,
-)
+from repro.runtime.lockstep import lockstep_supported, run_lockstep_batch
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.scheduler import ExecutionResult, SyncScheduler, run_rendezvous
 from repro.runtime.single import SingleAgentRecorder, run_single_agent
@@ -59,8 +54,6 @@ __all__ = [
     "run_rendezvous",
     "SingleAgentRecorder",
     "run_single_agent",
-    "LOCKSTEP_ENV",
-    "lockstep_enabled",
     "lockstep_supported",
     "run_lockstep_batch",
 ]

@@ -38,14 +38,12 @@ probe (KT1, where its meeting round is a closed form of the shuffled
 probe order).  Everything else — and any batch that trips a
 non-vectorizable condition at runtime (unexpected program subclass,
 degree-0 vertices, self-loops) — returns ``None`` so the caller falls
-back to the per-seed engine path with no behavior change.  The
-``REPRO_LOCKSTEP`` environment variable (``0``/``off``/``no``) disables
-the route globally; see ``docs/performance.md``.
+back to the per-seed engine path with no behavior change; see
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from array import array
 from itertools import chain, compress, count, islice, repeat
@@ -64,29 +62,16 @@ if TYPE_CHECKING:  # the baselines/core layers import runtime — keep
     from repro.core.constants import Constants  # runtime import-cycle-free
 
 __all__ = [
-    "LOCKSTEP_ENV",
-    "lockstep_enabled",
     "lockstep_supported",
     "run_lockstep_batch",
     "walk_choice_tape",
 ]
-
-#: Environment variable gating the lockstep route (default on; set to
-#: ``0``/``off``/``no`` to force every batch down the serial engine).
-LOCKSTEP_ENV = "REPRO_LOCKSTEP"
 
 #: Chunk growth bounds: start small so short trials draw short tapes,
 #: grow by 1.25x up to the cap so long trials amortize per-chunk
 #: overhead while bounding the tape rounds drawn past a meeting.
 _CHUNK_START = 128
 _CHUNK_CAP = 4096
-
-
-def lockstep_enabled() -> bool:
-    """Whether the lockstep route is enabled (the default)."""
-    return os.environ.get(LOCKSTEP_ENV, "").strip().lower() not in {
-        "0", "off", "no"
-    }
 
 
 def lockstep_supported(
@@ -103,8 +88,7 @@ def lockstep_supported(
     Any active scenario declines the batch unconditionally — the
     lockstep kernels advance many seeds over one shared immutable
     plan and know nothing about per-round mutation, so faulty and
-    dynamic batches always take the serial engine, even under
-    ``REPRO_LOCKSTEP=1``.
+    dynamic batches always take the serial engine.
     """
     if scenario is not None:
         return False

@@ -104,6 +104,13 @@ class TestSweepCommand:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --no-fabric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--lockstep", "--no-lockstep"])
+    def test_removed_lockstep_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self._grid, "--workers", "1", flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_report_streams_a_summary(self, capsys, tmp_path):

@@ -21,11 +21,8 @@ from repro.experiments.parallel import (
     SweepSpec,
     _ChunkTask,
     _execute_chunk_task,
-    ambient_workers,
     build_graph,
     clear_instance_cache,
-    configure,
-    map_trials,
     plan_for_instance,
     resolve_delta,
     resolve_workers,
@@ -170,6 +167,12 @@ class TestInstanceMemoization:
         assert plan_for_instance("counting-test", 20, "8") is plan
         assert counting_family == [(20, 8)]
 
+    def test_memo_and_arena_bounds_are_fixed(self):
+        from repro.experiments import parallel
+
+        assert parallel._instance_for.cache_info().maxsize == 32
+        assert parallel._PLAN_ARENA_CAP == 64
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_identical_with_and_without_plan_cache(self, workers):
         """Acceptance: cached-plan sweep == fresh per-trial execution.
@@ -259,7 +262,8 @@ class TestSweepCache:
         # Simulate an interrupt: drop the last 3 records and leave a
         # torn partial line behind.
         cache_file.write_text("\n".join(lines[:5]) + "\n" + lines[5][:20])
-        resumed = run_sweep(spec, workers=2, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match="skipped 1 corrupt line"):
+            resumed = run_sweep(spec, workers=2, cache_dir=tmp_path)
         assert resumed.cached == 5
         assert resumed.executed == 3
         assert resumed.records == complete.records
@@ -287,118 +291,13 @@ class TestSweepCache:
         assert seen[-1] == (8, 8)
 
 
-class TestHarnessOptIn:
-    def test_repeat_trials_workers_param(self):
-        graph = build_graph("complete", 32, "n^0.75")
-        serial = repeat_trials(graph, "trivial", range(4))
-        fanned = repeat_trials(graph, "trivial", range(4), workers=3)
-        assert serial == fanned
-
-    def test_env_var_opt_in(self, monkeypatch):
-        graph = build_graph("complete", 32, "n^0.75")
-        serial = repeat_trials(graph, "trivial", range(4))
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
-        assert ambient_workers() == 2
-        assert repeat_trials(graph, "trivial", range(4)) == serial
-
-    def test_env_var_zero_means_all_cores(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "0")
-        assert ambient_workers() == (os.cpu_count() or 1)
-
-    def test_env_var_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "many")
-        with pytest.raises(ReproError):
-            ambient_workers()
-
-    def test_configure_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "7")
-        configure(3)
-        try:
-            assert ambient_workers() == 3
-        finally:
-            configure(None)
-        assert ambient_workers() == 7
-
+class TestWorkerCount:
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
         assert resolve_workers(None) >= 1
         assert resolve_workers(0) >= 1
         with pytest.raises(ReproError):
             resolve_workers(-1)
-
-    def test_map_trials_preserves_order_and_duplicates(self):
-        graph = build_graph("complete", 32, "n^0.75")
-        seeds = [3, 1, 1, 2]
-        records = map_trials(graph, "trivial", seeds, workers=2)
-        assert [r.seed for r in records] == seeds
-
-    def test_map_trials_unpicklable_graph_falls_back(self):
-        import pickle
-
-        from repro.graphs.generators import complete_graph
-        from repro.graphs.graph import StaticGraph
-
-        class UnpicklableGraph(StaticGraph):
-            def __reduce__(self):
-                raise pickle.PicklingError("cannot cross process boundary")
-
-        base = complete_graph(24)
-        graph = UnpicklableGraph({v: base.neighbors(v) for v in base.vertices})
-        serial = repeat_trials(base, "trivial", range(3))
-        records = map_trials(graph, "trivial", [0, 1, 2], workers=2)
-        assert [r.rounds for r in records] == [r.rounds for r in serial]
-
-    def test_transport_probe_is_cached_per_class(self):
-        import pickle
-
-        from repro.graphs.generators import complete_graph
-        from repro.graphs.graph import StaticGraph
-
-        probes = []
-
-        class CountingUnpicklable(StaticGraph):
-            def __reduce__(self):
-                probes.append(1)
-                raise pickle.PicklingError("nope")
-
-        base = complete_graph(24)
-        graph = CountingUnpicklable({v: base.neighbors(v) for v in base.vertices})
-        map_trials(graph, "trivial", [0, 1], workers=2)
-        map_trials(graph, "trivial", [2, 3], workers=2)
-        assert sum(probes) == 1, "the picklability probe must be memoized per class"
-
-    def test_transport_probe_skips_plain_static_graphs(self, monkeypatch):
-        """A plain StaticGraph is never serialized just to test the water."""
-        from repro.experiments import parallel
-        from repro.graphs.generators import complete_graph
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("probe pickled a plain StaticGraph")
-
-        monkeypatch.setattr(parallel.pickle, "dumps", forbidden)
-        assert parallel._graph_transportable(complete_graph(8))
-
-    def test_instance_varying_picklability_still_falls_back(self):
-        """The per-class memo is a heuristic: an instance that turns
-        out unpicklable after a picklable sibling primed the cache must
-        degrade to the serial loop, not strand tasks on the queue."""
-        from repro.graphs.generators import complete_graph
-        from repro.graphs.graph import StaticGraph
-
-        class SometimesPicklable(StaticGraph):
-            pass  # subclassing adds __dict__, so instances can differ
-
-        base = complete_graph(24)
-        adjacency = {v: base.neighbors(v) for v in base.vertices}
-        good = SometimesPicklable(adjacency)
-        map_trials(good, "trivial", [0, 1], workers=2)  # primes cache: True
-        bad = SometimesPicklable(adjacency)
-        bad.attachment = lambda: None  # lambdas cannot be pickled
-        records = map_trials(bad, "trivial", [0, 1, 2], workers=2)
-        serial = repeat_trials(base, "trivial", range(3))
-        assert [r.rounds for r in records] == [r.rounds for r in serial]
 
 
 #: Sweeps on one fabric, restarts it, sweeps twice more with a one-slot
@@ -408,6 +307,8 @@ _SECOND_FABRIC_SCRIPT = """
 import json, time
 from repro.experiments import parallel
 from repro.experiments.parallel import SweepSpec, run_sweep, shutdown_fabric
+
+parallel._PLAN_ARENA_CAP = 1
 
 def spec(n):
     return SweepSpec(name="tracker", families=("er-min-degree",), ns=(n,),
@@ -442,7 +343,6 @@ class TestFabric:
         env = dict(
             os.environ,
             PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
-            REPRO_PLAN_ARENA="1",
         )
         child = subprocess.Popen(
             [sys.executable, "-c", _SECOND_FABRIC_SCRIPT],
@@ -492,17 +392,21 @@ class TestFabric:
             assert not process.is_alive()
 
     def test_shared_plans_disabled_is_identical(self, monkeypatch):
+        from repro.experiments import parallel
+
         spec = small_spec()
         with_shm = run_sweep(spec, workers=3)
-        monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
-        shutdown_fabric()  # new pool under the disabled transport
+        monkeypatch.setattr(parallel, "shared_plans_available", lambda: False)
+        shutdown_fabric()  # new pool and arena without the transport
         without_shm = run_sweep(spec, workers=3)
         assert with_shm.records == without_shm.records
 
     def test_worker_failure_surfaces_and_pool_recovers(self, monkeypatch):
+        from repro.experiments import parallel
+
         # regular graphs need n * delta even — the generator raises in
         # the worker (shm disabled so the parent does not trip first).
-        monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
+        monkeypatch.setattr(parallel, "shared_plans_available", lambda: False)
         shutdown_fabric()
         bad = SweepSpec(
             name="bad", families=("regular",), ns=(21,), deltas=("9",),
@@ -566,68 +470,6 @@ class TestStreamingSweep:
         assert streamed.executed == 8
         held = run_sweep(spec, workers=2, cache_dir=tmp_path)
         assert held.cached == 8 and held.executed == 0
-
-
-class TestCacheBoundConfiguration:
-    """REPRO_INSTANCE_CACHE / REPRO_PLAN_ARENA env-var satellites."""
-
-    def test_bounded_cache_size_default_and_clamp(self, monkeypatch):
-        from repro.experiments.parallel import bounded_cache_size
-
-        monkeypatch.delenv("X_TEST_CACHE", raising=False)
-        assert bounded_cache_size("X_TEST_CACHE", 32) == 32
-        monkeypatch.setenv("X_TEST_CACHE", "7")
-        assert bounded_cache_size("X_TEST_CACHE", 32) == 7
-        monkeypatch.setenv("X_TEST_CACHE", "0")
-        assert bounded_cache_size("X_TEST_CACHE", 32) == 1  # clamped >= 1
-        monkeypatch.setenv("X_TEST_CACHE", "-5")
-        assert bounded_cache_size("X_TEST_CACHE", 32) == 1
-        monkeypatch.setenv("X_TEST_CACHE", "  ")
-        assert bounded_cache_size("X_TEST_CACHE", 32) == 32
-
-    def test_bounded_cache_size_rejects_garbage(self, monkeypatch):
-        from repro.experiments.parallel import bounded_cache_size
-
-        monkeypatch.setenv("X_TEST_CACHE", "lots")
-        with pytest.raises(ReproError, match="not an integer"):
-            bounded_cache_size("X_TEST_CACHE", 32)
-
-    def test_instance_memo_bound_defaults(self):
-        from repro.experiments.parallel import DEFAULT_INSTANCE_CACHE, _instance_for
-
-        # Import-time binding: in this process the default applies
-        # (the subprocess test below covers the override).
-        assert _instance_for.cache_info().maxsize >= 1
-        assert DEFAULT_INSTANCE_CACHE == 32
-
-    def test_instance_memo_bound_from_env(self):
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.experiments.parallel import _instance_for;"
-            "print(_instance_for.cache_info().maxsize)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**__import__("os").environ, "REPRO_INSTANCE_CACHE": "5",
-                 "PYTHONPATH": "src"},
-            capture_output=True, text=True, cwd=".",
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "5"
-
-    def test_plan_arena_bound_from_env(self, monkeypatch):
-        from repro.experiments.parallel import _PlanArena
-
-        monkeypatch.setenv("REPRO_PLAN_ARENA", "3")
-        assert _PlanArena().cap == 3
-        monkeypatch.setenv("REPRO_PLAN_ARENA", "0")
-        assert _PlanArena().cap == 1
-        monkeypatch.delenv("REPRO_PLAN_ARENA")
-        from repro.experiments.parallel import DEFAULT_PLAN_ARENA
-
-        assert _PlanArena().cap == DEFAULT_PLAN_ARENA
 
 
 class TestProfileSetup:

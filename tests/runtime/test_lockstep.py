@@ -4,8 +4,8 @@ The lockstep route (:mod:`repro.runtime.lockstep`) must be *invisible*:
 for every eligible batch, :func:`repro.experiments.harness.run_trials`
 has to return records byte-identical to both
 
-* the serial engine path (``REPRO_LOCKSTEP=0`` — the façade +
-  ``Engine.reset`` loop), and
+* the serial engine path (the façade + ``Engine.reset`` loop, reached
+  by making the kernels decline the batch), and
 * the frozen second-tier oracle
   :func:`repro.runtime.reference.reference_run_trials`,
 
@@ -23,14 +23,15 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import random
+from unittest import mock
 
 import pytest
 
 from repro.core.api import ALGORITHMS
 from repro.core.constants import Constants
 from repro.errors import ProtocolError
+from repro.experiments import harness
 from repro.experiments.harness import run_trial, run_trials
 from repro.experiments.results_io import record_to_jsonable
 from repro.graphs.generators import (
@@ -44,8 +45,6 @@ from repro.graphs.generators import (
 from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortLabeling, PortModel
 from repro.runtime.lockstep import (
-    LOCKSTEP_ENV,
-    lockstep_enabled,
     lockstep_supported,
     run_lockstep_batch,
     walk_choice_tape,
@@ -62,17 +61,15 @@ def _record_bytes(records) -> bytes:
     )
 
 
+def _declined(*args, **kwargs):
+    """Stands in for ``run_lockstep_batch``: the kernels' own decline path."""
+    return None
+
+
 def _classic(graph, algorithm, seeds, **kwargs):
-    """The serial engine batch path, with the lockstep route forced off."""
-    previous = os.environ.get(LOCKSTEP_ENV)
-    os.environ[LOCKSTEP_ENV] = "0"
-    try:
+    """The engine-reset loop: ``run_trials`` with the kernels declining."""
+    with mock.patch.object(harness, "run_lockstep_batch", _declined):
         return run_trials(graph, algorithm, seeds, **kwargs)
-    finally:
-        if previous is None:
-            del os.environ[LOCKSTEP_ENV]
-        else:
-            os.environ[LOCKSTEP_ENV] = previous
 
 
 def _assert_all_paths_identical(graph, algorithm, seeds, **kwargs):
@@ -342,39 +339,33 @@ class TestFallback:
         ]
         assert _record_bytes(batched) == _record_bytes(serial)
 
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv(LOCKSTEP_ENV, "0")
-        assert not lockstep_enabled()
+    def test_declined_batch_matches_per_trial_runs(self):
         graph = cycle_graph(24)
-        batched = run_trials(graph, "random-walk", [0, 5], max_rounds=200)
+        batched = _classic(graph, "random-walk", [0, 5], max_rounds=200)
         serial = [
             run_trial(graph, "random-walk", seed, max_rounds=200)
             for seed in [0, 5]
         ]
         assert _record_bytes(batched) == _record_bytes(serial)
-        for value in ("", "1", "on", "yes"):
-            monkeypatch.setenv(LOCKSTEP_ENV, value)
-            assert lockstep_enabled()
-        for value in ("0", "off", "no", " OFF "):
-            monkeypatch.setenv(LOCKSTEP_ENV, value)
-            assert not lockstep_enabled()
 
 
 class TestSeedListEdgeCases:
     """Empty and length-1 batches, on both the lockstep and serial paths."""
 
-    @pytest.mark.parametrize("env_value", ["1", "0"])
+    @pytest.fixture(params=["routed", "declined"])
+    def route(self, request, monkeypatch):
+        if request.param == "declined":
+            monkeypatch.setattr(harness, "run_lockstep_batch", _declined)
+        return request.param
+
     @pytest.mark.parametrize("algorithm", ["random-walk", "theorem1"])
-    def test_empty_seed_list(self, monkeypatch, env_value, algorithm):
-        monkeypatch.setenv(LOCKSTEP_ENV, env_value)
+    def test_empty_seed_list(self, route, algorithm):
         graph = cycle_graph(12)
         assert run_trials(graph, algorithm, []) == []
         assert run_trials(graph, algorithm, range(0)) == []
 
-    @pytest.mark.parametrize("env_value", ["1", "0"])
     @pytest.mark.parametrize("algorithm", ["random-walk", "trivial"])
-    def test_single_seed_batch(self, monkeypatch, env_value, algorithm):
-        monkeypatch.setenv(LOCKSTEP_ENV, env_value)
+    def test_single_seed_batch(self, route, algorithm):
         graph = random_graph_with_min_degree(40, 8, random.Random("one"))
         batched = run_trials(graph, algorithm, [7], max_rounds=400)
         assert _record_bytes(batched) == _record_bytes(

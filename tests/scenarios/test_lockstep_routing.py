@@ -3,11 +3,10 @@
 The lockstep executor replays pre-drawn tapes over a *static* world —
 its kernels cannot churn edges, corrupt whiteboards, or crash agents.
 :func:`lockstep_supported` therefore declines any batch carrying an
-active scenario (even under an explicit ``REPRO_LOCKSTEP=1``), while
-no-op scenarios are normalized away before the check and keep routing
-exactly as before the scenario axis existed.  Conversely, every
-in-process entry point of the sweep engine must hand an eligible batch
-to the kernels instead of running it trial by trial.
+active scenario, while no-op scenarios are normalized away before the
+check and keep routing exactly as before the scenario axis existed.
+Conversely, every in-process entry point of the sweep engine must hand
+an eligible batch to the kernels instead of running it trial by trial.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.experiments.parallel import (
 )
 from repro.graphs.generators import random_graph_with_min_degree
 from repro.graphs.ports import PortModel
-from repro.runtime.lockstep import LOCKSTEP_ENV, lockstep_supported
+from repro.runtime.lockstep import lockstep_supported
 from repro.scenarios import SCENARIOS, ScenarioSpec
 
 
@@ -87,9 +86,8 @@ class TestStaticEligibility:
 
 class TestBatchRouting:
     def test_noop_scenario_batches_still_route_to_lockstep(
-        self, graph, lockstep_spy, monkeypatch
+        self, graph, lockstep_spy
     ):
-        monkeypatch.setenv(LOCKSTEP_ENV, "1")
         for scenario in (None, "none", "faults-zero", "dyn-zero"):
             before = lockstep_spy.calls
             run_trials(
@@ -100,11 +98,8 @@ class TestBatchRouting:
             )
 
     def test_active_scenario_batches_never_touch_lockstep(
-        self, graph, lockstep_spy, monkeypatch
+        self, graph, lockstep_spy
     ):
-        # An explicit REPRO_LOCKSTEP=1 must not force scenario batches
-        # through kernels that cannot mutate the world.
-        monkeypatch.setenv(LOCKSTEP_ENV, "1")
         active = [n for n, s in SCENARIOS.items() if not s.is_noop]
         assert active
         for scenario in active:
@@ -113,26 +108,22 @@ class TestBatchRouting:
             )
         assert lockstep_spy.calls == 0
 
-    def test_serial_fallback_records_match_env_opt_out(
+    def test_serial_fallback_records_match_declined_kernels(
         self, graph, monkeypatch
     ):
-        """Scenario batches behave as if REPRO_LOCKSTEP were off."""
-        monkeypatch.setenv(LOCKSTEP_ENV, "1")
+        """Scenario batches behave as if the kernels declined them."""
         routed = run_trials(
             graph, "random-walk", [0, 1, 2], scenario="edge-churn",
             max_rounds=400,
         )
-        monkeypatch.setenv(LOCKSTEP_ENV, "0")
+        monkeypatch.setattr(harness, "run_lockstep_batch", lambda *a, **k: None)
         serial = run_trials(
             graph, "random-walk", [0, 1, 2], scenario="edge-churn",
             max_rounds=400,
         )
         assert routed == serial
 
-    def test_single_trials_bypass_lockstep_entirely(
-        self, graph, lockstep_spy, monkeypatch
-    ):
-        monkeypatch.setenv(LOCKSTEP_ENV, "1")
+    def test_single_trials_bypass_lockstep_entirely(self, graph, lockstep_spy):
         run_trial(graph, "random-walk", 0, scenario="edge-churn", max_rounds=400)
         run_trial(graph, "random-walk", 0, scenario=None, max_rounds=400)
         assert lockstep_spy.calls == 0
@@ -147,10 +138,6 @@ WALK_SPEC = SweepSpec(
 
 class TestEntryPointRouting:
     """Each in-process entry point batches eligible trials into lockstep."""
-
-    @pytest.fixture(autouse=True)
-    def _lockstep_on(self, monkeypatch):
-        monkeypatch.setenv(LOCKSTEP_ENV, "1")
 
     def test_inline_sweep(self, lockstep_spy, no_per_trial_runs):
         result = run_sweep(WALK_SPEC, workers=1)
@@ -177,6 +164,6 @@ class TestEntryPointRouting:
         assert lockstep_spy.calls == 1
 
     def test_repeat_trials(self, graph, lockstep_spy, no_per_trial_runs):
-        records = repeat_trials(graph, "random-walk", [0, 1], workers=1, max_rounds=400)
+        records = repeat_trials(graph, "random-walk", [0, 1], max_rounds=400)
         assert [record.seed for record in records] == [0, 1]
         assert lockstep_spy.calls == 1
