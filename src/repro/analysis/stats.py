@@ -17,10 +17,6 @@ __all__ = [
     "summarize",
     "wilson_interval",
     "success_rate",
-    "PartialSummary",
-    "RunningSummary",
-    "merge_partial_summaries",
-    "grouped_moments",
 ]
 
 #: Two-sided z-value for 95% confidence.
@@ -49,7 +45,13 @@ class Summary:
 
 
 def summarize(values: Sequence[float]) -> Summary:
-    """Mean/median/spread plus a 95% normal-approximation CI."""
+    """Mean/median/spread plus a 95% normal-approximation CI.
+
+    The result does not depend on the order of ``values``: the mean is
+    an exactly rounded ``fsum``, the deviation sums exact fractions
+    and the median sorts.  So a fold may collect values in whatever
+    order they arrive.
+    """
     if not values:
         raise ValueError("cannot summarize an empty sequence")
     data = [float(v) for v in values]
@@ -66,166 +68,6 @@ def summarize(values: Sequence[float]) -> Summary:
         ci_low=mean - half_width,
         ci_high=mean + half_width,
     )
-
-
-@dataclass(frozen=True)
-class PartialSummary:
-    """Mergeable moment sketch of one metric over a chunk of trials.
-
-    Stores exactly the sufficient statistics (count, mean, the Welford
-    ``M2`` sum of squared deviations, extremes) so chunks computed on
-    different workers can be combined without shipping raw values.
-    Merging uses Chan's parallel update, which is numerically stable
-    for unbalanced chunk sizes.  The median is *not* derivable from
-    moments; callers that need it keep the raw records (the sweep
-    engine does) and use :func:`summarize`.
-    """
-
-    count: int
-    mean: float
-    m2: float
-    minimum: float
-    maximum: float
-
-    @classmethod
-    def of(cls, values: Sequence[float]) -> "PartialSummary":
-        """Exact sketch of one chunk of values."""
-        if not values:
-            raise ValueError("cannot sketch an empty sequence")
-        data = [float(v) for v in values]
-        mean = statistics.fmean(data)
-        m2 = sum((v - mean) ** 2 for v in data)
-        return cls(
-            count=len(data), mean=mean, m2=m2, minimum=min(data), maximum=max(data)
-        )
-
-    def merge(self, other: "PartialSummary") -> "PartialSummary":
-        """Combine two sketches (Chan et al. parallel variance update)."""
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / total
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / total
-        return PartialSummary(
-            count=total,
-            mean=mean,
-            m2=m2,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-        )
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation (matches :func:`statistics.stdev`)."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.count - 1))
-
-    def confidence_interval(self) -> tuple[float, float]:
-        """95% normal-approximation CI, matching :func:`summarize`."""
-        if self.count < 2:
-            return (self.mean, self.mean)
-        half_width = _Z95 * self.stdev / math.sqrt(self.count)
-        return (self.mean - half_width, self.mean + half_width)
-
-
-class RunningSummary:
-    """Mutable O(1)-memory accumulator behind a :class:`PartialSummary`.
-
-    The streaming twin of :meth:`PartialSummary.of`: values arrive one
-    at a time (Welford's online update, numerically stable) and the
-    sketch can be snapshotted at any point with :meth:`to_partial` —
-    so a consumer folding an unbounded record stream (the sweep
-    fabric's ``stream=True`` mode, ``repro report``) never holds the
-    values themselves.
-    """
-
-    __slots__ = ("count", "mean", "m2", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def push(self, value: float) -> None:
-        """Fold one value into the running moments."""
-        value = float(value)
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Fold a whole chunk of values, one push at a time."""
-        for value in values:
-            self.push(value)
-
-    def to_partial(self) -> PartialSummary:
-        """Snapshot the moments as an immutable, mergeable sketch."""
-        if self.count == 0:
-            raise ValueError("cannot snapshot an empty running summary")
-        return PartialSummary(
-            count=self.count,
-            mean=self.mean,
-            m2=self.m2,
-            minimum=self.minimum,
-            maximum=self.maximum,
-        )
-
-
-def merge_partial_summaries(parts: Sequence[PartialSummary]) -> PartialSummary:
-    """Fold any number of chunk sketches into one."""
-    if not parts:
-        raise ValueError("cannot merge zero partial summaries")
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return merged
-
-
-def grouped_moments(
-    source,
-    by: Sequence[str] = ("algorithm", "graph_name", "n", "delta"),
-    metric: str = "rounds",
-    met_only: bool = True,
-) -> dict[tuple, PartialSummary]:
-    """Per-group moment sketches of one metric, via one fused query.
-
-    ``source`` is anything the query layer can open: a warehouse
-    directory or JSONL export path, an in-memory record iterable, or
-    an already-built :class:`repro.experiments.query.LazyFrame`.  One
-    ``group_by(*by).agg(sketch(metric))`` plan computes every group's
-    :class:`PartialSummary` in a single pass — over a warehouse this
-    is the fused columnar kernel.  ``met_only`` (default) restricts
-    the sketch to successful trials, matching what sweep tables
-    report.  Groups with no selected values are omitted.
-    """
-    from pathlib import Path
-
-    from repro.experiments import query
-
-    if isinstance(source, query.LazyFrame):
-        plan = source
-    elif isinstance(source, (str, Path)):
-        plan = query.scan(source)
-    else:
-        plan = query.from_records(source)
-    where = query.col("met") if met_only else None
-    frame = (
-        plan.group_by(*by)
-        .agg(_sketch=query.sketch(metric, where=where))
-        .collect()
-    )
-    return {
-        tuple(row[name] for name in by): row["_sketch"]
-        for row in frame.iter_rows()
-        if row["_sketch"] is not None
-    }
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:

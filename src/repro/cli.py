@@ -188,6 +188,22 @@ def _spec_from_args(args: argparse.Namespace):
         return None
 
 
+def _worker_count(command: str, option: str, workers: int) -> int | None:
+    """Resolve a worker-count option (``0`` = one per core).
+
+    Returns ``None`` after printing why a negative count is refused;
+    the caller exits 2.
+    """
+    from repro.errors import ReproError
+    from repro.experiments.parallel import resolve_workers
+
+    try:
+        return resolve_workers(workers)
+    except ReproError as error:
+        print(f"{command}: bad {option}: {error}", file=sys.stderr)
+        return None
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.experiments.parallel import run_sweep
@@ -205,6 +221,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "warehouse, so it needs --cache-dir",
             file=sys.stderr,
         )
+        return 2
+    if _worker_count("sweep", "--workers", args.workers) is None:
         return 2
     spec = _spec_from_args(args)
     if spec is None:
@@ -259,6 +277,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         if value is not None
     }
+    if args.local_workers < 0:
+        print(
+            f"serve: bad --local-workers: host count must be >= 0, "
+            f"got {args.local_workers}",
+            file=sys.stderr,
+        )
+        return 2
+    per_host = _worker_count("serve", "--workers-per-host", args.workers_per_host)
+    if per_host is None:
+        return 2
     schedule = None
     if args.fault_schedule:
         from repro.service.chaos import FaultSchedule
@@ -277,6 +305,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_schedule=schedule,
             **tuning,
         )
+    except ReproError as error:
+        print(f"serve: bad broker settings: {error}", file=sys.stderr)
+        return 2
+    try:
         broker.start()
     except (OSError, ReproError) as error:
         print(f"serve: cannot start broker: {error}", file=sys.stderr)
@@ -303,7 +335,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host = multiprocessing.Process(
                 target=run_worker,
                 args=(broker.address,),
-                kwargs={"workers": args.workers_per_host},
+                kwargs={"workers": per_host},
                 name=f"repro-worker-host-{index}",
             )
             host.start()
@@ -311,7 +343,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if hosts:
             print(
                 f"[broker] {len(hosts)} local worker host(s) x "
-                f"{args.workers_per_host} worker(s)",
+                f"{per_host} worker(s)",
                 file=sys.stderr,
             )
         broker.serve_forever()
@@ -327,13 +359,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
-    from repro.errors import ServiceError
+    from repro.errors import ReproError
     from repro.service import parse_address, run_worker
 
     try:
         address = parse_address(args.connect)
-    except ServiceError as error:
+    except ReproError as error:
         print(f"work: {error}", file=sys.stderr)
+        return 2
+    if _worker_count("work", "--workers", args.workers) is None:
         return 2
 
     def on_unit(unit_id: str, n_trials: int) -> None:
@@ -347,7 +381,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
             reconnect=args.reconnect,
             on_unit=on_unit,
         )
-    except ServiceError as error:
+    except ReproError as error:
         print(f"work: {error}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
@@ -609,7 +643,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_parser.add_argument(
         "--workers-per-host", type=int, default=1,
-        help="fabric width inside each local worker host (default 1)",
+        help="fabric width inside each local worker host; 0 = one per "
+             "core (default 1)",
     )
     serve_parser.add_argument(
         "--fault-schedule", default=None, metavar="FILE",
@@ -627,8 +662,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     work_parser.add_argument(
         "--workers", type=int, default=1,
-        help="fan each unit out over a warm local fabric of N processes "
-             "(default 1: run units inline)",
+        help="fan each unit out over a warm local fabric of N processes; "
+             "0 = one per core (default 1: run units inline)",
     )
     work_parser.add_argument(
         "--max-units", type=int, default=None,

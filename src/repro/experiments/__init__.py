@@ -10,8 +10,9 @@ Large grids run through the process-pool sweep engine
 cache (:mod:`repro.experiments.cache`); ``repro sweep`` on the command
 line is the front door.  Sweeps can alternatively persist to a columnar
 results warehouse (:mod:`repro.experiments.warehouse`) whose fused lazy
-query layer (:mod:`repro.experiments.query`) backs every aggregation —
-``repro report``, streaming sweep summaries, grouped moment sketches.
+query layer (:mod:`repro.experiments.query`) backs ``repro report``.
+Every sweep table, held or streamed, comes from one exact fold
+(:class:`~repro.experiments.harness.StreamSummary`).
 """
 
 from repro.experiments.harness import (

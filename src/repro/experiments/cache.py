@@ -31,7 +31,7 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
-from typing import Any, IO, Iterable, Iterator
+from typing import Any, IO, Iterable, Iterator, Sequence
 
 from repro.experiments.harness import TrialRecord
 from repro.experiments.results_io import record_from_jsonable, record_to_jsonable
@@ -66,6 +66,10 @@ class ResultCache:
     spec_payload:
         Optional JSON-able description of the spec, written once as a
         ``.spec.json`` manifest next to the data for human inspection.
+    keys:
+        The content key of every grid point, in grid order.  They let
+        :meth:`iter_indexed` and :meth:`append_indexed` speak grid
+        indices, like the warehouse cache does.
     """
 
     def __init__(
@@ -73,10 +77,12 @@ class ResultCache:
         directory: str | Path,
         spec_hash: str,
         spec_payload: Any | None = None,
+        keys: Sequence[str] = (),
     ) -> None:
         self._directory = Path(directory)
         self._spec_hash = spec_hash
         self._spec_payload = spec_payload
+        self._keys = keys
         self._handle: IO[str] | None = None
 
     @property
@@ -128,6 +134,22 @@ class ResultCache:
                 "(interrupted writer); the sweep will recompute them",
                 stacklevel=2,
             )
+
+    def iter_indexed(self) -> Iterator[tuple[int, TrialRecord]]:
+        """Stream cached ``(grid index, record)`` pairs one at a time.
+
+        Records whose key names no grid point are skipped.
+        """
+        index_of = {key: index for index, key in enumerate(self._keys)}
+        for key, record in self.iter_records():
+            index = index_of.get(key)
+            if index is not None:
+                yield index, record
+
+    def append_indexed(self, pairs: Iterable[tuple[int, TrialRecord]]) -> None:
+        """Persist a batch of ``(grid index, record)`` pairs (one flush)."""
+        keys = self._keys
+        self.append_many((keys[index], record) for index, record in pairs)
 
     def reset(self) -> None:
         """Discard the on-disk contents (``--no-resume`` semantics)."""

@@ -26,10 +26,10 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro._typing import VertexId
-from repro.analysis.stats import PartialSummary, Summary, summarize
+from repro.analysis.stats import Summary, summarize
 from repro.core.api import prepare_rendezvous, rendezvous
 from repro.core.verification import verify_result
 from repro.core.constants import Constants
@@ -363,92 +363,40 @@ def repeat_trials(
 class StreamSummary:
     """Record-dropping aggregate of one group of streamed trials.
 
-    The streaming sweep mode and ``repro report`` fold every
-    :class:`TrialRecord` they see into one of these and then drop the
-    record, so resident memory stays O(batch) in the record stream:
-    per record the aggregate keeps at most **two** integers — the grid
-    order key and the rounds of a successful trial, in compact
-    ``array('q')`` columns.  Keeping the raw rounds — not just moments
-    — is what makes the final summaries *exact*: after
-    :meth:`_ordered_rounds` restores the canonical grid order,
-    :func:`~repro.analysis.stats.summarize` sees the identical value
-    sequence the non-streaming path feeds it, medians included.
-    (Pipelines that cannot afford even the int columns fold values
-    into :class:`~repro.analysis.stats.RunningSummary` instead and
-    settle for moments.)
+    Every sweep table, streamed or held, and ``repro report`` over a
+    JSONL export fold each :class:`TrialRecord` into one of these.
+    The streaming paths then drop the record, so resident memory stays
+    O(batch) in the record stream: per successful trial the aggregate
+    keeps one integer, its rounds, in a compact ``array('q')`` column.
+    Keeping the raw rounds — not just moments — is what makes the
+    final summaries *exact*, medians included, and
+    :func:`~repro.analysis.stats.summarize` does not depend on value
+    order, so records may arrive in any order.
     """
 
-    __slots__ = ("total", "met", "delta", "_orders", "_rounds")
+    __slots__ = ("total", "met", "delta", "rounds")
 
     def __init__(self) -> None:
         self.total = 0
         self.met = 0
         self.delta: int | None = None
-        self._orders = array("q")
-        self._rounds = array("q")
+        #: Rounds of the successful trials, in arrival order.
+        self.rounds = array("q")
 
-    def add(self, record: TrialRecord, order: int | None = None) -> None:
-        """Fold one record (``order`` is its canonical position).
-
-        When ``order`` is omitted (e.g. replaying an already-ordered
-        JSONL file) arrival order is used.
-        """
+    def add(self, record: TrialRecord) -> None:
+        """Fold one record."""
         if self.delta is None:
             self.delta = record.delta
         if record.met:
-            self._orders.append(self.total if order is None else order)
-            self._rounds.append(record.rounds)
+            self.rounds.append(record.rounds)
             self.met += 1
         self.total += 1
-
-    @classmethod
-    def _from_parts(
-        cls,
-        total: int,
-        met: int,
-        delta: int | None,
-        orders: Iterable[int],
-        rounds: Iterable[int],
-    ) -> "StreamSummary":
-        """Rebuild an aggregate from already-folded parts.
-
-        The warehouse-backed streaming sweep computes these parts with
-        one fused query over the persisted columns instead of folding
-        record by record; the resulting object is indistinguishable
-        from one built through :meth:`add` in canonical order.
-        """
-        summary = cls()
-        summary.total = total
-        summary.met = met
-        summary.delta = delta
-        summary._orders = array("q", orders)
-        summary._rounds = array("q", rounds)
-        if len(summary._orders) != len(summary._rounds) or met != len(summary._rounds):
-            raise ValueError("orders/rounds must cover exactly the met trials")
-        return summary
-
-    def _ordered_rounds(self) -> list[int]:
-        """Successful-trial rounds, restored to canonical order."""
-        pairs = sorted(zip(self._orders, self._rounds))
-        return [rounds for _, rounds in pairs]
 
     def summary(self) -> Summary | None:
         """Exact rounds summary (``None`` when no trial met)."""
         if not self.met:
             return None
-        return summarize(self._ordered_rounds())
-
-    def sketch(self) -> PartialSummary | None:
-        """Mergeable moment sketch over the met trials' rounds.
-
-        Computed from the kept rounds in canonical order (not the
-        arrival-order :attr:`running` moments) so merging per-group
-        sketches reproduces the non-streaming
-        ``SweepResult.rounds_sketch`` bit-for-bit.
-        """
-        if not self.met:
-            return None
-        return PartialSummary.of(self._ordered_rounds())
+        return summarize(self.rounds)
 
 
 def aggregate_rounds(records: list[TrialRecord]) -> Summary:

@@ -65,7 +65,7 @@ import multiprocessing
 import random
 from multiprocessing import resource_tracker
 
-from repro.analysis.stats import PartialSummary, merge_partial_summaries, summarize
+from repro.analysis.stats import summarize
 from repro.core.constants import Constants
 from repro.core.api import ALGORITHMS
 from repro.errors import ReproError, SchedulerError, WarehouseError
@@ -113,6 +113,7 @@ __all__ = [
     "build_graph",
     "plan_for_instance",
     "clear_instance_cache",
+    "open_cache",
     "profile_setup",
     "resolve_delta",
     "run_sweep",
@@ -523,62 +524,12 @@ class SweepResult:
             self.records, path, spec_payload=self.spec.describe()
         )
 
-    def grouped(self) -> dict[tuple[str, int, str, str, str], list[TrialRecord]]:
-        """Records grouped by (family, n, delta rule, algorithm, scenario)."""
-        points = self.spec.points()
-        groups: dict[tuple[str, int, str, str, str], list[TrialRecord]] = {}
-        for point, record in zip(points, self.records):
-            key = (point.family, point.n, point.delta_spec, point.algorithm,
-                   point.scenario)
-            groups.setdefault(key, []).append(record)
-        return groups
-
-    def rounds_sketch(self) -> PartialSummary | None:
-        """Overall successful-rounds sketch, merged from per-group partials.
-
-        Each (family, n, δ, algorithm) group contributes one
-        :class:`~repro.analysis.stats.PartialSummary`; the fold is the
-        same merge a distributed aggregator would do with partial
-        results instead of raw records.  ``None`` when no trial met.
-        """
-        parts = []
-        for records in self.grouped().values():
-            rounds = [r.rounds for r in records if r.met]
-            if rounds:
-                parts.append(PartialSummary.of(rounds))
-        return merge_partial_summaries(parts) if parts else None
-
     def summary_table(self) -> Table:
-        """One row per grid point family, aggregated over seeds."""
-        table = Table(
-            title=f"SWEEP {self.spec.name} — preset {self.spec.preset}",
-            headers=[
-                "family", "n", "delta rule", "delta", "algorithm", "scenario",
-                "met", "mean rounds", "median rounds",
-            ],
-        )
-        for (family, n, delta_spec, algorithm, scenario), records in self.grouped().items():
-            met = [r for r in records if r.met]
-            rounds = [r.rounds for r in met]
-            summary = summarize(rounds) if rounds else None
-            table.add_row(
-                family, n, delta_spec, records[0].delta, algorithm, scenario,
-                f"{len(met)}/{len(records)}",
-                summary.mean if summary else float("nan"),
-                summary.median if summary else float("nan"),
-            )
-        sketch = self.rounds_sketch()
-        if sketch is not None:
-            low, high = sketch.confidence_interval()
-            table.add_note(
-                f"all groups pooled: mean rounds {sketch.mean:.1f} "
-                f"[{low:.1f}, {high:.1f}] over {sketch.count} successful trials"
-            )
-        table.add_note(
-            f"{self.executed} trials executed, {self.cached} served from cache, "
-            f"{self.workers} worker(s), {self.elapsed:.1f}s wall clock"
-        )
-        return table
+        """One row per grid group, aggregated over seeds."""
+        sink = _StreamSink(self.spec.points())
+        for index, record in enumerate(self.records):
+            sink.add(index, record)
+        return _summary_table(self, sink.groups)
 
 
 @dataclass(frozen=True)
@@ -590,10 +541,9 @@ class SweepStreamResult:
     their batches arrived and then dropped, so resident memory stayed
     O(batch) (``max_resident`` is the high-water mark, asserted in
     tests).  The final summaries are *identical* to the non-streaming
-    path's: each group keeps the successful trials' rounds as compact
-    int columns and restores canonical grid order before summarizing,
-    so means, medians, and the pooled sketch match
-    :meth:`SweepResult.summary_table` bit for bit.  Raw records are
+    path's: :meth:`SweepResult.summary_table` folds its records
+    through the same aggregates, and each group's summary does not
+    depend on the order its records arrived in.  Raw records are
     available via the result cache when the sweep ran with one.
     """
 
@@ -605,45 +555,54 @@ class SweepStreamResult:
     elapsed: float
     max_resident: int
 
-    def rounds_sketch(self) -> PartialSummary | None:
-        """Merged successful-rounds sketch (as :meth:`SweepResult.rounds_sketch`)."""
-        parts = [
-            sketch
-            for group in self.groups.values()
-            if (sketch := group.sketch()) is not None
-        ]
-        return merge_partial_summaries(parts) if parts else None
-
     def summary_table(self) -> Table:
-        """One row per grid group — same table the record-holding path prints."""
-        table = Table(
-            title=f"SWEEP {self.spec.name} — preset {self.spec.preset}",
-            headers=[
-                "family", "n", "delta rule", "delta", "algorithm", "scenario",
-                "met", "mean rounds", "median rounds",
-            ],
+        """One row per grid group — the table the record-holding path prints."""
+        return _summary_table(
+            self, self.groups,
+            f" (streaming: peak {self.max_resident} resident record(s))",
         )
-        for (family, n, delta_spec, algorithm, scenario), group in self.groups.items():
-            summary = group.summary()
-            table.add_row(
-                family, n, delta_spec, group.delta, algorithm, scenario,
-                f"{group.met}/{group.total}",
-                summary.mean if summary else float("nan"),
-                summary.median if summary else float("nan"),
-            )
-        sketch = self.rounds_sketch()
-        if sketch is not None:
-            low, high = sketch.confidence_interval()
-            table.add_note(
-                f"all groups pooled: mean rounds {sketch.mean:.1f} "
-                f"[{low:.1f}, {high:.1f}] over {sketch.count} successful trials"
-            )
+
+
+def _summary_table(
+    result: SweepResult | SweepStreamResult,
+    groups: dict[tuple[str, int, str, str, str], StreamSummary],
+    streaming: str = "",
+) -> Table:
+    """The sweep table both result types print: one row per group.
+
+    The pooled note summarizes every group's met rounds at once, so
+    it is as exact as the rows.
+    """
+    spec = result.spec
+    table = Table(
+        title=f"SWEEP {spec.name} — preset {spec.preset}",
+        headers=[
+            "family", "n", "delta rule", "delta", "algorithm", "scenario",
+            "met", "mean rounds", "median rounds",
+        ],
+    )
+    pooled: list[int] = []
+    for (family, n, delta_spec, algorithm, scenario), group in groups.items():
+        summary = group.summary()
+        table.add_row(
+            family, n, delta_spec, group.delta, algorithm, scenario,
+            f"{group.met}/{group.total}",
+            summary.mean if summary else float("nan"),
+            summary.median if summary else float("nan"),
+        )
+        pooled.extend(group.rounds)
+    if pooled:
+        overall = summarize(pooled)
         table.add_note(
-            f"{self.executed} trials executed, {self.cached} served from cache, "
-            f"{self.workers} worker(s), {self.elapsed:.1f}s wall clock "
-            f"(streaming: peak {self.max_resident} resident record(s))"
+            f"all groups pooled: mean rounds {overall.mean:.1f} "
+            f"[{overall.ci_low:.1f}, {overall.ci_high:.1f}] "
+            f"over {overall.count} successful trials"
         )
-        return table
+    table.add_note(
+        f"{result.executed} trials executed, {result.cached} served from cache, "
+        f"{result.workers} worker(s), {result.elapsed:.1f}s wall clock{streaming}"
+    )
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -1090,53 +1049,14 @@ def _run_points(
 # ----------------------------------------------------------------------
 
 
-class _RecordSink:
-    """Collects every record for grid-order assembly (the default mode)."""
-
-    def __init__(self) -> None:
-        self.done: dict[int, TrialRecord] = {}
-
-    def add(self, index: int, record: TrialRecord) -> None:
-        self.done[index] = record
-
-    def count(self) -> int:
-        return len(self.done)
-
-    def end_batch(self, size: int) -> None:  # symmetric with _StreamSink
-        pass
-
-
-class _CountSink:
-    """Drops records immediately (warehouse-backed streaming).
-
-    When a streaming sweep persists into a warehouse, records do not
-    need to be folded as they arrive: the group aggregates are rebuilt
-    at the end with one fused query over the persisted columns
-    (:func:`_warehouse_stream_groups`).  The sink only keeps the
-    progress counter and the resident high-water mark.
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self.max_resident = 0
-
-    def add(self, index: int, record: TrialRecord) -> None:
-        self._count += 1
-
-    def count(self) -> int:
-        return self._count
-
-    def end_batch(self, size: int) -> None:
-        if size > self.max_resident:
-            self.max_resident = size
-
-
 class _StreamSink:
-    """Folds records into per-group aggregates and drops them (streaming).
+    """Folds records into per-group aggregates and drops them.
 
-    Groups are pre-created in canonical grid order so the final table
-    rows come out in exactly the order the record-holding path prints,
-    regardless of which worker finished first.
+    Streaming sweeps fold each arriving batch through it, and a held
+    :class:`SweepResult` folds its records through it to print its
+    table.  Groups are pre-created in canonical grid order so the
+    table rows come out in grid order, whichever worker finished
+    first.
     """
 
     def __init__(self, points: Sequence[SweepPoint]) -> None:
@@ -1147,67 +1067,30 @@ class _StreamSink:
                    point.scenario)
             self.groups.setdefault(key, StreamSummary())
             self._group_of.append(key)
-        self._count = 0
-        self.max_resident = 0
 
     def add(self, index: int, record: TrialRecord) -> None:
-        self.groups[self._group_of[index]].add(record, order=index)
-        self._count += 1
-
-    def count(self) -> int:
-        return self._count
-
-    def end_batch(self, size: int) -> None:
-        if size > self.max_resident:
-            self.max_resident = size
+        self.groups[self._group_of[index]].add(record)
 
 
-def _warehouse_stream_groups(
-    spec: SweepSpec,
-    points: Sequence[SweepPoint],
-    warehouse_path: Path,
-) -> dict[tuple[str, int, str, str, str], StreamSummary]:
-    """Rebuild streaming group summaries with one fused warehouse query.
+def open_cache(
+    spec: SweepSpec, cache_dir: str | Path, *, warehouse: bool = False
+) -> ResultCache | WarehouseCache:
+    """Open ``spec``'s result cache under ``cache_dir``, indexed by grid point.
 
-    The grid iterates seeds innermost, so ``_point // len(seeds)`` is
-    the ordinal of a record's (family, n, δ, algorithm, scenario)
-    group; one ``group_by`` over that key computes every group's
-    totals, met counts, and the met trials' ``(_point, rounds)``
-    columns in a single pass.  The parts feed
-    :meth:`StreamSummary._from_parts`, whose canonical-order sort makes
-    the result bit-identical to the record-by-record fold — groups are
-    pre-created in grid order so table rows keep the canonical order
-    however the warehouse rows arrived.
+    Both kinds read and write ``(grid index, record)`` pairs through
+    ``iter_indexed`` and ``append_indexed``: the JSONL cache maps each
+    grid index to the content key it stores, and a warehouse
+    (``warehouse=True``) keeps the index in its ``_point`` column.
+    :func:`run_sweep` and the service broker open their caches here.
     """
-    from repro.experiments import query
-
-    seeds = max(1, len(spec.seeds))
-    frame = (
-        query.scan(warehouse_path)
-        .group_by((query.col("_point") // seeds).alias("group"))
-        .agg(
-            total=query.count(),
-            met=query.sum_("met"),
-            delta=query.first("delta"),
-            orders=query.values("_point", where=query.col("met")),
-            rounds=query.values("rounds", where=query.col("met")),
+    if warehouse:
+        return WarehouseCache(
+            cache_dir, spec.spec_hash(), spec_payload=spec.describe()
         )
-        .collect()
+    return ResultCache(
+        cache_dir, spec.spec_hash(), spec_payload=spec.describe(),
+        keys=[spec.point_key(point) for point in spec.points()],
     )
-    groups: dict[tuple[str, int, str, str, str], StreamSummary] = {}
-    for point in points:
-        key = (point.family, point.n, point.delta_spec, point.algorithm,
-               point.scenario)
-        groups.setdefault(key, StreamSummary())
-    for row in frame.iter_rows():
-        point = points[row["group"] * seeds]
-        key = (point.family, point.n, point.delta_spec, point.algorithm,
-               point.scenario)
-        groups[key] = StreamSummary._from_parts(
-            row["total"], row["met"], row["delta"],
-            row["orders"], row["rounds"],
-        )
-    return groups
 
 
 def run_sweep(
@@ -1252,10 +1135,8 @@ def run_sweep(
         Persist records into a columnar warehouse directory
         (:mod:`repro.experiments.warehouse`) instead of the JSONL
         cache — requires ``cache_dir``.  Resume semantics are
-        unchanged (the warehouse's ``_point`` column replaces the
-        content-hash keys), and with ``stream=True`` the final group
-        summaries are rebuilt by one fused query over the persisted
-        columns instead of a record-by-record fold.
+        unchanged: both caches are read and written by grid index
+        (:func:`open_cache`).
     """
     points = spec.points()
     total = len(points)
@@ -1263,63 +1144,40 @@ def run_sweep(
     if warehouse and cache_dir is None:
         raise WarehouseError("run_sweep(warehouse=True) requires cache_dir=")
 
-    sink: _RecordSink | _StreamSink | _CountSink
-    if stream:
-        sink = _CountSink() if warehouse else _StreamSink(points)
-    else:
-        sink = _RecordSink()
-    cache: ResultCache | WarehouseCache | None = None
-    cached_hits = 0
+    # Held records land in ``done``; streamed ones fold into ``sink``.
+    done: dict[int, TrialRecord] = {}
+    sink = _StreamSink(points) if stream else None
+    keep = done.__setitem__ if sink is None else sink.add
     started = time.perf_counter()
+    cache = (
+        None if cache_dir is None
+        else open_cache(spec, cache_dir, warehouse=warehouse)
+    )
     have: set[int] = set()
-    if cache_dir is not None:
-        if warehouse:
-            cache = WarehouseCache(
-                cache_dir, spec.spec_hash(), spec_payload=spec.describe()
-            )
-        else:
-            cache = ResultCache(
-                cache_dir, spec.spec_hash(), spec_payload=spec.describe()
-            )
+    if cache is not None:
         if resume:
-            if warehouse:
-                cached_pairs: Iterable[tuple[int | None, TrialRecord]] = (
-                    (index if 0 <= index < total else None, record)
-                    for index, record in cache.iter_indexed()
-                )
-            else:
-                index_of_key = {spec.point_key(p): p.index for p in points}
-                cached_pairs = (
-                    (index_of_key.get(key), record)
-                    for key, record in cache.iter_records()
-                )
-            for index, record in cached_pairs:
-                if index is not None and index not in have:
+            for index, record in cache.iter_indexed():
+                if 0 <= index < total and index not in have:
                     have.add(index)
-                    sink.add(index, record)
-                    sink.end_batch(1)
+                    keep(index, record)
         else:
             cache.reset()
     cached_hits = len(have)
-
     pending = [p for p in points if p.index not in have]
-    key_of = (
-        {p.index: spec.point_key(p) for p in pending}
-        if cache is not None and not warehouse
-        else {}
-    )
+    finished = cached_hits
+    max_resident = 1 if cached_hits else 0  # cached records come one at a time
 
     def consume(results: Iterable[tuple[int, TrialRecord]]) -> None:
+        nonlocal finished, max_resident
         batch = list(results)
-        if isinstance(cache, WarehouseCache):
+        if cache is not None:
             cache.append_indexed(batch)
-        elif cache is not None:
-            cache.append_many((key_of[index], record) for index, record in batch)
         for index, record in batch:
-            sink.add(index, record)
-        sink.end_batch(len(batch))
+            keep(index, record)
+        finished += len(batch)
+        max_resident = max(max_resident, len(batch))
         if progress is not None:
-            progress(sink.count(), total)
+            progress(finished, total)
 
     try:
         _run_points(spec, pending, worker_count, consume, stream=stream)
@@ -1328,24 +1186,17 @@ def run_sweep(
             cache.close()
 
     elapsed = time.perf_counter() - started
-    if stream:
-        assert isinstance(sink, (_StreamSink, _CountSink))
-        if isinstance(sink, _CountSink):
-            assert isinstance(cache, WarehouseCache)
-            groups = _warehouse_stream_groups(spec, points, cache.path)
-        else:
-            groups = sink.groups
+    if sink is not None:
         return SweepStreamResult(
             spec=spec,
-            groups=groups,
+            groups=sink.groups,
             executed=total - cached_hits,
             cached=cached_hits,
             workers=worker_count,
             elapsed=elapsed,
-            max_resident=sink.max_resident,
+            max_resident=max_resident,
         )
-    assert isinstance(sink, _RecordSink)
-    records = tuple(sink.done[point.index] for point in points)
+    records = tuple(done[point.index] for point in points)
     return SweepResult(
         spec=spec,
         records=records,

@@ -2,31 +2,26 @@
 
 ``scan(path)`` opens a results warehouse directory (or a JSONL export)
 without reading data; ``select`` / ``filter`` / ``group_by`` / ``agg``
-build a tiny logical plan; ``collect()`` executes it.  Everything
-downstream of a sweep — ``repro report``, streaming sweep summaries,
-:func:`repro.analysis.stats.grouped_moments`, the FAULT-TOL and
-DYN-CHURN workload gates — phrases its aggregation as one of these
-plans, so there is exactly one implementation to trust and the legacy
+build a tiny logical plan; ``collect()`` executes it.  ``repro
+report`` over a warehouse and the FAULT-TOL and DYN-CHURN workload
+gates phrase their aggregation as one of these plans, and the
 record-by-record JSONL fold stays available as a differential oracle.
 
 **Fusion.**  Over a warehouse source, a ``group_by(...).agg(...)``
-plan with bare-column keys (or an integer ``col // k`` key) executes
-as a *single pass over the raw columns*: group runs are found by
-galloping probes plus binary search, each candidate run is verified
-constant at C speed (``slice.count(value) == length``, or a min/max
-check for floordiv keys), and every aggregation consumes the run as
-one slice — ``sum``, ``count``, masked variants via
+plan with bare-column keys executes as a *single pass over the raw
+columns*: group runs are found by galloping probes plus binary
+search, each candidate run is verified constant at C speed
+(``slice.count(value) == length``), and every aggregation consumes
+the run as one slice — ``sum``, ``count``, masked variants via
 ``itertools.compress`` with the ``met`` byte column as the mask.  Plans
 the fused kernel does not cover (filters over a warehouse, computed
 keys) fall back to a row-wise fold with identical semantics —
 ``describe_plan()`` says which executor a plan gets.
 
-Aggregation results are deliberately bit-compatible with the legacy
-paths: ``mean`` is :func:`statistics.fmean`, ``median`` is
-:func:`statistics.median`, and ``sketch`` is
-:meth:`repro.analysis.stats.PartialSummary.of` over values in row
-order — all order-independent or order-matched, so a fused summary is
-byte-identical to the streaming fold it replaced.
+Aggregation results do not depend on the executor: ``mean`` is
+:func:`statistics.fmean` and ``median`` is :func:`statistics.median`,
+both independent of value order, so a fused summary is byte-identical
+to the record-by-record fold.
 """
 
 from __future__ import annotations
@@ -49,9 +44,7 @@ __all__ = [
     "min_",
     "max_",
     "median",
-    "first",
     "values",
-    "sketch",
     "scan",
     "from_records",
     "LazyFrame",
@@ -205,7 +198,7 @@ def lit(value: Any) -> Expr:
 # ----------------------------------------------------------------------
 
 #: Aggregations that accumulate the selected values as a list.
-_LIST_OPS = frozenset({"mean", "median", "values", "sketch"})
+_LIST_OPS = frozenset({"mean", "median", "values"})
 
 
 class Agg:
@@ -277,19 +270,9 @@ def median(target: str | Expr, where: str | Expr | None = None) -> Agg:
     return _agg("median", target, where)
 
 
-def first(target: str | Expr, where: str | Expr | None = None) -> Agg:
-    """First selected value in row order; ``None`` when empty."""
-    return _agg("first", target, where)
-
-
 def values(target: str | Expr, where: str | Expr | None = None) -> Agg:
     """The selected values themselves, in row order."""
     return _agg("values", target, where)
-
-
-def sketch(target: str | Expr, where: str | Expr | None = None) -> Agg:
-    """:meth:`PartialSummary.of` over the selected values; ``None`` when empty."""
-    return _agg("sketch", target, where)
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +512,9 @@ class LazyFrame:
         warehouse = self._source.warehouse
         available = set(warehouse.column_names)
         for key in self._group_keys:
-            if not _fusable_key(key, available):
+            if key.kind != "col":
+                return False
+            if key.args[0] not in available or key.args[0] == "reports":
                 return False
         for _name, agg in self._aggs:
             if agg.target is not None and agg.target.kind != "col":
@@ -582,23 +567,6 @@ class LazyFrame:
         )
 
 
-def _fusable_key(key: Expr, available: set[str]) -> bool:
-    if key.kind == "col":
-        return key.args[0] in available and key.args[0] != "reports"
-    if key.kind == "bin" and key.args[0] == "//":
-        _op, left, right = key.args
-        return (
-            left.kind == "col"
-            and left.args[0] in available
-            and left.args[0] not in _DICT_COLUMNS
-            and left.args[0] != "reports"
-            and right.kind == "lit"
-            and isinstance(right.args[0], int)
-            and right.args[0] > 0
-        )
-    return False
-
-
 # ----------------------------------------------------------------------
 # Row-wise executor (records, JSONL, non-fusable warehouse plans)
 # ----------------------------------------------------------------------
@@ -627,9 +595,6 @@ class _AggState:
         elif op == "max":
             if not self.seen or value > self.scalar:
                 self.scalar = value
-        elif op == "first":
-            if not self.seen:
-                self.scalar = value
         else:
             self.items.append(value)
         self.seen = True
@@ -643,12 +608,10 @@ class _AggState:
         self.add_value(value)
 
     def finalize(self) -> Any:
-        from repro.analysis.stats import PartialSummary
-
         op = self.agg.op
         if op in ("count", "sum"):
             return self.scalar
-        if op in ("min", "max", "first"):
+        if op in ("min", "max"):
             return self.scalar if self.seen else None
         if op == "values":
             return self.items
@@ -656,9 +619,7 @@ class _AggState:
             return None
         if op == "mean":
             return statistics.fmean(self.items)
-        if op == "median":
-            return statistics.median(self.items)
-        return PartialSummary.of(self.items)
+        return statistics.median(self.items)
 
 
 def _finalize_groups(
@@ -724,23 +685,21 @@ def _collect_select_rowwise(
 
 
 class _KeyPlan:
-    """Segment-wise access to one group key over raw columns."""
+    """Segment-wise access to one bare-column group key over raw columns."""
 
-    __slots__ = ("column", "decode", "divisor")
+    __slots__ = ("column", "decode")
 
-    def __init__(self, column: Any, decode: Sequence[Any] | None, divisor: int | None):
-        self.column = column
-        self.decode = decode
-        self.divisor = divisor
-
-    def probe(self, row: int) -> Any:
-        value = self.column[row]
-        if self.divisor is not None:
-            return value // self.divisor
-        return value
+    def __init__(self, warehouse: SweepWarehouse, key: Expr) -> None:
+        name = key.args[0]
+        self.column: Any = warehouse.column(name)
+        self.decode: Sequence[Any] | None = (
+            warehouse.dictionary(name) if name in _DICT_COLUMNS
+            else (False, True) if name == "met"
+            else None
+        )
 
     def logical(self, row: int) -> Any:
-        value = self.probe(row)
+        value = self.column[row]
         if self.decode is not None:
             return self.decode[value]
         return value
@@ -749,22 +708,7 @@ class _KeyPlan:
         """Whether rows [start, stop) share one key value (C-speed check)."""
         if stop - start <= 1:
             return True
-        segment = self.column[start:stop]
-        if self.divisor is not None:
-            return min(segment) // self.divisor == max(segment) // self.divisor
-        return segment.count(self.column[start]) == stop - start
-
-
-def _key_plan(warehouse: SweepWarehouse, key: Expr) -> _KeyPlan:
-    if key.kind == "col":
-        name = key.args[0]
-        decode = warehouse.dictionary(name) if name in _DICT_COLUMNS else None
-        column: Any = warehouse.column(name)
-        if name == "met":
-            decode = (False, True)
-        return _KeyPlan(column, decode, None)
-    _op, left, right = key.args
-    return _KeyPlan(warehouse.column(left.args[0]), None, right.args[0])
+        return self.column[start:stop].count(self.column[start]) == stop - start
 
 
 class _FusedAgg:
@@ -815,9 +759,6 @@ class _FusedAgg:
             state.add_value(min(selected))
         elif op == "max":
             state.add_value(max(selected))
-        elif op == "first":
-            if not state.seen:
-                state.add_value(selected[0])
         else:
             state.items.extend(selected)
             state.seen = True
@@ -835,12 +776,12 @@ def _collect_grouped_fused(
     aggs: Sequence[tuple[str, Agg]],
 ) -> Frame:
     rows = warehouse.rows
-    key_plans = [_key_plan(warehouse, key) for key in group_keys]
+    key_plans = [_KeyPlan(warehouse, key) for key in group_keys]
     fused_aggs = [_FusedAgg(warehouse, agg) for _name, agg in aggs]
     states: dict[tuple, list[_AggState]] = {}
     row = 0
     while row < rows:
-        probes = tuple(plan.probe(row) for plan in key_plans)
+        probes = tuple(plan.column[row] for plan in key_plans)
         # Gallop for a candidate boundary, then binary-search it.
         low, step = row, 1
         high = rows
@@ -849,7 +790,7 @@ def _collect_grouped_fused(
             if candidate >= rows:
                 break
             if all(
-                plan.probe(candidate) == probes[i]
+                plan.column[candidate] == probes[i]
                 for i, plan in enumerate(key_plans)
             ):
                 low = candidate
@@ -860,7 +801,7 @@ def _collect_grouped_fused(
         while low + 1 < high:
             mid = (low + high) // 2
             if all(
-                plan.probe(mid) == probes[i] for i, plan in enumerate(key_plans)
+                plan.column[mid] == probes[i] for i, plan in enumerate(key_plans)
             ):
                 low = mid
             else:

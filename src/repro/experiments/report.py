@@ -115,7 +115,8 @@ def summarize_records(
     export varies — and keeps only the per-group
     :class:`~repro.experiments.harness.StreamSummary` aggregates, so
     an arbitrarily large stream (a generator over a JSONL file) is
-    summarized in O(groups) memory.  Rows appear in first-seen order,
+    summarized holding one int per successful trial and no record.
+    Rows appear in first-seen order,
     which for sweep exports is canonical grid order.
     """
     from repro.experiments.harness import StreamSummary

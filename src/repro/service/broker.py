@@ -60,7 +60,7 @@ from typing import Any, Iterable
 from repro.errors import ReproError, ServiceError, WireError
 from repro.experiments.cache import ResultCache, content_hash
 from repro.experiments.harness import TrialRecord
-from repro.experiments.parallel import SweepPoint, SweepSpec
+from repro.experiments.parallel import SweepPoint, SweepSpec, open_cache
 from repro.experiments.warehouse import WarehouseCache
 from repro.service.chaos import FaultSchedule, arm, wrap_socket
 from repro.service.protocol import recv_frame, send_frame, decode_records
@@ -118,6 +118,20 @@ def unit_id_for(spec_hash: str, indices: Iterable[int]) -> str:
     return content_hash({"service": 1, "spec": spec_hash, "indices": list(indices)})[:16]
 
 
+def _count_at_least_one(name: str, value: Any) -> int:
+    """``value`` when it is a plain int >= 1 (not a bool), else ServiceError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ServiceError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _positive_seconds(name: str, value: Any) -> float:
+    """``value`` as float when it is a number > 0 (not NaN or a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ServiceError(f"{name} must be a number of seconds > 0, got {value!r}")
+    return float(value)
+
+
 class _Job:
     """Broker-side state of one submitted spec (single-lock discipline:
     every mutable field below is guarded by the broker's one lock)."""
@@ -134,13 +148,6 @@ class _Job:
         self.workers: set[str] = set()
         self.failed: str | None = None
         self.started = time.perf_counter()
-        # JSONL caches key records by content hash; warehouse caches
-        # key by grid index directly.
-        self.key_of = (
-            {p.index: spec.point_key(p) for p in self.points}
-            if isinstance(cache, ResultCache)
-            else None
-        )
 
     def finished(self) -> bool:
         return len(self.records) == self.total
@@ -175,7 +182,10 @@ class Broker:
         caches; the merge loop and crash semantics are identical.
     unit_size, lease_timeout, max_attempts:
         Sharding granularity and the re-queue policy (module
-        constants document the defaults).
+        constants document the defaults).  ``unit_size`` and
+        ``max_attempts`` must be ints >= 1 and ``lease_timeout`` a
+        number of seconds > 0; anything else raises
+        :class:`ServiceError` before the broker binds.
     read_deadline:
         Seconds a peer may stall mid-frame before its connection is
         dropped and its leases re-queue (:data:`DEFAULT_READ_DEADLINE`).
@@ -201,9 +211,9 @@ class Broker:
     ) -> None:
         self.cache_dir = Path(cache_dir)
         self.warehouse = warehouse
-        self.unit_size = max(1, int(unit_size))
-        self.lease_timeout = float(lease_timeout)
-        self.max_attempts = max(1, int(max_attempts))
+        self.unit_size = _count_at_least_one("unit_size", unit_size)
+        self.lease_timeout = _positive_seconds("lease_timeout", lease_timeout)
+        self.max_attempts = _count_at_least_one("max_attempts", max_attempts)
         self.read_deadline = float(read_deadline)
         self._chaos = arm(fault_schedule) if fault_schedule is not None else None
         self._clean_shutdown = False
@@ -566,15 +576,7 @@ class Broker:
                 return
             job, unit_id, indices, records = item
             try:
-                if job.key_of is not None:
-                    assert isinstance(job.cache, ResultCache)
-                    job.cache.append_many(
-                        (job.key_of[index], record)
-                        for index, record in zip(indices, records)
-                    )
-                else:
-                    assert isinstance(job.cache, WarehouseCache)
-                    job.cache.append_indexed(list(zip(indices, records)))
+                job.cache.append_indexed(list(zip(indices, records)))
             except Exception as error:  # disk full, cache corrupt …
                 with self._lock:
                     if job.failed is None:
@@ -595,29 +597,9 @@ class Broker:
             return job  # duplicate submission: attach, don't duplicate
         if job is not None:
             job.cache.close()  # failed job: re-register fresh
-        cache: ResultCache | WarehouseCache
-        if self.warehouse:
-            cache = WarehouseCache(
-                self.cache_dir, spec_hash, spec_payload=spec.describe()
-            )
-        else:
-            cache = ResultCache(
-                self.cache_dir, spec_hash, spec_payload=spec.describe()
-            )
-        job = _Job(spec, cache)
-        if isinstance(cache, WarehouseCache):
-            cached_pairs: Iterable[tuple[int | None, TrialRecord]] = (
-                (index if 0 <= index < job.total else None, record)
-                for index, record in cache.iter_indexed()
-            )
-        else:
-            index_of_key = {spec.point_key(p): p.index for p in job.points}
-            cached_pairs = (
-                (index_of_key.get(key), record)
-                for key, record in cache.iter_records()
-            )
-        for index, record in cached_pairs:
-            if index is not None and index not in job.records:
+        job = _Job(spec, open_cache(spec, self.cache_dir, warehouse=self.warehouse))
+        for index, record in job.cache.iter_indexed():
+            if 0 <= index < job.total and index not in job.records:
                 job.records[index] = record
         job.shard(self.unit_size)
         self._jobs[spec_hash] = job

@@ -36,7 +36,7 @@ from typing import Any, Callable
 
 from repro.errors import ReproError, ServiceError, WireError
 from repro.experiments.harness import TrialRecord
-from repro.experiments.parallel import SweepPoint, SweepSpec, _run_points
+from repro.experiments.parallel import SweepPoint, SweepSpec, _run_points, resolve_workers
 from repro.service.backoff import DEFAULT_POLICY, BackoffPolicy
 from repro.service.protocol import (
     encode_records,
@@ -199,7 +199,11 @@ def run_worker(
     address:
         The broker's ``(host, port)``.
     workers:
-        Local fabric width per unit; ``1`` runs units inline.
+        Local fabric width per unit; ``1`` runs units inline and ``0``
+        uses every core, as in
+        :func:`~repro.experiments.parallel.run_sweep`.  A negative
+        count raises :class:`~repro.errors.ReproError` before the
+        broker is dialled.
     max_units:
         Stop after this many completed units (tests, drain-and-exit
         deployments); ``None`` serves forever.
@@ -218,6 +222,7 @@ def run_worker(
         Optional ``callback(unit_id, n_trials)`` after each report
         (the CLI's ticker).
     """
+    workers = resolve_workers(workers)
     memo = _SpecMemo()
     completed = 0
     sock: socket.socket | None = None

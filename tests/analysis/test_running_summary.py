@@ -1,4 +1,4 @@
-"""Tests for the streaming moment accumulator and record-stream folds."""
+"""Tests for the record-stream fold behind every sweep summary."""
 
 from __future__ import annotations
 
@@ -6,39 +6,8 @@ import random
 
 import pytest
 
-from repro.analysis.stats import PartialSummary, RunningSummary
 from repro.experiments.harness import StreamSummary, repeat_trials
 from repro.graphs.generators import complete_graph
-
-
-class TestRunningSummary:
-    def test_matches_batch_sketch(self):
-        rng = random.Random(11)
-        values = [rng.randrange(1000) for _ in range(200)]
-        running = RunningSummary()
-        running.extend(values)
-        batch = PartialSummary.of(values)
-        snapshot = running.to_partial()
-        assert snapshot.count == batch.count
-        assert snapshot.minimum == batch.minimum
-        assert snapshot.maximum == batch.maximum
-        assert snapshot.mean == pytest.approx(batch.mean, rel=1e-12)
-        assert snapshot.m2 == pytest.approx(batch.m2, rel=1e-9)
-
-    def test_merges_like_chunked_sketches(self):
-        rng = random.Random(7)
-        left = [rng.random() for _ in range(50)]
-        right = [rng.random() for _ in range(13)]
-        running = RunningSummary()
-        running.extend(left + right)
-        merged = PartialSummary.of(left).merge(PartialSummary.of(right))
-        snapshot = running.to_partial()
-        assert snapshot.mean == pytest.approx(merged.mean, rel=1e-12)
-        assert snapshot.m2 == pytest.approx(merged.m2, rel=1e-9)
-
-    def test_empty_snapshot_rejected(self):
-        with pytest.raises(ValueError):
-            RunningSummary().to_partial()
 
 
 class TestStreamSummary:
@@ -57,20 +26,18 @@ class TestStreamSummary:
         assert stream.total == 6
         assert stream.met == len(rounds)
 
-    def test_out_of_order_folding_restores_canonical_order(self):
+    def test_out_of_order_folding_gives_the_same_summary(self):
         records = self.records()
         forward = StreamSummary()
         shuffled = StreamSummary()
-        for order, record in enumerate(records):
-            forward.add(record, order=order)
-        indexed = list(enumerate(records))
-        random.Random(3).shuffle(indexed)
-        for order, record in indexed:
-            shuffled.add(record, order=order)
+        for record in records:
+            forward.add(record)
+        arrival = list(records)
+        random.Random(3).shuffle(arrival)
+        for record in arrival:
+            shuffled.add(record)
         assert forward.summary() == shuffled.summary()
-        assert forward.sketch() == shuffled.sketch()
 
     def test_no_successful_trials(self):
         stream = StreamSummary()
         assert stream.summary() is None
-        assert stream.sketch() is None

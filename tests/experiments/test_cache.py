@@ -155,3 +155,19 @@ class TestCorruptLineWarning:
             assert list(ResultCache(tmp_path, "clean").iter_records()) == [
                 ("k", record)
             ]
+
+
+class TestIndexedCache:
+    def test_indexed_pairs_round_trip_through_content_keys(self, tmp_path):
+        records = [run_trial(complete_graph(16), "trivial", seed=s) for s in range(3)]
+        keys = ["ka", "kb", "kc"]
+        with ResultCache(tmp_path, "indexed", keys=keys) as cache:
+            cache.append_indexed([(2, records[2]), (0, records[0])])
+        assert list(ResultCache(tmp_path, "indexed").iter_records()) == [
+            ("kc", records[2]), ("ka", records[0]),
+        ]
+        # A key the grid does not name (another spec's trial) is skipped.
+        with ResultCache(tmp_path, "indexed") as cache:
+            cache.append_many([("stranger", records[1])])
+        again = ResultCache(tmp_path, "indexed", keys=keys)
+        assert list(again.iter_indexed()) == [(2, records[2]), (0, records[0])]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.stats import summarize
 from repro.errors import ReproError
 from repro.experiments.harness import aggregate_rounds, repeat_trials, run_trial
 from repro.experiments.parallel import (
@@ -232,10 +233,24 @@ class TestRunSweepDeterminism:
     def test_merged_summary_equals_serial_path(self):
         spec = small_spec()
         result = run_sweep(spec, workers=2)
-        for (family, n, delta_spec, algorithm, _), records in result.grouped().items():
+        groups: dict[tuple[str, int, str, str], list] = {}
+        for point, record in zip(spec.points(), result.records):
+            key = (point.family, point.n, point.delta_spec, point.algorithm)
+            groups.setdefault(key, []).append(record)
+        for (family, n, delta_spec, algorithm), records in groups.items():
             graph = build_graph(family, n, delta_spec)
             serial = repeat_trials(graph, algorithm, spec.seeds)
             assert aggregate_rounds(records) == aggregate_rounds(serial)
+
+    def test_pooled_note_summarizes_every_met_trial(self):
+        spec = small_spec(algorithms=("trivial", "random-walk"))
+        result = run_sweep(spec, workers=1)
+        pooled = summarize([r.rounds for r in result.records if r.met])
+        assert result.summary_table().notes[0] == (
+            f"all groups pooled: mean rounds {pooled.mean:.1f} "
+            f"[{pooled.ci_low:.1f}, {pooled.ci_high:.1f}] "
+            f"over {pooled.count} successful trials"
+        )
 
     def test_summary_table_shape(self):
         result = run_sweep(small_spec(), workers=1)
@@ -435,9 +450,7 @@ class TestStreamingSweep:
         held_table = held.summary_table()
         stream_table = streamed.summary_table()
         assert stream_table.rows == held_table.rows
-        assert stream_table.notes[0] == held_table.notes[0]  # pooled sketch
-        held_sketch, stream_sketch = held.rounds_sketch(), streamed.rounds_sketch()
-        assert held_sketch == stream_sketch
+        assert stream_table.notes[0] == held_table.notes[0]  # pooled note
 
     def test_resident_records_bounded_by_batch(self):
         from repro.experiments.parallel import _fabric_batch_size
@@ -499,6 +512,15 @@ class TestWarehouseSweep:
         )
         assert columnar.records == jsonl.records
         assert (columnar.executed, columnar.cached) == (8, 0)
+
+    @pytest.mark.parametrize("warehouse", [False, True])
+    def test_open_cache_reads_back_by_grid_index(self, tmp_path, warehouse):
+        from repro.experiments.parallel import open_cache
+
+        spec = small_spec()
+        result = run_sweep(spec, workers=1, cache_dir=tmp_path, warehouse=warehouse)
+        cache = open_cache(spec, tmp_path, warehouse=warehouse)
+        assert dict(cache.iter_indexed()) == dict(enumerate(result.records))
 
     def test_second_run_is_all_cache_hits(self, tmp_path):
         spec = small_spec()

@@ -95,19 +95,6 @@ class TestGroupBy:
             expected = statistics.fmean(met_rounds) if met_rounds else None
             assert by_alg[algorithm]["mean_rounds"] == expected
 
-    def test_sketch_matches_partial_summary(self, records):
-        from repro.analysis.stats import PartialSummary
-
-        frame = (
-            from_records(records)
-            .group_by("algorithm")
-            .agg(sk=query.sketch("rounds"))
-            .collect()
-        )
-        for row in frame.iter_rows():
-            values = [r.rounds for r in records if r.algorithm == row["algorithm"]]
-            assert row["sk"] == PartialSummary.of(values)
-
     def test_key_collision_rejected(self, records):
         with pytest.raises(QueryError):
             (
@@ -156,14 +143,15 @@ class TestFusedKernel:
             oracle.collect().sort_by(*keys).iter_rows()
         )
 
-    def test_floordiv_key_fuses(self, records, tmp_path):
+    def test_floordiv_key_runs_rowwise(self, records, tmp_path):
+        # Computed keys take the row-wise fold; only the executor differs.
         path = write_records_warehouse(records, tmp_path / "wh2")
         plan = (
             scan(path)
             .group_by((col("seed") // 2).alias("pair"))
             .agg(total=query.count())
         )
-        assert "fused single pass" in plan.describe_plan()
+        assert plan.describe_plan().endswith("-> row-wise fold")
         frame = plan.collect()
         expected: dict[int, int] = {}
         for record in records:
