@@ -11,6 +11,18 @@ Implemented as a sub-generator to be driven inside agent ``a``'s
 program with ``yield from``.  Every visit walks a stored route of
 length ≤ 2 out and back, so one visit costs at most 4 rounds — the
 same asymptotics as the paper's unit-cost visits.
+
+The counts are kept per distinct observed closed neighborhood.  Each
+visit adds one to the tally of the frozenset ``N⁺(v)`` it reads; after
+the last visit each set's tally is added to every
+``u ∈ N⁺(v) ∩ N⁺(v₀ᵃ)``.  This is exact: ``u``'s counter is the number
+of visits whose observed set holds ``u`` however the visits are
+grouped, and the random draws, the walks and the degree guard (which
+returns before any tally is read) do not depend on the counts.  It is
+cheap because a run visits each member of Γ several times, and a repeat
+visit costs one probe on the cached hash of the frozenset the execution
+plan keeps per vertex.  A view that builds a fresh set per read, or a
+neighborhood changed by edge churn, only adds keys.
 """
 
 from __future__ import annotations
@@ -90,7 +102,7 @@ def sample_run(
 
     total = constants.sample_count(len(gamma), alpha, ctx.id_space)
     threshold = constants.sample_threshold(ctx.id_space)
-    counts: Counter[VertexId] = Counter()
+    tallies: dict[frozenset[VertexId], int] = {}
     rng = ctx.rng
 
     for visit_index in range(total):
@@ -110,11 +122,15 @@ def sample_run(
                 observed_min_degree=observed_min,
             )
 
-        for u in ctx.view.closed_neighbors & home_closed:
-            counts[u] += 1
+        closed = ctx.view.closed_neighbors
+        tallies[closed] = tallies.get(closed, 0) + 1
 
         yield from walk(ctx, route_back(route, home))
 
+    counts: Counter[VertexId] = Counter()
+    for closed, tally in tallies.items():
+        for u in closed & home_closed:
+            counts[u] += tally
     heavy = frozenset(u for u, c in counts.items() if c >= threshold)
     return SampleOutcome(
         heavy=heavy, guard_tripped=False, visits=total,

@@ -511,19 +511,6 @@ class SweepResult:
         """Export the raw records (byte-identical across worker counts)."""
         return write_records_jsonl(self.records, path)
 
-    def write_warehouse(self, path: str | Path) -> Path:
-        """Export the raw records as a columnar warehouse directory.
-
-        The columnar twin of :meth:`write_jsonl`: rows land in grid
-        order, so ``repro report <dir>`` prints the same table as the
-        JSONL export, an order of magnitude faster on big sweeps.
-        """
-        from repro.experiments.warehouse import write_records_warehouse
-
-        return write_records_warehouse(
-            self.records, path, spec_payload=self.spec.describe()
-        )
-
     def summary_table(self) -> Table:
         """One row per grid group, aggregated over seeds."""
         sink = _StreamSink(self.spec.points())
