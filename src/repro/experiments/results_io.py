@@ -32,7 +32,7 @@ import json
 import struct
 import warnings
 from array import array
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -49,6 +49,7 @@ __all__ = [
     "unpack_record_batch",
 ]
 
+_FIELDS = tuple(field.name for field in fields(TrialRecord))
 _CSV_FIELDS = [
     "algorithm", "graph_name", "n", "id_space", "delta", "max_degree",
     "seed", "met", "rounds", "total_moves", "whiteboard_writes", "scenario",
@@ -56,8 +57,16 @@ _CSV_FIELDS = [
 
 
 def record_to_jsonable(record: TrialRecord) -> dict[str, Any]:
-    """One record as a plain JSON-able dict."""
-    return asdict(record)
+    """One record as a plain JSON-able dict of its fields.
+
+    Every writer encodes records through this function: the JSONL
+    cache, :func:`write_records_jsonl` and :func:`write_records_csv`.
+    The dict is built directly, not deep-copied, so it shares the
+    record's ``reports`` dicts; copy before mutating them.  The harness
+    checks that reports are JSON-native when it makes a record, so
+    ``json.dumps`` needs no copy to encode them.
+    """
+    return {name: getattr(record, name) for name in _FIELDS}
 
 
 def record_from_jsonable(payload: dict[str, Any]) -> TrialRecord:
@@ -206,6 +215,6 @@ def write_records_csv(records: Iterable[TrialRecord], path: str | Path) -> Path:
         writer = csv.DictWriter(handle, fieldnames=_CSV_FIELDS)
         writer.writeheader()
         for record in records:
-            payload = asdict(record)
+            payload = record_to_jsonable(record)
             writer.writerow({k: payload[k] for k in _CSV_FIELDS})
     return target

@@ -294,10 +294,18 @@ def _circulant(n: int, degree: int) -> dict[VertexId, set[VertexId]]:
 def _double_edge_swaps(
     adjacency: dict[VertexId, set[VertexId]], rng: random.Random, swaps: int
 ) -> None:
-    """Randomize a graph by degree-preserving double edge swaps."""
+    """Randomize a graph by degree-preserving double edge swaps.
+
+    The pair is drawn by index and the two old edges deleted by index:
+    ``Random.sample`` makes the same draws for any population of the
+    same length, and the edges are distinct, so the edge list, the
+    graph and the RNG stream match removing the old edges by value
+    (the frozen reference) without its two linear scans per swap.
+    """
     edges = [(u, v) for u in adjacency for v in adjacency[u] if u < v]
     for _ in range(swaps):
-        (a, b), (c, d) = rng.sample(edges, 2)
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
         if len({a, b, c, d}) < 4:
             continue
         if d in adjacency[a] or b in adjacency[c]:
@@ -310,8 +318,8 @@ def _double_edge_swaps(
         adjacency[d].add(a)
         adjacency[c].add(b)
         adjacency[b].add(c)
-        edges.remove((min(a, b), max(a, b)))
-        edges.remove((min(c, d), max(c, d)))
+        del edges[max(i, j)]
+        del edges[min(i, j)]
         edges.append((min(a, d), max(a, d)))
         edges.append((min(c, b), max(c, b)))
 

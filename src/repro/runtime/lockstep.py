@@ -39,7 +39,10 @@ probe order).  Everything else — and any batch that trips a
 non-vectorizable condition at runtime (unexpected program subclass,
 degree-0 vertices, self-loops) — returns ``None`` so the caller falls
 back to the per-seed engine path with no behavior change; see
-``docs/performance.md``.
+``docs/performance.md``.  The walk kernels' inputs and the graph half
+of that verdict are built once per plan
+(:attr:`~repro.runtime.plan.ExecutionPlan.walk_setup`), so a batch
+pays no set-up of its own.
 """
 
 from __future__ import annotations
@@ -79,9 +82,10 @@ def lockstep_supported(
 ) -> bool:
     """Whether ``algorithm`` under ``port_model`` has a lockstep executor.
 
-    This is the *static* half of eligibility — the per-batch dynamic
-    checks (program types, degree-0 vertices, self-loops) live in
-    :func:`run_lockstep_batch`, which returns ``None`` when any fails.
+    This is the *static* half of eligibility — the dynamic checks
+    (program types per batch; degree-0 vertices and self-loops once
+    per plan) live in :func:`run_lockstep_batch`, which returns
+    ``None`` when any fails.
 
     ``scenario`` is the batch's *active* scenario (an already
     normalized :class:`~repro.scenarios.ScenarioSpec`, or ``None``).
@@ -203,47 +207,15 @@ def _prefix_moves(tape: list[int], start: int, length: int) -> int:
     return length - stays
 
 
-def _table_has_self_loops(table: list, degrees, uniform: int) -> bool:
-    """Whether any table slot maps a vertex onto itself (C-level passes).
-
-    Degree-regular tables are scanned stride-wise — column ``p`` of the
-    row-major table against ``count()`` — which avoids materializing a
-    per-slot owner iterator; irregular tables pay the general
-    ``chain``/``repeat`` form once per batch.
-    """
-    if uniform:
-        return any(
-            any(map(eq, table[p::uniform], count()))
-            for p in range(uniform)
-        )
-    owners = chain.from_iterable(map(repeat, count(), degrees))
-    return any(map(eq, table, owners))
-
-
 def _run_walk_batch(
     plan: ExecutionPlan, trials: list[tuple], ids: tuple
 ) -> list[ExecutionResult] | None:
     """Lockstep executor for ``RandomWalker`` vs ``RandomWalker``."""
-    degrees = plan.degrees
-    if plan.n == 0 or min(degrees) == 0:
-        # randrange(0) raises in the serial engine; let it.
+    setup = plan.walk_setup  # built once per plan, verdict included
+    if setup is None:
+        # A degree-0 vertex or a self-loop: the serial path runs it.
         return None
-    # Lists index measurably faster than array('q') in the kernels
-    # (CPython specializes list subscripts and returns the stored int
-    # objects instead of boxing a fresh one per lookup), which buys
-    # ~25% off every tape round.  The O(m) table is built once per
-    # plan (``plan.walk_table``); the O(n) columns once per batch.
-    table = plan.walk_table
-    offsets = list(plan.neighbor_offsets)
-    degrees_l = list(degrees)
-    bits = list(map(int.bit_length, degrees_l))
-    uniform = max(degrees_l) if min(degrees_l) == max(degrees_l) else 0
-    width = uniform.bit_length()
-    if _table_has_self_loops(table, degrees_l, uniform):
-        # Move counting infers moves from position changes, which a
-        # self-loop traversal would defeat; such graphs take the
-        # serial path.
-        return None
+    table, offsets, degrees, bits, uniform, width = setup
 
     total = len(trials)
     results: list[ExecutionResult | None] = [None] * total
@@ -292,11 +264,11 @@ def _run_walk_batch(
                 )
             else:
                 tape_a, chunk_moves_a = walk_choice_tape(
-                    rngs_a[s], start_a, span, offsets, table, degrees_l,
+                    rngs_a[s], start_a, span, offsets, table, degrees,
                     bits, laziness_a[s],
                 )
                 tape_b, chunk_moves_b = walk_choice_tape(
-                    rngs_b[s], start_b, span, offsets, table, degrees_l,
+                    rngs_b[s], start_b, span, offsets, table, degrees,
                     bits, laziness_b[s],
                 )
             # Meetings happen at most once per trial, so the common

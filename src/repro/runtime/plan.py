@@ -19,10 +19,16 @@ over dense vertex indices ``0 .. n-1``:
 * ``port_targets`` (KT0 plans) — the hidden port table flattened the
   same way: entry ``neighbor_offsets[i] + p`` is the dense index
   behind port ``p`` of vertex ``i``;
-* ``walk_table`` — the table a walker moves through
-  (``neighbor_indices`` under KT1, ``port_targets`` under KT0) as a
-  plain list, built lazily once per plan for the lockstep walk
-  kernels.
+* ``walk_setup`` — everything the lockstep walk kernels read, built
+  lazily once per plan so a seed batch costs the same however many
+  batches share the plan: the table a walker moves through
+  (``neighbor_indices`` under KT1, ``port_targets`` under KT0), the
+  offsets and degrees, each as a plain list, the per-vertex bit widths
+  ``randrange`` draws, and the common degree and its bit width (both 0
+  on irregular plans).  It is ``None`` when no walk can run in
+  lockstep: a degree-0 vertex, or a table slot leading a vertex to
+  itself.  That verdict is cached too, so the O(m) self-loop scan runs
+  once per plan.
 
 **CSR-backed graphs compile zero-copy.**  Every generator builds its
 graph through :mod:`repro.graphs.build`, which already produces exactly
@@ -72,6 +78,8 @@ from __future__ import annotations
 
 import json
 from array import array
+from itertools import chain, count, repeat
+from operator import eq
 from typing import TYPE_CHECKING
 
 from repro._typing import PortKey, VertexId
@@ -116,7 +124,7 @@ class ExecutionPlan:
         "nbr_index",
         "kt0_rows",
         "kt0_ports",
-        "walk_table",
+        "walk_setup",
         "_labeling",
         "_closed_sets",
         "_csr",
@@ -202,17 +210,10 @@ class ExecutionPlan:
 
     def __getattr__(self, name: str):
         # Reached only when a slot is unset: the lazy per-vertex rows
-        # of CSR-backed plans, and every plan's lockstep walk table.
+        # of CSR-backed plans, and every plan's lockstep walk set-up.
         # Materialize once, cache in the slot.
-        if name == "walk_table":
-            # Mapping through one shared int object per vertex costs
-            # one pointer per arc, not a freshly boxed int per arc.
-            flat = (
-                self.neighbor_indices
-                if self.port_model is PortModel.KT1
-                else self.port_targets
-            )
-            value = list(map(list(range(self.n)).__getitem__, flat))
+        if name == "walk_setup":
+            value = _walk_setup(self)
         elif name == "nbr_ids":
             offsets, indices = self._csr
             getter = self.ids.__getitem__
@@ -423,6 +424,56 @@ class ExecutionPlan:
             f"ExecutionPlan(graph={self.graph.name!r}, n={self.n}, "
             f"model={self.port_model.value})"
         )
+
+
+def _walk_setup(plan: ExecutionPlan) -> tuple | None:
+    """Build ``plan.walk_setup``: the lockstep walk kernels' inputs.
+
+    Returns ``(table, offsets, degrees, bits, uniform, width)``, or
+    ``None`` when the serial engine must run the walk instead.
+    """
+    degrees = list(plan.degrees)
+    lowest = min(degrees, default=0)
+    if lowest == 0:
+        # randrange(0) raises in the serial engine; let it.
+        return None
+    # Lists index measurably faster than array('q') in the kernels
+    # (CPython specializes list subscripts and returns the stored int
+    # objects instead of boxing a fresh one per lookup), which buys
+    # ~25% off every tape round.  Mapping the table through one shared
+    # int object per vertex costs one pointer per arc, not a freshly
+    # boxed int per arc.
+    flat = (
+        plan.neighbor_indices
+        if plan.port_model is PortModel.KT1
+        else plan.port_targets
+    )
+    table = list(map(list(range(plan.n)).__getitem__, flat))
+    uniform = lowest if lowest == max(degrees) else 0
+    if _table_has_self_loops(table, degrees, uniform):
+        # Move counting infers moves from position changes, which a
+        # self-loop traversal would defeat.
+        return None
+    bits = list(map(int.bit_length, degrees))
+    offsets = list(plan.neighbor_offsets)
+    return table, offsets, degrees, bits, uniform, uniform.bit_length()
+
+
+def _table_has_self_loops(table: list, degrees: list, uniform: int) -> bool:
+    """Whether any table slot maps a vertex onto itself (C-level passes).
+
+    Degree-regular tables are scanned stride-wise — column ``p`` of the
+    row-major table against ``count()`` — which avoids materializing a
+    per-slot owner iterator; irregular tables pay the general
+    ``chain``/``repeat`` form.
+    """
+    if uniform:
+        return any(
+            any(map(eq, table[p::uniform], count()))
+            for p in range(uniform)
+        )
+    owners = chain.from_iterable(map(repeat, count(), degrees))
+    return any(map(eq, table, owners))
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import random
 
@@ -10,11 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import ALGORITHMS
-from repro.experiments.harness import TrialRecord, repeat_trials, run_trial
+from repro.experiments.harness import (
+    TrialRecord,
+    repeat_trials,
+    run_trial,
+    run_trials,
+)
+from repro.experiments.parallel import (
+    CONSTANTS_PRESETS,
+    SweepSpec,
+    _instance_for,
+    run_sweep,
+)
 from repro.experiments.results_io import (
     iter_records_jsonl,
     pack_record_batch,
     read_records_jsonl,
+    record_from_jsonable,
     record_to_jsonable,
     unpack_record_batch,
     write_records_csv,
@@ -178,6 +192,76 @@ class TestRecordBatchCodec:
         restored = unpack_record_batch(pack_record_batch(records))
         assert restored == records
         assert _export_bytes(restored) == _export_bytes(records)
+
+
+def _assert_lines_unchanged(records) -> None:
+    """Each record encodes to its ``dataclasses.asdict`` line and back."""
+    assert records
+    for record in records:
+        payload = record_to_jsonable(record)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            dataclasses.asdict(record), sort_keys=True
+        )
+        assert record_from_jsonable(payload) == record
+
+
+class TestRecordLines:
+    """Record lines are byte-identical to the deep-copying encoder's."""
+
+    @pytest.mark.parametrize(
+        "algorithm,port_model",
+        _supported_matrix(),
+        ids=lambda value: getattr(value, "value", value),
+    )
+    def test_every_algorithm_and_port_model(self, algorithm, port_model):
+        graph = random_graph_with_min_degree(40, 10, random.Random("lines"))
+        labeling = (
+            PortLabeling(graph, rng=random.Random(2))
+            if port_model is PortModel.KT0
+            else None
+        )
+        _assert_lines_unchanged(run_trials(
+            graph, algorithm, range(4),
+            port_model=port_model, labeling=labeling, max_rounds=400,
+        ))
+
+    @pytest.mark.parametrize("scenario", ["edge-churn", "crash-restart"])
+    def test_scenario_records(self, scenario):
+        graph = random_graph_with_min_degree(40, 10, random.Random("lines"))
+        records = run_trials(
+            graph, "random-walk", range(4), scenario=scenario, max_rounds=800
+        )
+        assert all(record.scenario == scenario for record in records)
+        _assert_lines_unchanged(records)
+
+    def test_theorem1_dense_set_reports(self):
+        graph, plan = _instance_for("er-min-degree", 60, "n^0.75")
+        records = run_trials(
+            graph, "theorem1", range(24), plan=plan,
+            constants=CONSTANTS_PRESETS["aggressive"](),
+        )
+        dense = [
+            record for record in records
+            if "target_set" in record.reports["a"]
+            and "selected" in record.reports["a"]
+        ]
+        assert dense, "want theorem1 records that carry the dense set"
+        _assert_lines_unchanged(dense)
+
+    def test_cache_file_bytes_are_pinned(self, tmp_path):
+        """The JSONL cache a small serial sweep writes, pinned by SHA-256."""
+        spec = SweepSpec(
+            name="record-lines",
+            families=("er-min-degree",),
+            ns=(120,),
+            algorithms=("theorem1", "theorem2", "trivial", "random-walk"),
+            seeds=tuple(range(8)),
+        )
+        run_sweep(spec, workers=1, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.jsonl")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "addbc58f6b13e35bed14c8bc5bbf67f99263f58152270dd72661f9ed6bf41596"
+        )
 
 
 class TestCsv:

@@ -139,13 +139,21 @@ class TestRandomFamiliesMatchReference:
                 assert_same_plan_buffers(old, new, tag)
 
     def test_regular_dense_fallback(self):
-        """max_attempts=1 usually forces the swap fallback on dense graphs."""
-        for seed in (0, 5):
-            old = reference.random_regular_graph(
-                24, 20, random.Random(seed), max_attempts=1
-            )
-            new = random_regular_graph(24, 20, random.Random(seed), max_attempts=1)
-            assert_same_graph(old, new)
+        """max_attempts=1 usually forces the swap fallback on dense graphs.
+
+        At n=120, d=36 the 4n double edge swaps dominate the build, and
+        the swaps must leave both the graph and the RNG stream exactly
+        where the reference's remove-by-value swaps leave them.
+        """
+        for n, degree in ((24, 20), (120, 36)):
+            for seed in (0, 5):
+                old_rng, new_rng = random.Random(seed), random.Random(seed)
+                old = reference.random_regular_graph(
+                    n, degree, old_rng, max_attempts=1
+                )
+                new = random_regular_graph(n, degree, new_rng, max_attempts=1)
+                assert_same_graph(old, new)
+                assert new_rng.getstate() == old_rng.getstate()
 
     def test_er_full_density(self):
         old = reference.random_graph_with_min_degree(20, 19, random.Random(0))

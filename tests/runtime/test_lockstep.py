@@ -44,6 +44,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortLabeling, PortModel
+from repro.runtime import plan as plan_module
 from repro.runtime.lockstep import (
     lockstep_supported,
     run_lockstep_batch,
@@ -316,14 +317,22 @@ class TestFallback:
         assert run_lockstep_batch(graph, "theorem1", [0, 1]) is None
         assert run_lockstep_batch(graph, "explore", [0, 1]) is None
 
-    def test_degree_zero_vertex_falls_back(self):
-        """An isolated vertex bails out of lockstep but not run_trials."""
+    def test_degree_zero_vertex_falls_back(self, monkeypatch):
+        """An isolated vertex bails out of lockstep but not run_trials.
+
+        The plan caches the verdict: a second batch declines without
+        building the walk set-up again.
+        """
         graph = StaticGraph({0: [1, 2], 1: [0, 2], 2: [0, 1], 9: []})
         plan = ExecutionPlan.compile(graph)
-        assert run_lockstep_batch(
-            graph, "random-walk", [0, 1],
-            plan=plan, start_a=0, start_b=1, max_rounds=50,
-        ) is None
+        builds = _count_calls(monkeypatch, plan_module, "_walk_setup")
+        for _ in range(2):
+            assert run_lockstep_batch(
+                graph, "random-walk", [0, 1],
+                plan=plan, start_a=0, start_b=1, max_rounds=50,
+            ) is None
+        assert plan.walk_setup is None
+        assert builds == [plan]
         batched = run_trials(
             graph, "random-walk", [0, 1],
             plan=plan, start_a=0, start_b=1, max_rounds=50,
@@ -347,6 +356,78 @@ class TestFallback:
             for seed in [0, 5]
         ]
         assert _record_bytes(batched) == _record_bytes(serial)
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so each call appends its first argument."""
+    original = getattr(module, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _walk_plan_cases():
+    """(id, graph, port model, labeling) cases for the per-plan set-up."""
+    rng = random.Random("walk-setup-cases")
+    irregular = random_graph_with_min_degree(64, 9, rng)
+    regular = random_regular_graph(48, 7, rng)
+    dilated = dilate_id_space(irregular, 13, random.Random("dilate"))
+    return [
+        ("regular-kt1", regular, PortModel.KT1, None),
+        ("irregular-kt1", irregular, PortModel.KT1, None),
+        ("regular-kt0", regular, PortModel.KT0, PortLabeling(regular, rng=rng)),
+        ("irregular-kt0", irregular, PortModel.KT0,
+         PortLabeling(irregular, rng=rng)),
+        ("dilated-kt1", dilated, PortModel.KT1, None),
+        ("dilated-kt0", dilated, PortModel.KT0, PortLabeling(dilated, rng=rng)),
+    ]
+
+
+class TestWalkSetupPerPlan:
+    """The walk set-up belongs to the plan, not to the batch."""
+
+    @pytest.mark.parametrize(
+        "case", _walk_plan_cases(), ids=lambda case: case[0]
+    )
+    def test_records_do_not_depend_on_batch_size(self, case):
+        _, graph, port_model, labeling = case
+        plan = ExecutionPlan.compile(graph, labeling, port_model)
+        seeds = random.Random("batch-size").sample(range(10_000), 24)
+        kwargs = dict(
+            plan=plan, port_model=port_model, labeling=labeling,
+            max_rounds=3000,
+        )
+        whole = _record_bytes(run_trials(graph, "random-walk", seeds, **kwargs))
+        assert plan.walk_setup is not None  # walkable: lockstep ran it
+        for size in (1, 3, 8):
+            split = [
+                record
+                for start in range(0, len(seeds), size)
+                for record in run_trials(
+                    graph, "random-walk", seeds[start:start + size], **kwargs
+                )
+            ]
+            assert _record_bytes(split) == whole, f"batches of {size} diverged"
+
+    def test_self_loop_scan_runs_once_per_plan(self, monkeypatch):
+        graph = random_graph_with_min_degree(64, 9, random.Random("scan"))
+        scans = _count_calls(monkeypatch, plan_module, "_table_has_self_loops")
+        plan = ExecutionPlan.compile(graph)
+        for start in range(0, 24, 3):
+            run_trials(
+                graph, "random-walk", range(start, start + 3),
+                plan=plan, max_rounds=500,
+            )
+        assert len(scans) == 1
+        fresh = ExecutionPlan.compile(graph)
+        run_trials(graph, "random-walk", [0, 1], plan=fresh, max_rounds=500)
+        assert len(scans) == 2
+        assert scans[1] is fresh.walk_setup[0]  # the fresh plan's table
 
 
 class TestSeedListEdgeCases:
