@@ -1,10 +1,10 @@
-"""Benchmark for the columnar results warehouse and its fused queries.
+"""Benchmark for the columnar results warehouse and its fused reports.
 
 PR 8's tentpole: sweep results persisted as per-column int64 segments
 (:mod:`repro.experiments.warehouse`) and summarized by one fused pass
-over the mmap'd columns (:mod:`repro.experiments.query`), instead of
-re-parsing a JSON-lines export record by record.  Two hard gates on a
-synthetic many-record sweep (~120k records quick, ~1M full):
+of the :mod:`repro.experiments.query` kernel over the mmap'd columns,
+instead of re-parsing a JSON-lines export record by record.  Two hard
+gates on a synthetic many-record sweep (~120k records quick, ~1M full):
 
 * **report throughput** — ``summarize_warehouse`` must be **≥ 10×**
   faster than the record-streaming ``summarize_jsonl`` fold over the

@@ -25,9 +25,9 @@ Commands
 ``report PATH [PATH ...]``
     Summarize exported records as grouped tables.  JSON-lines files
     are folded record by record (streaming, arbitrarily large);
-    warehouse directories are summarized by one fused columnar query
-    (:mod:`repro.experiments.query`) — same table, orders of
-    magnitude faster.
+    warehouse directories by one fused pass of the summary kernel
+    (:mod:`repro.experiments.query`) over their columns — same
+    table, orders of magnitude faster.
 ``serve [--port P] [--cache-dir DIR] [--local-workers N]``
     Run a sweep-service broker (:mod:`repro.service`): shard
     submitted grids into content-addressed work units, lease them to
@@ -77,7 +77,7 @@ commands (run `<command> --help` for its options):
   sweep                 fan a trial grid out over the worker fabric,
                         with an optional resumable result cache
   report PATH [...]     summarize record exports: JSONL files (streaming)
-                        or columnar warehouse directories (fused query)
+                        or columnar warehouse directories (fused kernel)
   serve                 run a sweep-service broker (optionally with
                         local worker hosts) that many clients can
                         queue sweeps against

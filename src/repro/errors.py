@@ -137,12 +137,3 @@ class WireError(ServiceError):
     leased work units are re-queued — never half-merged.
     """
 
-
-class QueryError(ReproError):
-    """A lazy query plan is malformed or references unknown columns.
-
-    Raised by :mod:`repro.experiments.query` when an expression names a
-    column the source does not provide, when an aggregation is applied
-    outside ``group_by``, or when a plan combines operations the fused
-    executor does not support.
-    """

@@ -9,9 +9,10 @@ Large grids run through the process-pool sweep engine
 (:mod:`repro.experiments.parallel`) with its content-addressed result
 cache (:mod:`repro.experiments.cache`); ``repro sweep`` on the command
 line is the front door.  Sweeps can alternatively persist to a columnar
-results warehouse (:mod:`repro.experiments.warehouse`) whose fused lazy
-query layer (:mod:`repro.experiments.query`) backs ``repro report``.
-Every sweep table, held or streamed, comes from one exact fold
+results warehouse (:mod:`repro.experiments.warehouse`), which ``repro
+report`` summarizes with one fused kernel (:mod:`repro.experiments.query`).
+Every sweep table, held or streamed, and every report, over JSONL or a
+warehouse, comes from one exact fold
 (:class:`~repro.experiments.harness.StreamSummary`).
 """
 
@@ -55,14 +56,7 @@ from repro.experiments.warehouse import (
     is_warehouse,
     write_records_warehouse,
 )
-from repro.experiments.query import (
-    LazyFrame,
-    Frame,
-    col,
-    lit,
-    scan,
-    from_records,
-)
+from repro.experiments.query import LazyFrame, scan
 from repro.experiments.workloads import EXPERIMENTS, ExperimentSpec, run_experiment
 
 __all__ = [
@@ -82,11 +76,7 @@ __all__ = [
     "is_warehouse",
     "write_records_warehouse",
     "LazyFrame",
-    "Frame",
-    "col",
-    "lit",
     "scan",
-    "from_records",
     "SweepSpec",
     "SweepPoint",
     "SweepResult",

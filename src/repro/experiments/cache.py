@@ -20,15 +20,18 @@ exactly like exported ones.
 whole batch with **one** flush at the end: a crash loses at most the
 records of the in-flight batch, every batch flushed before it is
 durable, and a torn line inside the lost batch is skipped by
-:meth:`ResultCache.iter_records`.  Since sweeps and the broker append
-a batch only after all of its trials completed, resume recomputes
-exactly the lost trials and nothing else.
+:meth:`ResultCache.iter_records`.  The first append after reopening
+cuts that torn tail off, so new lines never glue onto it.  Since
+sweeps and the broker append a batch only after all of its trials
+completed, resume recomputes exactly the lost trials and nothing else.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
+import os
 import warnings
 from pathlib import Path
 from typing import Any, IO, Iterable, Iterator, Sequence
@@ -165,8 +168,27 @@ class ResultCache:
                     json.dumps(self._spec_payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8",
                 )
+            self._cut_torn_tail()
             self._handle = self.path.open("a", encoding="utf-8")
         return self._handle
+
+    def _cut_torn_tail(self) -> None:
+        """Truncate a torn final line, so the next append starts a line.
+
+        An append right after a crash fragment would glue the first new
+        record onto it, and both would read back as one corrupt line.
+        """
+        if not self.path.exists():
+            return
+        with self.path.open("r+b") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size == 0:
+                return
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+            with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                handle.truncate(data.rfind(b"\n") + 1)
 
     def append_many(self, pairs: Iterable[tuple[str, TrialRecord]]) -> None:
         """Persist a batch of records with **one** flush at the end.

@@ -365,6 +365,9 @@ class StreamSummary:
 
     Every sweep table, streamed or held, and ``repro report`` over a
     JSONL export fold each :class:`TrialRecord` into one of these.
+    ``repro report`` over a warehouse builds the same aggregates from
+    the columns (:mod:`repro.experiments.query`), so both report paths
+    render through one table builder.
     The streaming paths then drop the record, so resident memory stays
     O(batch) in the record stream: per successful trial the aggregate
     keeps one integer, its rounds, in a compact ``array('q')`` column.

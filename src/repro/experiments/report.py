@@ -10,6 +10,8 @@ grouped summary table without materializing the stream — the engine
 behind ``repro report FILE.jsonl``, which replays sweep exports of any
 size in O(1) memory via
 :func:`~repro.experiments.results_io.iter_records_jsonl`.
+:func:`summarize_warehouse` builds the same per-group summaries from a
+warehouse's columns, and both render through one table builder.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.harness import TrialRecord
+    from repro.experiments.harness import StreamSummary, TrialRecord
 
 __all__ = [
     "Table",
@@ -106,6 +108,30 @@ class Table:
         return target
 
 
+def _summary_table(
+    title: str, groups: "dict[tuple[str, str, int, int], StreamSummary]"
+) -> Table:
+    """The grouped summary table of ``(algorithm, graph, n, δ)`` groups."""
+    table = Table(
+        title=title,
+        headers=[
+            "algorithm", "graph", "n", "delta",
+            "met", "mean rounds", "median rounds",
+        ],
+    )
+    for (algorithm, graph_name, n, delta), group in groups.items():
+        summary = group.summary()
+        table.add_row(
+            algorithm, graph_name, n, delta,
+            f"{group.met}/{group.total}",
+            summary.mean if summary else float("nan"),
+            summary.median if summary else float("nan"),
+        )
+    total = sum(group.total for group in groups.values())
+    table.add_note(f"{total} records in {len(groups)} group(s)")
+    return table
+
+
 def summarize_records(
     records: "Iterable[TrialRecord]", title: str = "RECORDS"
 ) -> Table:
@@ -122,31 +148,13 @@ def summarize_records(
     from repro.experiments.harness import StreamSummary
 
     groups: dict[tuple[str, str, int, int], StreamSummary] = {}
-    total = 0
     for record in records:
         key = (record.algorithm, record.graph_name, record.n, record.delta)
         group = groups.get(key)
         if group is None:
             group = groups[key] = StreamSummary()
         group.add(record)
-        total += 1
-    table = Table(
-        title=title,
-        headers=[
-            "algorithm", "graph", "n", "delta",
-            "met", "mean rounds", "median rounds",
-        ],
-    )
-    for (algorithm, graph_name, n, delta), group in groups.items():
-        summary = group.summary()
-        table.add_row(
-            algorithm, graph_name, n, delta,
-            f"{group.met}/{group.total}",
-            summary.mean if summary else float("nan"),
-            summary.median if summary else float("nan"),
-        )
-    table.add_note(f"{total} records in {len(groups)} group(s)")
-    return table
+    return _summary_table(title, groups)
 
 
 def summarize_jsonl(path: str | Path, title: str | None = None) -> Table:
@@ -167,61 +175,25 @@ def summarize_jsonl(path: str | Path, title: str | None = None) -> Table:
 
 
 def summarize_warehouse(path: str | Path, title: str | None = None) -> Table:
-    """Summarize a results warehouse with one fused columnar query.
+    """Summarize a results warehouse with the fused summary kernel.
 
-    Computes the same table as :func:`summarize_records` over the same
-    records — byte-identical — but in a single pass over the mmap'd
-    columns via :mod:`repro.experiments.query`, so a million-row sweep
-    summarizes in milliseconds instead of re-parsing JSON.  Warehouses
-    written by a sweep carry a ``_point`` grid-index column; group rows
-    are ordered by each group's first grid point, which restores
-    canonical grid order however the rows arrived on disk.
+    :mod:`repro.experiments.query` folds the mmap'd columns into the
+    same per-group :class:`~repro.experiments.harness.StreamSummary`
+    aggregates :func:`summarize_records` builds, in one pass, and both
+    render through one table builder — so the table is byte-identical
+    to the record fold's, and a million-row sweep summarizes in
+    milliseconds instead of re-parsing JSON.  Groups are ordered by
+    their first grid point (the ``_point`` column sweeps store), which
+    restores canonical grid order however the rows arrived on disk.
     """
     from repro.experiments import query
-    from repro.experiments.warehouse import SweepWarehouse
 
-    target = Path(path)
     if title is None:
-        title = f"RECORDS {target.name}"
-    warehouse = SweepWarehouse(target)
-    has_point = warehouse.has_point
-    aggs = dict(
-        total=query.count(),
-        met=query.sum_("met"),
-        rounds=query.values("rounds", where=query.col("met")),
+        title = f"RECORDS {Path(path).name}"
+    groups = (
+        query.scan(path).group_by("algorithm", "graph_name", "n", "delta").collect()
     )
-    if has_point:
-        aggs["_ord"] = query.min_("_point")
-    frame = (
-        query.scan(warehouse)
-        .group_by("algorithm", "graph_name", "n", "delta")
-        .agg(**aggs)
-        .collect()
-    )
-    if has_point:
-        frame = frame.sort_by("_ord")
-    from repro.analysis.stats import summarize
-
-    table = Table(
-        title=title,
-        headers=[
-            "algorithm", "graph", "n", "delta",
-            "met", "mean rounds", "median rounds",
-        ],
-    )
-    total_records = 0
-    for row in frame.iter_rows():
-        rounds = row["rounds"]
-        summary = summarize(rounds) if rounds else None
-        table.add_row(
-            row["algorithm"], row["graph_name"], row["n"], row["delta"],
-            f"{row['met']}/{row['total']}",
-            summary.mean if summary else float("nan"),
-            summary.median if summary else float("nan"),
-        )
-        total_records += row["total"]
-    table.add_note(f"{total_records} records in {len(frame)} group(s)")
-    return table
+    return _summary_table(title, groups)
 
 
 def summarize_path(path: str | Path, title: str | None = None) -> Table:

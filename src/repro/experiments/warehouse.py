@@ -50,8 +50,12 @@ so at most the in-flight batch is recomputed.
 
 Reading is :class:`SweepWarehouse`: columns load lazily, one
 ``mmap``-backed bulk ``array`` per column (O(columns) loads instead of
-O(records) JSON parses).  The fused query layer on top lives in
-:mod:`repro.experiments.query`.
+O(records) JSON parses).  The reader and the resume writer check the
+manifest through one parser, and dictionary codes are checked where
+they are decoded, so a malformed warehouse raises
+:class:`~repro.errors.WarehouseError`.  The fused summary kernel on
+top, :mod:`repro.experiments.query`, folds the columns into one
+:class:`~repro.experiments.harness.StreamSummary` per group.
 """
 
 from __future__ import annotations
@@ -112,18 +116,60 @@ def _le(column: array) -> array:
     return column
 
 
-def _refuse_fallback(manifest: dict[str, Any], directory: Path) -> None:
-    """Refuse a manifest that lists rows of the retired side channel.
+def _read_manifest(directory: Path) -> dict[str, Any]:
+    """Parse and check ``directory``'s manifest for the reader and the writer.
 
-    Those rows hold placeholders in the columns (zero scalars or null
+    A manifest either passes — an object of this format and version
+    with ``rows >= 0``, report frames of four ints, and for every
+    dictionary column a code type of the width ladder and a value list
+    — or raises :class:`~repro.errors.WarehouseError`.  Manifests that
+    list rows of the retired pickled side channel are refused too:
+    those rows hold placeholders in the columns (zero scalars or null
     reports), so reading them as records would be silently wrong.
     """
+    path = directory / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as error:
+        raise WarehouseError(f"{path}: unreadable manifest: {error}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != WAREHOUSE_FORMAT:
+        raise WarehouseError(f"{directory} is not a results warehouse")
+    version = manifest.get("version", 0)
+    if not isinstance(version, int):
+        raise WarehouseError(f"{path}: malformed manifest: version {version!r}")
+    if version > WAREHOUSE_VERSION:
+        raise WarehouseError(
+            f"{directory}: manifest version {version} is newer than this "
+            f"reader (understands {WAREHOUSE_VERSION})"
+        )
     if manifest.get("fallback"):
         raise WarehouseError(
             f"{directory}: written by an older version that stored "
             f"{len(manifest['fallback'])} row(s) in a pickled side channel "
             "this version does not read; re-run the sweep with --no-resume"
         )
+    rows = manifest.get("rows")
+    if not isinstance(rows, int) or rows < 0:
+        raise WarehouseError(f"{path}: malformed manifest: rows {rows!r}")
+    dict_columns = manifest.get("dict_columns")
+    if not isinstance(dict_columns, dict) or not all(
+        isinstance(meta, dict)
+        and meta.get("type") in _CODE_CAPACITY
+        and isinstance(meta.get("values"), list)
+        for meta in dict_columns.values()
+    ):
+        raise WarehouseError(
+            f"{path}: malformed manifest: every dictionary column needs a "
+            f"code type of {'/'.join(_CODE_CAPACITY)} and a values list"
+        )
+    frames = manifest.get("report_frames")
+    if not isinstance(frames, list) or not all(
+        isinstance(frame, list) and len(frame) == 4
+        and all(isinstance(field, int) for field in frame)
+        for frame in frames
+    ):
+        raise WarehouseError(f"{path}: malformed manifest: report_frames {frames!r}")
+    return manifest
 
 
 def is_warehouse(path: str | Path) -> bool:
@@ -196,33 +242,19 @@ class WarehouseWriter:
     # -- recovery ------------------------------------------------------
 
     def _recover(self) -> None:
-        manifest_path = self._directory / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except ValueError as error:
-            raise WarehouseError(
-                f"{manifest_path}: unreadable manifest: {error}"
-            ) from None
-        if manifest.get("format") != WAREHOUSE_FORMAT:
-            raise WarehouseError(f"{self._directory} is not a results warehouse")
-        if manifest.get("version", 0) > WAREHOUSE_VERSION:
-            raise WarehouseError(
-                f"{self._directory}: manifest version {manifest.get('version')} "
-                f"is newer than this reader (understands {WAREHOUSE_VERSION})"
-            )
+        manifest = _read_manifest(self._directory)
         if bool(manifest.get("has_point")) != self._with_point:
             raise WarehouseError(
                 f"{self._directory}: existing warehouse "
                 f"{'has' if manifest.get('has_point') else 'lacks'} a _point "
                 "column; cannot reopen it in the other mode"
             )
-        _refuse_fallback(manifest, self._directory)
-        self._rows = int(manifest["rows"])
-        for name, meta in manifest.get("dict_columns", {}).items():
+        self._rows = manifest["rows"]
+        for name, meta in manifest["dict_columns"].items():
             self._dict_values[name] = list(meta["values"])
             self._dict_index[name] = {v: i for i, v in enumerate(meta["values"])}
             self._dict_types[name] = meta["type"]
-        self._frames = [list(map(int, f)) for f in manifest.get("report_frames", [])]
+        self._frames = manifest["report_frames"]
         self._chain = manifest.get("content_hash", self._chain)
         if self._spec_payload is None:
             self._spec_payload = manifest.get("spec")
@@ -475,39 +507,21 @@ class SweepWarehouse:
     the committed prefix per column — and are cached.  The reports
     channel is only touched when asked for.  Raises
     :class:`~repro.errors.WarehouseError` for paths that are not
-    warehouses or whose segments are shorter than the manifest commits.
+    warehouses, malformed manifests, segments shorter than the manifest
+    commits, and dictionary codes outside their value tables.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self._directory = Path(directory)
-        manifest_path = self._directory / MANIFEST_NAME
-        if not manifest_path.is_file():
+        if not (self._directory / MANIFEST_NAME).is_file():
             raise WarehouseError(
                 f"{self._directory} is not a results warehouse "
                 f"(no {MANIFEST_NAME})"
             )
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except ValueError as error:
-            raise WarehouseError(
-                f"{manifest_path}: unreadable manifest: {error}"
-            ) from None
-        if manifest.get("format") != WAREHOUSE_FORMAT:
-            raise WarehouseError(f"{self._directory} is not a results warehouse")
-        if manifest.get("version", 0) > WAREHOUSE_VERSION:
-            raise WarehouseError(
-                f"{self._directory}: manifest version {manifest.get('version')} "
-                f"is newer than this reader (understands {WAREHOUSE_VERSION})"
-            )
-        _refuse_fallback(manifest, self._directory)
-        try:
-            self.rows = int(manifest["rows"])
-            self._dict_meta = dict(manifest["dict_columns"])
-            self._frames = [tuple(map(int, f)) for f in manifest["report_frames"]]
-        except (KeyError, TypeError, ValueError) as error:
-            raise WarehouseError(
-                f"{manifest_path}: malformed manifest ({error!r})"
-            ) from None
+        manifest = _read_manifest(self._directory)
+        self.rows: int = manifest["rows"]
+        self._dict_meta = manifest["dict_columns"]
+        self._frames = manifest["report_frames"]
         self.has_point = bool(manifest.get("has_point"))
         self.content_hash = manifest.get("content_hash")
         self.spec = manifest.get("spec")
@@ -516,11 +530,6 @@ class SweepWarehouse:
     @property
     def directory(self) -> Path:
         return self._directory
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        names = _INT_COLUMNS + ("met",) + _DICT_COLUMNS + ("reports",)
-        return names + ((_POINT,) if self.has_point else ())
 
     def _load_segment(self, filename: str, expected: int) -> bytes:
         path = self._directory / filename
@@ -543,8 +552,8 @@ class SweepWarehouse:
     def column(self, name: str) -> Any:
         """The raw column: ``array`` for ints and codes, ``bytes`` for met.
 
-        Dictionary columns return *codes*; :meth:`dictionary` maps a
-        code to its value.  ``reports`` returns the decoded per-row
+        Dictionary columns return *codes*; :meth:`decode` maps a code to
+        its value.  ``reports`` returns the decoded per-row
         list (loads and decompresses every frame).
         """
         cached = self._columns.get(name)
@@ -572,9 +581,19 @@ class SweepWarehouse:
         self._columns[name] = column
         return column
 
-    def dictionary(self, name: str) -> list[Any]:
-        """The value table of a dictionary-encoded column."""
-        return self._dict_meta[name]["values"]
+    def decode(self, name: str, code: int) -> Any:
+        """The value of one code of a dictionary column.
+
+        Raises :class:`~repro.errors.WarehouseError` for a code outside
+        the column's value table (a corrupt segment or manifest).
+        """
+        values = self._dict_meta[name]["values"]
+        if 0 <= code < len(values):
+            return values[code]
+        raise WarehouseError(
+            f"{self._directory}: {name} code {code} is outside its "
+            f"{len(values)}-value table — corrupt warehouse"
+        )
 
     def _load_reports(self) -> list[Any]:
         reports: list[Any] = []
@@ -617,10 +636,8 @@ class SweepWarehouse:
             return
         columns = {name: self.column(name) for name in _INT_COLUMNS}
         met = self.column("met")
-        dict_cols = {
-            name: (self.column(name), self.dictionary(name))
-            for name in _DICT_COLUMNS
-        }
+        algorithms, graph_names, scenarios = map(self.column, _DICT_COLUMNS)
+        decode = self.decode
         for first_row, nrows, offset, nbytes in self._frames:
             frame = self._read_frame(offset, nbytes)
             if len(frame) != nrows:
@@ -630,17 +647,11 @@ class SweepWarehouse:
                 )
             for row, reports in enumerate(frame, first_row):
                 yield TrialRecord(
-                    algorithm=dict_cols["algorithm"][1][
-                        dict_cols["algorithm"][0][row]
-                    ],
-                    graph_name=dict_cols["graph_name"][1][
-                        dict_cols["graph_name"][0][row]
-                    ],
+                    algorithm=decode("algorithm", algorithms[row]),
+                    graph_name=decode("graph_name", graph_names[row]),
                     met=bool(met[row]),
                     reports=reports,
-                    scenario=dict_cols["scenario"][1][
-                        dict_cols["scenario"][0][row]
-                    ],
+                    scenario=decode("scenario", scenarios[row]),
                     **{name: columns[name][row] for name in _INT_COLUMNS},
                 )
 
@@ -739,8 +750,8 @@ def write_records_warehouse(
     The columnar twin of
     :func:`~repro.experiments.results_io.write_records_jsonl`: any
     existing warehouse at ``path`` is replaced, records land in
-    iteration order, and the directory is immediately scannable by
-    :func:`repro.experiments.query.scan`.
+    iteration order, and the directory is immediately summarizable by
+    :func:`repro.experiments.query.scan` and ``repro report``.
     """
     writer = WarehouseWriter(
         path, spec_payload=spec_payload, with_point=False, resume=False

@@ -34,8 +34,7 @@ from repro.extensions.multihop import multihop_programs
 from repro.runtime.multi import MultiAgentScheduler
 from repro.core.sample import sample_run
 from repro.errors import ProtocolError, ReproError
-from repro.experiments import query
-from repro.experiments.harness import repeat_trials, run_trial
+from repro.experiments.harness import StreamSummary, repeat_trials, run_trial
 from repro.experiments.parallel import SweepSpec, resolve_delta, run_sweep
 from repro.experiments.report import Table
 from repro.graphs.generators import (
@@ -1020,32 +1019,21 @@ def run_fault_tolerance(quick: bool = True) -> list[Table]:
                  "P(meet) LCB"],
     )
     scenarios = ("none", "wb-corrupt", "wb-loss", "crash-restart", "chaos")
-    records = []
+    groups = {name: StreamSummary() for name in scenarios}
     errors: dict[str, int] = {name: 0 for name in scenarios}
     for name in scenarios:
         for seed in range(trials):
             try:
-                records.append(run_trial(
+                groups[name].add(run_trial(
                     graph, "theorem1", seed, scenario=name, max_rounds=200_000
                 ))
             except ProtocolError:
                 errors[name] += 1
-    # One grouped fold over all scenarios at once; records store the
-    # benign scenario as None, so the "none" label maps to that key.
-    frame = (
-        query.from_records(records)
-        .group_by("scenario")
-        .agg(met=query.sum_("met"),
-             rounds=query.values("rounds", where=query.col("met")))
-        .collect()
-    )
-    by_scenario = {row["scenario"]: row for row in frame.iter_rows()}
     for name in scenarios:
-        row = by_scenario.get(None if name == "none" else name)
-        met = row["met"] if row else 0
-        rounds = row["rounds"] if row else []
+        met = groups[name].met
+        summary = groups[name].summary()
         lcb = bounds.meeting_probability_lower_bound(met, trials)
-        mean = summarize(rounds).mean if rounds else float("nan")
+        mean = summary.mean if summary else float("nan")
         table.add_row(name, f"{met}/{trials}", errors[name], mean, round(lcb, 3))
         if name == "none" and lcb <= 0.5:  # the gate must survive -O
             raise ReproError(
@@ -1094,43 +1082,28 @@ def run_dynamic_churn(quick: bool = True) -> list[Table]:
     )
     algorithms = ("random-walk", "trivial")
     scenarios = ("none", "edge-churn", "adversarial-churn")
-    records = []
-    errors: dict[tuple[str, str], int] = {
-        (algorithm, name): 0 for algorithm in algorithms for name in scenarios
-    }
-    for algorithm in algorithms:
-        for name in scenarios:
-            for seed in range(trials):
-                try:
-                    records.append(run_trial(
-                        graph, algorithm, seed, scenario=name,
-                        max_rounds=100 * n,
-                    ))
-                except ProtocolError:
-                    errors[algorithm, name] += 1
-    frame = (
-        query.from_records(records)
-        .group_by("algorithm", "scenario")
-        .agg(met=query.sum_("met"),
-             rounds=query.values("rounds", where=query.col("met")))
-        .collect()
-    )
-    by_cell = {
-        (row["algorithm"], row["scenario"]): row for row in frame.iter_rows()
-    }
-    for algorithm in algorithms:
-        for name in scenarios:
-            row = by_cell.get((algorithm, None if name == "none" else name))
-            met = row["met"] if row else 0
-            rounds = row["rounds"] if row else []
-            mean = summarize(rounds).mean if rounds else float("nan")
-            table.add_row(
-                algorithm, name, f"{met}/{trials}", errors[algorithm, name], mean
+    cells = [(algorithm, name) for algorithm in algorithms for name in scenarios]
+    groups = {cell: StreamSummary() for cell in cells}
+    errors: dict[tuple[str, str], int] = {cell: 0 for cell in cells}
+    for algorithm, name in cells:
+        for seed in range(trials):
+            try:
+                groups[algorithm, name].add(run_trial(
+                    graph, algorithm, seed, scenario=name, max_rounds=100 * n,
+                ))
+            except ProtocolError:
+                errors[algorithm, name] += 1
+    for algorithm, name in cells:
+        met = groups[algorithm, name].met
+        summary = groups[algorithm, name].summary()
+        mean = summary.mean if summary else float("nan")
+        table.add_row(
+            algorithm, name, f"{met}/{trials}", errors[algorithm, name], mean
+        )
+        if name == "none" and met != trials:  # the gate must survive -O
+            raise ReproError(
+                f"benign {algorithm} baseline missed {trials - met} trials"
             )
-            if name == "none" and met != trials:  # the gate must survive -O
-                raise ReproError(
-                    f"benign {algorithm} baseline missed {trials - met} trials"
-                )
     table.add_note(
         "double swaps preserve every degree, so the instance stays a valid "
         "min-degree graph throughout; adversarial churn re-anchors one swap "

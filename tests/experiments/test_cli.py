@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -218,3 +220,20 @@ class TestWarehouseCli:
         assert main(["report", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "manifest.json" in err
+
+    def test_malformed_warehouse_is_a_typed_error(self, capsys, tmp_path):
+        # A dictionary column without its value list must end in a typed
+        # error, not a KeyError traceback, in report and resume alike.
+        cache = tmp_path / "cache"
+        args = [*self._grid, "--cache-dir", str(cache), "--warehouse"]
+        assert main(args) == 0
+        manifest = self._warehouse_dir(cache) / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        del payload["dict_columns"]["algorithm"]["values"]
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["report", str(manifest.parent)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "malformed manifest" in err
+        assert main(args) == 1
+        assert "sweep failed:" in capsys.readouterr().err

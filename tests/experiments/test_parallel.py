@@ -8,6 +8,7 @@ import random
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,14 @@ class TestSweepCache:
         assert resumed.cached == 5
         assert resumed.executed == 3
         assert resumed.records == complete.records
+        # The first resume cut the torn tail before appending, so the
+        # new lines did not glue onto it: a second resume is all hits.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            again = run_sweep(spec, workers=2, cache_dir=tmp_path)
+        assert not [w for w in caught if "corrupt line" in str(w.message)]
+        assert (again.executed, again.cached) == (0, 8)
+        assert again.records == complete.records
 
     def test_no_resume_recomputes(self, tmp_path):
         spec = small_spec()

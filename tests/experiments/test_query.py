@@ -1,19 +1,27 @@
-"""Tests for the lazy query layer and its fused columnar kernel."""
+"""Tests for the fused warehouse summary kernel.
+
+Every ``collect()`` is checked against the record fold it replaces: one
+:class:`StreamSummary` per group, fed record by record.
+"""
 
 from __future__ import annotations
 
 import random
-import statistics
 
 import pytest
 
-from repro.errors import QueryError, WarehouseError
-from repro.experiments import query
-from repro.experiments.harness import repeat_trials
-from repro.experiments.query import col, from_records, lit, scan
+from repro.errors import WarehouseError
+from repro.experiments.harness import StreamSummary, TrialRecord, repeat_trials
+from repro.experiments.query import scan
 from repro.experiments.results_io import write_records_jsonl
-from repro.experiments.warehouse import write_records_warehouse
+from repro.experiments.warehouse import (
+    SweepWarehouse,
+    WarehouseWriter,
+    write_records_warehouse,
+)
 from repro.graphs.generators import complete_graph, random_graph_with_min_degree
+
+KEYS = ("algorithm", "graph_name", "n", "delta")
 
 
 def mixed_records():
@@ -29,6 +37,41 @@ def mixed_records():
     return records
 
 
+def synthetic(algorithm, n, seed, met, rounds, scenario=None):
+    return TrialRecord(
+        algorithm=algorithm, graph_name=f"g(n={n})", n=n, id_space=n * n,
+        delta=n // 4, max_degree=n - 1, seed=seed, met=met,
+        rounds=rounds, total_moves=2 * rounds, whiteboard_writes=0,
+        scenario=scenario,
+    )
+
+
+def grid_records():
+    """Three groups in grid order; group ("b", 20) never meets."""
+    records = []
+    for algorithm, n, met_every in (("a", 10, 2), ("b", 20, 0), ("a", 30, 1)):
+        for seed in range(9):
+            met = bool(met_every) and seed % met_every == 0
+            records.append(synthetic(algorithm, n, seed, met, 5 * n + seed))
+    return records
+
+
+def record_fold(records, keys=KEYS):
+    groups: dict[tuple, StreamSummary] = {}
+    for record in records:
+        key = tuple(getattr(record, name) for name in keys)
+        groups.setdefault(key, StreamSummary()).add(record)
+    return groups
+
+
+def digest(groups):
+    """Group contents with rounds as a multiset (the fold's contract)."""
+    return {
+        key: (group.total, group.met, group.delta, sorted(group.rounds))
+        for key, group in groups.items()
+    }
+
+
 @pytest.fixture(scope="module")
 def records():
     return mixed_records()
@@ -39,187 +82,76 @@ def warehouse(records, tmp_path):
     return write_records_warehouse(records, tmp_path / "wh")
 
 
-class TestExpressions:
-    def test_comparisons_and_alias(self, records):
-        frame = (
-            from_records(records)
-            .filter(col("algorithm") == "trivial")
-            .select(col("rounds"), (col("rounds") * lit(2)).alias("double"))
-            .collect()
-        )
-        assert frame.column_names == ["rounds", "double"]
-        for row in frame.iter_rows():
-            assert row["double"] == row["rounds"] * 2
-
-    def test_is_in_and_boolean_ops(self, records):
-        frame = (
-            from_records(records)
-            .filter(col("algorithm").is_in(["trivial"]) & col("met"))
-            .select(col("algorithm"), col("met"))
-            .collect()
-        )
-        assert all(row["algorithm"] == "trivial" for row in frame.iter_rows())
-        assert all(row["met"] for row in frame.iter_rows())
-
-    def test_unnamed_select_rejected(self, records):
-        with pytest.raises(QueryError):
-            from_records(records).select(col("n") + lit(1))
-
-    def test_unknown_column_rejected(self, records):
-        with pytest.raises(QueryError):
-            from_records(records).select(col("nope")).collect()
-
-    def test_point_column_needs_a_warehouse(self, records):
-        with pytest.raises(QueryError):
-            from_records(records).select(col("_point")).collect()
-
-
-class TestGroupBy:
-    def test_matches_manual_fold(self, records):
-        frame = (
-            from_records(records)
-            .group_by("algorithm")
-            .agg(
-                total=query.count(),
-                met=query.sum_("met"),
-                mean_rounds=query.mean("rounds", where=col("met")),
-            )
-            .collect()
-        )
-        by_alg = {row["algorithm"]: row for row in frame.iter_rows()}
-        for algorithm in ("trivial", "random-walk"):
-            mine = [r for r in records if r.algorithm == algorithm]
-            met_rounds = [r.rounds for r in mine if r.met]
-            assert by_alg[algorithm]["total"] == len(mine)
-            assert by_alg[algorithm]["met"] == sum(r.met for r in mine)
-            expected = statistics.fmean(met_rounds) if met_rounds else None
-            assert by_alg[algorithm]["mean_rounds"] == expected
-
-    def test_key_collision_rejected(self, records):
-        with pytest.raises(QueryError):
-            (
-                from_records(records)
-                .group_by("algorithm")
-                .agg(algorithm=query.count())
-                .collect()
-            )
-
-    def test_agg_requires_agg_objects(self, records):
-        with pytest.raises(QueryError):
-            from_records(records).group_by("algorithm").agg(x=col("rounds"))
-
-
 class TestFusedKernel:
-    def test_plan_description(self, warehouse, records):
-        fused = scan(warehouse).group_by("algorithm").agg(total=query.count())
-        assert "fused single pass" in fused.describe_plan()
-        rowwise = (
-            scan(warehouse)
-            .filter(col("met"))
-            .group_by("algorithm")
-            .agg(total=query.count())
-        )
-        assert "row-wise fold" in rowwise.describe_plan()
-        assert "row-wise fold" in (
-            from_records(records).group_by("algorithm")
-            .agg(total=query.count()).describe_plan()
-        )
+    @pytest.mark.parametrize("order", ["grid", "shuffled", "interleaved", "gapped"])
+    def test_without_point(self, order, tmp_path):
+        records = grid_records()
+        if order == "shuffled":
+            random.Random(3).shuffle(records)
+        elif order == "interleaved":  # A B A: one group in two runs
+            records = records[:4] + records[9:18] + records[4:9] + records[18:]
+        elif order == "gapped":  # A A A B A ...: the gallop strides over B
+            records = records[:3] + records[9:10] + records[3:9] + records[10:]
+        path = write_records_warehouse(records, tmp_path / "wh", batch_rows=5)
+        groups = scan(path).group_by(*KEYS).collect()
+        oracle = record_fold(records)
+        assert digest(groups) == digest(oracle)
+        # No _point column: groups keep first-row order.
+        assert list(groups) == list(oracle)
+        assert groups["b", "g(n=20)", 20, 5].met == 0
+        assert groups["b", "g(n=20)", 20, 5].summary() is None
 
-    def test_fused_equals_rowwise_oracle(self, warehouse, records):
-        aggs = dict(
-            total=query.count(),
-            met=query.sum_("met"),
-            best=query.min_("rounds", where=col("met")),
-            worst=query.max_("rounds"),
-            moves=query.sum_("total_moves"),
-            rounds=query.values("rounds", where=col("met")),
-            median_rounds=query.median("rounds"),
-        )
-        keys = ("algorithm", "graph_name", "n", "delta")
-        fused = scan(warehouse).group_by(*keys).agg(**aggs)
-        assert "fused single pass" in fused.describe_plan()
-        oracle = from_records(records).group_by(*keys).agg(**aggs)
-        assert list(fused.collect().sort_by(*keys).iter_rows()) == list(
-            oracle.collect().sort_by(*keys).iter_rows()
-        )
+    def test_real_trials_on_every_key_shape(self, warehouse, records):
+        for keys in (KEYS, ("algorithm",), ("n", "seed"), ("scenario",)):
+            groups = scan(warehouse).group_by(*keys).collect()
+            assert digest(groups) == digest(record_fold(records, keys))
 
-    def test_floordiv_key_runs_rowwise(self, records, tmp_path):
-        # Computed keys take the row-wise fold; only the executor differs.
-        path = write_records_warehouse(records, tmp_path / "wh2")
-        plan = (
-            scan(path)
-            .group_by((col("seed") // 2).alias("pair"))
-            .agg(total=query.count())
-        )
-        assert plan.describe_plan().endswith("-> row-wise fold")
-        frame = plan.collect()
-        expected: dict[int, int] = {}
-        for record in records:
-            expected[record.seed // 2] = expected.get(record.seed // 2, 0) + 1
-        assert {
-            row["pair"]: row["total"] for row in frame.iter_rows()
-        } == expected
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_with_point_orders_groups_by_first_grid_point(self, seed, tmp_path):
+        records = grid_records()
+        order = list(range(len(records)))
+        random.Random(seed).shuffle(order)
+        with WarehouseWriter(tmp_path / "wh", with_point=True) as writer:
+            for start in range(0, len(order), 4):
+                batch = order[start:start + 4]
+                writer.append_batch([records[i] for i in batch], points=batch)
+        groups = scan(tmp_path / "wh").group_by(*KEYS).collect()
+        # The record fold over grid order is the oracle, order included.
+        oracle = record_fold(records)
+        assert digest(groups) == digest(oracle)
+        assert list(groups) == list(oracle)
 
-    def test_select_fused_matches_records(self, warehouse, records):
-        frame = scan(warehouse).select(col("rounds"), col("algorithm")).collect()
-        assert list(frame.column("rounds")) == [r.rounds for r in records]
-        assert list(frame.column("algorithm")) == [r.algorithm for r in records]
+    def test_zero_row_warehouse(self, tmp_path):
+        path = write_records_warehouse([], tmp_path / "wh")
+        assert scan(path).group_by(*KEYS).collect() == {}
 
-    def test_select_unknown_column_matches_rowwise_error(self, warehouse):
-        # Same exception type as the row-wise executor (_record_get),
-        # so callers do not depend on which executor happens to run.
-        with pytest.raises(QueryError, match="no such column"):
-            scan(warehouse).select(col("nope")).collect()
-        with pytest.raises(QueryError, match="_point"):
-            scan(warehouse).select(col("_point")).collect()
+    def test_plan_description(self, warehouse):
+        plan = scan(warehouse).group_by("algorithm", "n")
+        lines = plan.describe_plan().splitlines()
+        assert lines[0].startswith("SCAN warehouse")
+        assert lines[1] == "GROUP BY algorithm, n"
+        assert lines[-1] == "-> fused single pass"
+
+    @pytest.mark.parametrize("key", ["reports", "met", "_point", "nope"])
+    def test_ungroupable_key_rejected(self, warehouse, key):
+        with pytest.raises(WarehouseError, match="cannot group by"):
+            scan(warehouse).group_by(key)
 
 
 class TestScan:
-    def test_scan_jsonl(self, records, tmp_path):
-        path = write_records_jsonl(records, tmp_path / "r.jsonl")
-        frame = (
-            scan(path).group_by("algorithm").agg(total=query.count()).collect()
-        )
-        assert sum(row["total"] for row in frame.iter_rows()) == len(records)
-
     def test_scan_missing_path(self, tmp_path):
         with pytest.raises(WarehouseError):
             scan(tmp_path / "missing")
 
     def test_scan_non_warehouse_dir(self, tmp_path):
-        with pytest.raises(WarehouseError):
+        with pytest.raises(WarehouseError, match="manifest.json"):
             scan(tmp_path)
 
+    def test_scan_refuses_jsonl(self, records, tmp_path):
+        path = write_records_jsonl(records, tmp_path / "r.jsonl")
+        with pytest.raises(WarehouseError, match="not a results warehouse"):
+            scan(path)
+
     def test_scan_accepts_open_warehouse(self, warehouse, records):
-        from repro.experiments.warehouse import SweepWarehouse
-
-        frame = (
-            scan(SweepWarehouse(warehouse))
-            .group_by("algorithm")
-            .agg(total=query.count())
-            .collect()
-        )
-        assert sum(row["total"] for row in frame.iter_rows()) == len(records)
-
-
-class TestFrame:
-    def test_sort_and_len(self, records):
-        frame = (
-            from_records(records)
-            .group_by("algorithm", "n")
-            .agg(total=query.count())
-            .collect()
-        )
-        ordered = frame.sort_by("n", "algorithm")
-        keys = [(row["n"], row["algorithm"]) for row in ordered.iter_rows()]
-        assert keys == sorted(keys)
-        assert len(ordered) == len(frame)
-
-    def test_drop(self, records):
-        frame = (
-            from_records(records)
-            .group_by("algorithm")
-            .agg(total=query.count(), extra=query.count())
-            .collect()
-        )
-        assert "extra" not in frame.drop("extra").column_names
+        groups = scan(SweepWarehouse(warehouse)).group_by("algorithm").collect()
+        assert sum(group.total for group in groups.values()) == len(records)

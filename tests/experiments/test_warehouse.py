@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import WarehouseError
 from repro.experiments.harness import TrialRecord, repeat_trials, run_trial
+from repro.experiments.query import scan
 from repro.experiments.results_io import record_to_jsonable
 from repro.experiments.warehouse import (
     MANIFEST_NAME,
@@ -34,6 +35,34 @@ def scenario_records():
                 run_trial(graph, "theorem1", seed, scenario=name, max_rounds=50_000)
             )
     return records
+
+
+#: Manifest defects the reader and the resume writer must refuse.
+MALFORMED = [
+    "not-json", "list", "no-values", "bad-code-type", "code-past-table",
+    "negative-rows",
+]
+
+
+def corrupt_manifest(path, case):
+    """Rewrite ``path``'s manifest with one defect of :data:`MALFORMED`."""
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    algorithm = manifest["dict_columns"]["algorithm"]
+    if case == "not-json":
+        manifest_path.write_text("{not json")
+        return
+    if case == "list":
+        manifest = [manifest]
+    elif case == "no-values":
+        del algorithm["values"]
+    elif case == "bad-code-type":
+        algorithm["type"] = "Z"
+    elif case == "code-past-table":
+        algorithm["values"] = []
+    elif case == "negative-rows":
+        manifest["rows"] = -3
+    manifest_path.write_text(json.dumps(manifest))
 
 
 def mutate(record: TrialRecord, **overrides) -> TrialRecord:
@@ -77,10 +106,9 @@ class TestRoundTrip:
         assert bytes(warehouse.column("met")) == bytes(
             1 if r.met else 0 for r in records
         )
-        algs = warehouse.dictionary("algorithm")
-        assert [algs[c] for c in warehouse.column("algorithm")] == [
-            r.algorithm for r in records
-        ]
+        assert [
+            warehouse.decode("algorithm", c) for c in warehouse.column("algorithm")
+        ] == [r.algorithm for r in records]
 
     def test_spec_payload_persisted(self, tmp_path):
         payload = {"name": "spec", "ns": [40]}
@@ -212,12 +240,27 @@ class TestValidation:
         assert not (path / "fallback.jsonl").exists()
         assert list(SweepWarehouse(path).iter_records()) == records
 
-    def test_malformed_manifest_rejected(self, tmp_path):
-        target = tmp_path / "wh"
-        target.mkdir()
-        (target / MANIFEST_NAME).write_text("{not json")
+    @pytest.mark.parametrize("side", ["reader", "writer"])
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_manifest_rejected(self, tmp_path, case, side):
+        """Every case is a WarehouseError, not an AttributeError, KeyError,
+        ValueError or IndexError, and negative rows never read as empty."""
+        cache = WarehouseCache(tmp_path, "deadbeef")
+        cache.append_indexed(list(enumerate(sample_records())))
+        cache.close()
+        corrupt_manifest(cache.path, case)
+        if side == "reader":
+            with pytest.raises(WarehouseError):
+                list(SweepWarehouse(cache.path).iter_records())
+            with pytest.raises(WarehouseError):
+                scan(cache.path).group_by("algorithm").collect()
+            return
+        # Resume reads the cached pairs first, then reopens for append.
         with pytest.raises(WarehouseError):
-            SweepWarehouse(target)
+            list(WarehouseCache(tmp_path, "deadbeef").iter_indexed())
+        if case != "code-past-table":  # only decoding sees codes
+            with pytest.raises(WarehouseError):
+                WarehouseWriter(cache.path, with_point=True)
 
     def test_is_warehouse(self, tmp_path):
         assert not is_warehouse(tmp_path)

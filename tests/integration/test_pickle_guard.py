@@ -2,7 +2,7 @@
 
 Unpickling runs arbitrary code, so the modules that decode bytes from
 peers (the sweep service) or from disk (JSON lines, the result cache,
-the warehouse and its query layer) must not import ``pickle`` at all.
+the warehouse and its summary kernel) must not import ``pickle`` at all.
 The sweep fabric keeps it for tasks on its own process pipes.
 """
 
