@@ -170,26 +170,14 @@ def pick_adjacent_starts(
     graph: StaticGraph, rng: random.Random
 ) -> tuple[VertexId, VertexId]:
     """A uniformly random ordered pair of adjacent vertices."""
-    # Uniform over edges: pick a random vertex weighted by degree, then
-    # a random neighbor — this is uniform over ordered adjacent pairs.
-    total = 2 * graph.edge_count
-    pick = rng.randrange(total)
-    csr = graph.csr_adjacency()
-    if csr is not None:
-        # The CSR offsets are the cumulative degree sums, so the pick
-        # resolves with one bisection instead of a per-vertex scan —
-        # the draw and the selected pair are identical to the loop
-        # below (offsets[i] <= pick < offsets[i+1] names the vertex,
-        # indices[pick] its picked neighbor).
-        offsets, indices = csr
-        ids = graph.vertices
-        return ids[bisect_right(offsets, pick) - 1], ids[indices[pick]]
-    for v in graph.vertices:
-        d = graph.degree(v)
-        if pick < d:
-            return v, graph.neighbors(v)[pick]
-        pick -= d
-    raise ReproError("unreachable: degree sum exhausted")  # pragma: no cover
+    # Uniform over edges: pick a random arc, i.e. a vertex weighted by
+    # degree and then one of its neighbors.  The CSR offsets are the
+    # cumulative degree sums, so offsets[i] <= pick < offsets[i+1]
+    # names the vertex and indices[pick] its picked neighbor.
+    pick = rng.randrange(2 * graph.edge_count)
+    offsets, indices = graph.csr_adjacency()
+    ids = graph.vertices
+    return ids[bisect_right(offsets, pick) - 1], ids[indices[pick]]
 
 
 def _lookup(algorithm: str) -> AlgorithmSpec:

@@ -68,7 +68,7 @@ from multiprocessing import resource_tracker
 from repro.analysis.stats import summarize
 from repro.core.constants import Constants
 from repro.core.api import ALGORITHMS
-from repro.errors import ReproError, SchedulerError, WarehouseError
+from repro.errors import GenerationError, ReproError, SchedulerError, WarehouseError
 from repro.experiments.cache import CACHE_FORMAT_VERSION, ResultCache, content_hash
 from repro.experiments.warehouse import WarehouseCache
 from repro.experiments.harness import (
@@ -86,6 +86,9 @@ from repro.experiments.results_io import (
     write_records_jsonl,
 )
 from repro.graphs.generators import (
+    check_min_degree_domain,
+    check_powerlaw_domain,
+    check_regular_domain,
     complete_graph,
     powerlaw_graph_with_floor,
     random_geometric_dense_graph,
@@ -134,6 +137,16 @@ GRAPH_FAMILIES: dict[str, Callable[[int, int, random.Random], StaticGraph]] = {
     "regular": random_regular_graph,
     "powerlaw": powerlaw_graph_with_floor,
     "complete": lambda n, delta, rng: complete_graph(n),
+}
+
+#: Each family's feasible (n, δ) domain, checked on every grid point
+#: when a :class:`SweepSpec` is built; its builder runs the same check.
+#: ``complete`` ignores δ, and ``SweepSpec`` already needs n >= 2.
+_FAMILY_DOMAINS: dict[str, Callable[[int, int], None]] = {
+    "er-min-degree": check_min_degree_domain,
+    "geometric": check_min_degree_domain,
+    "regular": check_regular_domain,
+    "powerlaw": check_powerlaw_domain,
 }
 
 #: Constants presets addressable by name in a spec.
@@ -387,7 +400,18 @@ class SweepSpec:
         for scenario in self.scenarios:
             resolve_scenario(scenario)  # raises ScenarioError on unknown names
         for delta_spec, n in ((d, n) for d in self.deltas for n in self.ns):
-            resolve_delta(delta_spec, n)  # raises on malformed rules
+            delta = resolve_delta(delta_spec, n)  # raises on malformed rules
+            for family in self.families:
+                check = _FAMILY_DOMAINS.get(family)
+                if check is None:
+                    continue
+                try:
+                    check(n, delta)
+                except GenerationError as error:
+                    raise GenerationError(
+                        f"family {family!r} has no instance at n={n}, "
+                        f"delta={delta_spec!r} (= {delta}): {error}"
+                    ) from None
         for axis in ("families", "ns", "deltas", "algorithms", "scenarios", "seeds"):
             values = getattr(self, axis)
             if not values:

@@ -58,12 +58,38 @@ __all__ = [
     "random_geometric_dense_graph",
     "powerlaw_graph_with_floor",
     "dilate_id_space",
+    "check_min_degree_domain",
+    "check_regular_domain",
+    "check_powerlaw_domain",
 ]
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise GenerationError(message)
+
+
+# Each random family's feasible (n, δ) domain.  The generator and
+# ``SweepSpec`` (on every grid point, when it is built) run one check.
+
+
+def check_min_degree_domain(n: int, min_degree: int) -> None:
+    """Refuse an (n, δ) the er-min-degree and geometric families cannot build."""
+    _require(n >= 2, "need n >= 2")
+    _require(1 <= min_degree <= n - 1, "need 1 <= min_degree <= n - 1")
+
+
+def check_regular_domain(n: int, degree: int) -> None:
+    """Refuse an (n, d) with no simple ``d``-regular graph on ``n`` vertices."""
+    _require(n >= 2, "need n >= 2")
+    _require(1 <= degree <= n - 1, "need 1 <= degree <= n - 1")
+    _require(n * degree % 2 == 0, "n * degree must be even")
+
+
+def check_powerlaw_domain(n: int, min_degree: int) -> None:
+    """Refuse an (n, δ) the powerlaw family cannot build."""
+    _require(n >= 4, "need n >= 4")
+    _require(1 <= min_degree <= n - 2, "need 1 <= min_degree <= n - 2")
 
 
 def complete_graph(n: int) -> StaticGraph:
@@ -147,8 +173,7 @@ def random_graph_with_min_degree(
     rng: seeded random source.
     edge_slack: multiplier on the target edge probability.
     """
-    _require(n >= 2, "random_graph_with_min_degree needs n >= 2")
-    _require(1 <= min_degree <= n - 1, "need 1 <= min_degree <= n - 1")
+    check_min_degree_domain(n, min_degree)
     p = min(1.0, edge_slack * min_degree / (n - 1))
     name = f"er-min-deg(n={n},delta>={min_degree})"
 
@@ -234,9 +259,7 @@ def random_regular_graph(n: int, degree: int, rng: random.Random, max_attempts: 
     regular graphs we fall back to a repaired pairing (swap edges to
     remove collisions), which preserves regularity.
     """
-    _require(n >= 2, "random_regular_graph needs n >= 2")
-    _require(1 <= degree <= n - 1, "need 1 <= degree <= n - 1")
-    _require(n * degree % 2 == 0, "n * degree must be even")
+    check_regular_domain(n, degree)
     name = f"regular(n={n},d={degree})"
 
     for _ in range(max_attempts):
@@ -339,8 +362,7 @@ def random_geometric_dense_graph(
     ``radius_slack * min_degree``; the repair pass then links each
     deficient vertex to its nearest non-neighbors, preserving locality.
     """
-    _require(n >= 2, "random_geometric_dense_graph needs n >= 2")
-    _require(1 <= min_degree <= n - 1, "need 1 <= min_degree <= n - 1")
+    check_min_degree_domain(n, min_degree)
     points = [(rng.random(), rng.random()) for _ in range(n)]
     # Expected degree on the unit torus is (n - 1) * pi * r^2.
     radius_sq = radius_slack * min_degree / ((n - 1) * math.pi)
@@ -407,8 +429,7 @@ def powerlaw_graph_with_floor(
     1's ``√(nΔ)/δ`` term dominates and where the trivial ``O(Δ)``
     baseline is most expensive.
     """
-    _require(n >= 4, "powerlaw_graph_with_floor needs n >= 4")
-    _require(1 <= min_degree <= n - 2, "need 1 <= min_degree <= n - 2")
+    check_powerlaw_domain(n, min_degree)
     cap = max_degree if max_degree is not None else max(min_degree + 1, n // 2)
     cap = min(cap, n - 1)
     _require(cap >= min_degree, "max_degree must be >= min_degree")

@@ -9,23 +9,23 @@ This is the substrate of the whole reproduction.  The paper's model
 * ``δ_G`` and ``Δ_G`` denote minimum and maximum degree;
 * ``N(v)`` is the open neighborhood, ``N⁺(v) = N(v) ∪ {v}``.
 
-:class:`StaticGraph` has two construction paths with one public API:
+Every :class:`StaticGraph` stores its adjacency one way: flat int64
+CSR buffers over dense vertex indices (``offsets``, ``indices``) plus
+a per-vertex degree array.  :class:`repro.runtime.plan.ExecutionPlan`
+and :class:`repro.graphs.ports.PortLabeling` read those buffers
+directly (see ``docs/performance.md``, "Instance pipeline").  They
+arrive by one of two constructors:
 
-* **mapping path** (the constructor) — adjacency arrives as a mapping
-  and is stored eagerly as sorted tuples (deterministic iteration
-  order) plus frozensets (O(1) membership), validated by default.
-  This is the path for user-supplied adjacency.
-* **CSR path** (:meth:`from_csr`) — adjacency arrives as the flat
-  int64 buffers produced by :mod:`repro.graphs.build`; the graph
-  adopts them zero-copy as its canonical representation and the
-  dict/tuple/frozenset views above materialize *lazily* on first
-  access.  Every generator builds this way, and
-  :class:`repro.runtime.plan.ExecutionPlan` compiles from the same
-  buffers without re-flattening (see ``docs/performance.md``,
-  "Instance pipeline").
+* the **mapping constructor** takes user-supplied adjacency, validates
+  it by default, and lays the sorted neighbor tuples out as CSR; the
+  tuples stay as the ``{v: N(v)}`` view;
+* :meth:`from_csr` adopts the buffers produced by
+  :mod:`repro.graphs.build` zero-copy.  Every generator builds this
+  way, and the tuple view materializes on first access.
 
-Either way instances are immutable: algorithms never mutate the graph,
-only their own state and the whiteboards.
+The frozenset membership view materializes on first access either way.
+Instances are immutable: algorithms never mutate the graph, only their
+own state and the whiteboards.
 
 Doctests in this module run under pytest via
 ``tests/graphs/test_graph_doctests.py``.
@@ -36,6 +36,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import accumulate, chain
 from typing import Iterator
 
 from repro._typing import VertexId
@@ -61,7 +62,8 @@ class StaticGraph:
     validate:
         When true (default), verify symmetry, loop-freeness and ID
         bounds; turn off only for internally-constructed graphs that
-        are guaranteed valid.
+        are guaranteed valid.  An edge to a missing vertex raises
+        either way, because it has no place in the CSR layout.
 
     Raises
     ------
@@ -111,21 +113,32 @@ class StaticGraph:
             raise GraphError("a graph must contain at least one vertex")
 
         self._neighbors = neighbors
-        self._neighbor_sets = {v: frozenset(adj) for v, adj in neighbors.items()}
-        self._vertices = tuple(sorted(neighbors))
-        max_id = self._vertices[-1]
+        self._neighbor_sets = None
+        vertices = tuple(sorted(neighbors))
+        self._vertices = vertices
+        max_id = vertices[-1]
         self._id_space = int(id_space) if id_space is not None else max_id + 1
-        degrees = [len(adj) for adj in neighbors.values()]
-        self._min_degree = min(degrees)
-        self._max_degree = max(degrees)
-        self._edge_count = sum(degrees) // 2
-        self.name = name or f"graph(n={len(self._vertices)})"
-        self._csr_offsets = None
-        self._csr_indices = None
-        self._degrees = None
-
+        self.name = name or f"graph(n={len(vertices)})"
         if validate:
             self._validate(max_id)
+
+        rows = [neighbors[v] for v in vertices]
+        index_of = dict(zip(vertices, range(len(vertices))))
+        try:
+            indices = array("q", map(index_of.__getitem__, chain.from_iterable(rows)))
+        except KeyError as missing:
+            u = missing.args[0]
+            vertex = next(v for v in vertices if u in neighbors[v])
+            raise GraphError(
+                f"edge ({vertex}, {u}) points outside the graph"
+            ) from None
+        degrees = array("q", map(len, rows))
+        self._csr_offsets = array("q", chain((0,), accumulate(degrees)))
+        self._csr_indices = indices
+        self._degrees = degrees
+        self._min_degree = min(degrees)
+        self._max_degree = max(degrees)
+        self._edge_count = len(indices) // 2
 
     @classmethod
     def from_csr(
@@ -195,7 +208,7 @@ class StaticGraph:
         return self
 
     # ------------------------------------------------------------------
-    # Lazy view materialization (CSR-backed graphs)
+    # Lazy views over the CSR buffers
     # ------------------------------------------------------------------
 
     def _adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
@@ -223,19 +236,17 @@ class StaticGraph:
             self._neighbor_sets = sets
         return sets
 
-    def csr_adjacency(self) -> tuple | None:
-        """The flat ``(offsets, indices)`` pair, or ``None`` off the CSR path.
+    def csr_adjacency(self) -> tuple:
+        """The flat ``(offsets, indices)`` pair.
 
         Dense, sorted, int64 — the exact buffers
         :meth:`repro.runtime.plan.ExecutionPlan.compile` adopts
         zero-copy.  Treat as **read-only**.
         """
-        if self._csr_offsets is None:
-            return None
         return (self._csr_offsets, self._csr_indices)
 
     def degree_array(self):
-        """Per-dense-vertex degrees as an int64 buffer (CSR path only)."""
+        """Per-dense-vertex degrees as an int64 buffer (read-only)."""
         return self._degrees
 
     def _validate(self, max_id: VertexId) -> None:
@@ -313,8 +324,9 @@ class StaticGraph:
         This is the graph's internal table, returned without copying so
         the runtime engine can bind it once per execution instead of
         resolving neighborhoods round by round — treat it as
-        **read-only**; mutating it corrupts the graph.  On CSR-backed
-        graphs the table materializes on first access and is cached.
+        **read-only**; mutating it corrupts the graph.  On graphs built
+        by :meth:`from_csr` the table materializes on first access and
+        is cached.
         """
         return self._adjacency()
 
@@ -445,24 +457,16 @@ class StaticGraph:
         from repro.graphs.build import GraphBuilder
 
         builder = GraphBuilder(self.n, id_space=id_space, name=self.name)
-        buffer = builder.edges
-        add_arc = buffer.add_arc
-        if self._csr_offsets is not None:
-            offsets = self._csr_offsets
-            indices = self._csr_indices
-            lo = 0
-            for i in range(self.n):
-                hi = offsets[i + 1]
-                p = perm[i]
-                for j in indices[lo:hi]:
-                    add_arc(p, perm[j])
-                lo = hi
-        else:
-            index_of = {v: i for i, v in enumerate(vertices)}
-            for i, v in enumerate(vertices):
-                p = perm[i]
-                for u in self._neighbors[v]:
-                    add_arc(p, perm[index_of[u]])
+        add_arc = builder.edges.add_arc
+        offsets = self._csr_offsets
+        indices = self._csr_indices
+        lo = 0
+        for i in range(self.n):
+            hi = offsets[i + 1]
+            p = perm[i]
+            for j in indices[lo:hi]:
+                add_arc(p, perm[j])
+            lo = hi
         return builder.build(ids=new_ids, dedup=False)
 
     # ------------------------------------------------------------------

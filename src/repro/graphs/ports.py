@@ -16,17 +16,14 @@ The runtime uses :class:`PortLabeling` to resolve an agent's chosen
 *accessible port key* into an actual destination vertex, so algorithms
 can only navigate through the interface their model grants them.
 
-On CSR-backed graphs (every generator output; see
-:mod:`repro.graphs.build`) the labeling is stored **flat**: one int64
-buffer of dense port targets aligned with the graph's CSR offsets —
-entry ``offsets[i] + p`` is the dense vertex behind port ``p`` of
-vertex ``i``.  The ascending-ID default labeling is then the CSR
-index buffer itself, adopted zero-copy, and
-:meth:`repro.runtime.plan.ExecutionPlan.compile` reads the flat table
-directly instead of re-deriving it from dictionaries.  The historical
-dictionary views (:meth:`PortLabeling.port_table` and the inverse used
-by :meth:`PortLabeling.port_of`) materialize lazily on first access
-with identical contents.
+Every labeling is stored **flat**: one int64 buffer of dense port
+targets aligned with the graph's CSR offsets — entry ``offsets[i] + p``
+is the dense vertex behind port ``p`` of vertex ``i``.  The
+ascending-ID default labeling is the CSR index buffer itself, adopted
+zero-copy, and :meth:`repro.runtime.plan.ExecutionPlan.compile` reads
+the flat table directly.  The dictionary views
+(:meth:`PortLabeling.port_table` and the inverse used by
+:meth:`PortLabeling.port_of`) materialize lazily on first access.
 """
 
 from __future__ import annotations
@@ -81,47 +78,34 @@ class PortLabeling:
         rng: random.Random | None = None,
     ) -> None:
         self._graph = graph
+        self._port_to_neighbor: dict[VertexId, tuple[VertexId, ...]] | None = None
         self._neighbor_to_port: dict[VertexId, dict[VertexId, int]] | None = None
-        self._flat_targets = None
-        csr = graph.csr_adjacency() if permutations is None else None
-        if csr is not None:
-            # Flat path: derive the table in dense form, aligned with
-            # the graph's CSR offsets; no dictionaries are built here.
-            offsets, indices = csr
-            if rng is None:
-                # Ascending neighbor ID *is* CSR order — adopt zero-copy.
-                self._flat_targets = indices
-            else:
-                flat = array("q", indices)
-                shuffle = rng.shuffle
-                lo = 0
-                for i in range(graph.n):
-                    hi = offsets[i + 1]
-                    if hi - lo > 1:
-                        row = list(flat[lo:hi])
-                        shuffle(row)
-                        flat[lo:hi] = array("q", row)
-                    lo = hi
-                self._flat_targets = flat
-            self._port_to_neighbor: dict[VertexId, tuple[VertexId, ...]] | None = None
-            return
-
-        port_to_neighbor: dict[VertexId, tuple[VertexId, ...]] = {}
+        offsets, indices = graph.csr_adjacency()
         if permutations is not None:
+            index_of = {v: i for i, v in enumerate(graph.vertices)}
+            flat = array("q")
             for v in graph.vertices:
                 perm = tuple(permutations[v])
                 if sorted(perm) != list(graph.neighbors(v)):
                     raise GraphError(
                         f"port permutation at vertex {v} is not a permutation of N({v})"
                     )
-                port_to_neighbor[v] = perm
+                flat.extend(map(index_of.__getitem__, perm))
+        elif rng is None:
+            # Ascending neighbor ID *is* CSR order — adopt zero-copy.
+            flat = indices
         else:
-            for v in graph.vertices:
-                order = list(graph.neighbors(v))
-                if rng is not None:
-                    rng.shuffle(order)
-                port_to_neighbor[v] = tuple(order)
-        self._port_to_neighbor = port_to_neighbor
+            flat = array("q", indices)
+            shuffle = rng.shuffle
+            lo = 0
+            for i in range(graph.n):
+                hi = offsets[i + 1]
+                if hi - lo > 1:
+                    row = list(flat[lo:hi])
+                    shuffle(row)
+                    flat[lo:hi] = array("q", row)
+                lo = hi
+        self._flat_targets = flat
 
     @classmethod
     def _from_flat(cls, graph: StaticGraph, flat_targets) -> "PortLabeling":
@@ -133,8 +117,6 @@ class PortLabeling:
         rebuild a labeling from a shared-memory segment without any
         dictionary construction.
         """
-        if graph.csr_adjacency() is None:
-            raise GraphError("flat port labelings require a CSR-backed graph")
         self = object.__new__(cls)
         self._graph = graph
         self._port_to_neighbor = None
@@ -148,7 +130,7 @@ class PortLabeling:
         return self._graph
 
     def flat_port_targets(self):
-        """The dense flat port table, or ``None`` for dict-built labelings.
+        """The dense flat port table.
 
         Aligned with the graph's CSR offsets: entry ``offsets[i] + p``
         is the dense vertex behind port ``p`` of dense vertex ``i``.
@@ -167,8 +149,8 @@ class PortLabeling:
         movements with one dict lookup and one tuple index per round;
         treat it as **read-only**.  Agents never see this table — they
         navigate through :meth:`accessible_ports` /
-        :meth:`resolve_accessible`.  On flat labelings the dictionary
-        materializes on first access and is cached.
+        :meth:`resolve_accessible`.  The dictionary materializes from
+        the flat table on first access and is cached.
         """
         table = self._port_to_neighbor
         if table is None:

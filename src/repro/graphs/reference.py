@@ -14,7 +14,8 @@ plays for the engine:
 
 * the generator functions here are byte-for-byte copies of the
   pre-builder implementations (same RNG consumption, same adjacency,
-  same names), returning dict-backed :class:`StaticGraph` instances;
+  same names), returning :class:`StaticGraph` instances built through
+  its mapping constructor, which now also lays out the CSR buffers;
 * :func:`reference_port_tables` rebuilds the port labeling the way
   ``PortLabeling`` originally did — both dictionary layers, eagerly;
 * :func:`reference_plan_buffers` reproduces the original

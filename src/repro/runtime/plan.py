@@ -16,9 +16,9 @@ over dense vertex indices ``0 .. n-1``:
   form: one ``array('q')`` of concatenated neighbor index lists plus
   the ``n + 1`` offsets delimiting each vertex's slice;
 * ``degrees`` — per-vertex degree, one ``array('q')`` lookup;
-* ``port_targets`` (KT0 plans) — the hidden port table flattened the
-  same way: entry ``neighbor_offsets[i] + p`` is the dense index
-  behind port ``p`` of vertex ``i``;
+* ``port_targets`` (KT0 plans; ``None`` on KT1 plans) — the hidden
+  port table flattened the same way: entry ``neighbor_offsets[i] + p``
+  is the dense index behind port ``p`` of vertex ``i``;
 * ``walk_setup`` — everything the lockstep walk kernels read, built
   lazily once per plan so a seed batch costs the same however many
   batches share the plan: the table a walker moves through
@@ -30,18 +30,18 @@ over dense vertex indices ``0 .. n-1``:
   itself.  That verdict is cached too, so the O(m) self-loop scan runs
   once per plan.
 
-**CSR-backed graphs compile zero-copy.**  Every generator builds its
-graph through :mod:`repro.graphs.build`, which already produces exactly
-these buffers; ``compile`` adopts the graph's CSR pair, degree array,
-and — for KT0 — the labeling's flat port table *by reference* instead
-of re-flattening anything.  The per-vertex rows the interpreter hot
-loop touches (``nbr_ids``; ``nbr_index`` mapping a public target
-identifier straight to its dense index for KT1 movement resolution;
-``kt0_rows`` as tuples for KT0) then materialize **lazily on first
-engine bind**: a parent process that only compiles and exports plans
-(the sweep fabric) never builds a single per-vertex Python row.  On
-dict-backed graphs (user-supplied adjacency) compilation is eager and
-unchanged: rows first, flat CSR derived from them on first access.
+**Plans compile zero-copy.**  Every :class:`StaticGraph` stores its
+adjacency as exactly these buffers, and every
+:class:`~repro.graphs.ports.PortLabeling` stores its port table flat,
+so ``compile`` adopts the graph's CSR pair, degree array, and — for
+KT0 — the labeling's flat port table *by reference* instead of
+re-flattening anything.  The per-vertex rows the interpreter hot loop
+touches (``nbr_ids``, the graph's own neighbor tuples; ``nbr_index``
+mapping a public target identifier straight to its dense index for
+KT1 movement resolution; ``kt0_rows`` as tuples for KT0) materialize
+**lazily on first engine bind**: a parent process that only compiles
+and exports plans (the sweep fabric) never builds a single per-vertex
+Python row.
 
 The identifier/index translation boundary is strict: everything inside
 :class:`~repro.runtime.engine.Engine` runs on dense indices, and public
@@ -82,7 +82,7 @@ from itertools import chain, count, repeat
 from operator import eq
 from typing import TYPE_CHECKING
 
-from repro._typing import PortKey, VertexId
+from repro._typing import VertexId
 from repro.errors import SchedulerError
 from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortLabeling, PortModel
@@ -120,6 +120,9 @@ class ExecutionPlan:
         "ids",
         "index_of",
         "degrees",
+        "neighbor_offsets",
+        "neighbor_indices",
+        "port_targets",
         "nbr_ids",
         "nbr_index",
         "kt0_rows",
@@ -127,8 +130,6 @@ class ExecutionPlan:
         "walk_setup",
         "_labeling",
         "_closed_sets",
-        "_csr",
-        "_port_targets",
     )
 
     def __init__(
@@ -147,97 +148,38 @@ class ExecutionPlan:
         self.ids = ids
         self.index_of = {v: i for i, v in enumerate(ids)}
         self._closed_sets: list[frozenset[VertexId] | None] = [None] * n
-        self._port_targets: array | None = None
-
-        csr = graph.csr_adjacency()
-        if csr is not None:
-            # CSR-backed graph (every generator output): adopt the
-            # graph's flat buffers zero-copy.  The per-vertex rows —
-            # nbr_ids, and nbr_index (KT1) or kt0_rows/kt0_ports (KT0,
-            # flat labeling) — materialize lazily in __getattr__ on
-            # first engine bind, so compile-and-export pipelines never
-            # build them at all.
-            self._csr = csr
-            self.degrees = graph.degree_array()
-            if port_model is PortModel.KT0:
-                self.nbr_index = None  # never read by KT0 loops
-                flat = labeling.flat_port_targets()  # type: ignore[union-attr]
-                if flat is not None:
-                    self._port_targets = flat  # zero-copy adoption
-                else:
-                    # Explicit (dict-built) permutations on a CSR graph:
-                    # derive the rows eagerly, as the dict path does.
-                    table = labeling.port_table()  # type: ignore[union-attr]
-                    index_of = self.index_of
-                    self.kt0_rows = [
-                        tuple(index_of[u] for u in table[v]) for v in ids
-                    ]
-                    ports_by_degree: dict[int, tuple[int, ...]] = {}
-                    self.kt0_ports = [
-                        ports_by_degree.setdefault(d, tuple(range(d)))
-                        for d in self.degrees
-                    ]
-            else:
-                self.kt0_rows = None
-                self.kt0_ports = None
-            return
-
-        # Dict-backed graph (user-supplied adjacency): the historical
-        # eager compile — per-vertex rows first, flat CSR derived from
-        # them on first access.
-        nbr_map = graph.neighbor_map
-        nbr_ids = [nbr_map[v] for v in ids]
-        self.degrees = array("q", map(len, nbr_ids))
-        self.nbr_ids = nbr_ids
-        self.nbr_index = (
-            [{u: self.index_of[u] for u in adj} for adj in nbr_ids]
-            if port_model is PortModel.KT1
-            else None
-        )
-        self._csr = None
-
+        # Adopt the graph's flat buffers zero-copy.  The per-vertex
+        # rows — nbr_ids, and nbr_index (KT1) or kt0_rows/kt0_ports
+        # (KT0) — materialize lazily in __getattr__ on first engine
+        # bind, so compile-and-export pipelines never build them.
+        self.neighbor_offsets, self.neighbor_indices = graph.csr_adjacency()
+        self.degrees = graph.degree_array()
         if port_model is PortModel.KT0:
-            table = labeling.port_table()  # type: ignore[union-attr]
-            index_of = self.index_of
-            self.kt0_rows = [tuple(index_of[u] for u in table[v]) for v in ids]
-            ports_by_degree = {}
-            self.kt0_ports = [
-                ports_by_degree.setdefault(d, tuple(range(d))) for d in self.degrees
-            ]
+            self.port_targets = labeling.flat_port_targets()  # type: ignore[union-attr]
+            self.nbr_index = None  # never read by KT0 loops
         else:
+            self.port_targets = None
             self.kt0_rows = None
             self.kt0_ports = None
 
     def __getattr__(self, name: str):
         # Reached only when a slot is unset: the lazy per-vertex rows
-        # of CSR-backed plans, and every plan's lockstep walk set-up.
-        # Materialize once, cache in the slot.
+        # and the lockstep walk set-up.  Materialize once, cache in the
+        # slot.
         if name == "walk_setup":
             value = _walk_setup(self)
         elif name == "nbr_ids":
-            offsets, indices = self._csr
-            getter = self.ids.__getitem__
-            value: list = []
-            append = value.append
-            lo = 0
-            for i in range(self.n):
-                hi = offsets[i + 1]
-                append(tuple(map(getter, indices[lo:hi])))
-                lo = hi
+            # The graph's own tuples, shared rather than rebuilt.
+            nbr_map = self.graph.neighbor_map
+            value = [nbr_map[v] for v in self.ids]
         elif name == "nbr_index":
-            offsets, indices = self._csr
-            getter = self.ids.__getitem__
-            value = []
-            append = value.append
-            lo = 0
-            for i in range(self.n):
-                hi = offsets[i + 1]
-                chunk = indices[lo:hi]
-                append(dict(zip(map(getter, chunk), chunk)))
-                lo = hi
+            # Keys and values reuse the tuples' and index_of's int
+            # objects, so no int is boxed per arc.
+            getter = self.index_of.__getitem__
+            value = [dict(zip(row, map(getter, row))) for row in self.nbr_ids]
         elif name == "kt0_rows":
-            flat = self._port_targets
-            offsets = self._csr[0]
+            flat = self.port_targets
+            offsets = self.neighbor_offsets
             value = []
             append = value.append
             lo = 0
@@ -273,8 +215,8 @@ class ExecutionPlan:
         ``labeling`` defaults to the ascending-ID labeling — lazily
         constructed for KT1 plans, which never consult the hidden
         bijection on the fast path, and eagerly for KT0 plans, whose
-        flat port table is derived from it (on CSR-backed graphs that
-        default labeling *is* the CSR index buffer, adopted zero-copy).
+        flat port table it supplies (that default labeling *is* the
+        graph's CSR index buffer, adopted zero-copy).
         """
         if labeling is not None and labeling.graph is not graph:
             raise SchedulerError("labeling belongs to a different graph")
@@ -317,7 +259,7 @@ class ExecutionPlan:
             )
 
     # ------------------------------------------------------------------
-    # Accessors (views, tests, and the translation boundary)
+    # Accessors (views and the translation boundary)
     # ------------------------------------------------------------------
 
     @property
@@ -326,89 +268,6 @@ class ExecutionPlan:
         if self._labeling is None:
             self._labeling = PortLabeling(self.graph)
         return self._labeling
-
-    @property
-    def neighbor_offsets(self) -> array:
-        """CSR offsets: vertex ``i``'s neighbors span ``[off[i], off[i+1])``.
-
-        On CSR-backed graphs this is the builder's buffer itself
-        (zero-copy); on dict-backed graphs the flat pair is derived
-        from the per-vertex rows once on first access — one-off
-        executions never pay for it.
-        """
-        return self._csr_arrays()[0]
-
-    @property
-    def neighbor_indices(self) -> array:
-        """One ``array('q')`` of concatenated dense neighbor lists."""
-        return self._csr_arrays()[1]
-
-    @property
-    def port_targets(self) -> array | None:
-        """The hidden port table flattened CSR-style (KT0 plans only).
-
-        Entry ``neighbor_offsets[i] + p`` is the dense index behind
-        port ``p`` of vertex ``i``; ``None`` for KT1 plans.  On flat
-        labelings this is the labeling's buffer (zero-copy); otherwise
-        derived from the rows on first access.
-        """
-        if self.port_model is not PortModel.KT0:
-            return None
-        flat = self._port_targets
-        if flat is None:
-            flat = array("q")
-            for row in self.kt0_rows:
-                flat.extend(row)
-            self._port_targets = flat
-        return flat
-
-    def _csr_arrays(self) -> tuple[array, array]:
-        csr = self._csr
-        if csr is None:
-            index_of = self.index_of
-            offsets = array("q", bytes(8 * (self.n + 1)))
-            flat = array("q")
-            total = 0
-            for i, adj in enumerate(self.nbr_ids):
-                flat.extend(index_of[u] for u in adj)
-                total += len(adj)
-                offsets[i + 1] = total
-            csr = (offsets, flat)
-            self._csr = csr
-        return csr
-
-    def index(self, vertex: VertexId) -> int:
-        """Dense index of public identifier ``vertex``."""
-        return self.index_of[vertex]
-
-    def vertex_id(self, index: int) -> VertexId:
-        """Public identifier behind dense ``index``."""
-        return self.ids[index]
-
-    def degree_of(self, index: int) -> int:
-        """Degree of the vertex at dense ``index``."""
-        return self.degrees[index]
-
-    def neighbor_slice(self, index: int) -> array:
-        """CSR slice of dense neighbor indices for ``index``."""
-        offsets = self.neighbor_offsets
-        return self.neighbor_indices[offsets[index]:offsets[index + 1]]
-
-    def neighbor_ids_of(self, index: int) -> tuple[VertexId, ...]:
-        """Public neighbor identifiers of ``index``, ascending."""
-        return self.nbr_ids[index]
-
-    def port_row(self, index: int) -> tuple[int, ...]:
-        """Dense targets behind ports ``0, 1, ...`` of ``index`` (KT0)."""
-        if self.port_model is not PortModel.KT0:
-            raise SchedulerError("KT1 plans compile no hidden port table")
-        return self.kt0_rows[index]
-
-    def accessible_ports_of(self, index: int) -> tuple[PortKey, ...]:
-        """Accessible port keys at ``index`` under the plan's model."""
-        if self.port_model is PortModel.KT1:
-            return self.nbr_ids[index]
-        return self.kt0_ports[index]  # type: ignore[index]
 
     def closed_set(self, index: int) -> frozenset[VertexId]:
         """``N⁺`` of ``index`` as public identifiers, cached per vertex."""
@@ -548,10 +407,9 @@ class PlanShare:
     def export(cls, plan: ExecutionPlan) -> "PlanShare":
         """Copy ``plan``'s flat arrays into a fresh shared segment.
 
-        On a CSR-backed plan the buffers being copied are the
-        builder's own (no flattening happens here or anywhere earlier);
-        on a dict-backed plan they materialize on first export as
-        before.  Raises :class:`SchedulerError` when shared memory is
+        The buffers being copied are the graph's and the labeling's
+        own (no flattening happens here or anywhere earlier).  Raises
+        :class:`SchedulerError` when shared memory is
         not available at all, and propagates ``OSError`` when the
         segment cannot be created (callers treat both as "fall back to
         per-worker regeneration").
@@ -641,16 +499,19 @@ class AttachedPlan:
         graph._csr_offsets = offsets
         graph._csr_indices = indices
         graph._degrees = degrees
-        plan._csr = (offsets, indices)
+        plan.neighbor_offsets = offsets
+        plan.neighbor_indices = indices
         plan.degrees = degrees
+        if plan.port_targets is not None:
+            plan.port_targets = array("q", plan.port_targets)
         labeling = plan._labeling
-        if plan._port_targets is not None:
-            ports = array("q", plan._port_targets)
-            plan._port_targets = ports
-            if labeling is not None and labeling.flat_port_targets() is not None:
-                labeling._flat_targets = ports
-        elif labeling is not None and labeling.flat_port_targets() is not None:
-            labeling._flat_targets = array("q", labeling.flat_port_targets())
+        if labeling is not None:
+            # A KT0 labeling adopted the segment's port table; a KT1
+            # plan's default labeling, built lazily, adopted its CSR
+            # index buffer.
+            labeling._flat_targets = (
+                plan.port_targets if plan.port_targets is not None else indices
+            )
         for view in self._views:
             view.release()
         self._views = ()

@@ -79,12 +79,14 @@ class TestSweepCommand:
         assert main(["sweep", "--family", "nope"]) == 2
         assert "bad sweep spec" in capsys.readouterr().err
 
-    def test_generator_rejection_is_a_clean_error(self, capsys):
-        # Valid spec syntax, but regular graphs need n * delta even —
-        # the run-time failure must not escape as a traceback.
+    def test_run_time_failure_is_a_clean_error(self, capsys):
+        # A valid spec whose trials fail: under edge churn a theorem1
+        # agent moves along an edge that is gone.  The run-time failure
+        # must not escape as a traceback.
         args = [
-            "sweep", "--family", "regular", "--n", "21", "--delta", "9",
-            "--seeds", "1", "--workers", "1",
+            "sweep", "--family", "er-min-degree", "--n", "40",
+            "--algorithm", "theorem1", "--scenario", "edge-churn",
+            "--preset", "testing", "--seeds", "3", "--workers", "1",
         ]
         assert main(args) == 1
         assert "sweep failed" in capsys.readouterr().err

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.analysis.stats import summarize
-from repro.errors import ReproError
+from repro.errors import GenerationError, ReproError
 from repro.experiments.harness import aggregate_rounds, repeat_trials, run_trial
 from repro.experiments.parallel import (
     CONSTANTS_PRESETS,
@@ -428,26 +428,35 @@ class TestFabric:
     def test_worker_failure_surfaces_and_pool_recovers(self, monkeypatch):
         from repro.experiments import parallel
 
-        # regular graphs need n * delta even — the generator raises in
-        # the worker (shm disabled so the parent does not trip first).
+        # Under edge churn a theorem1 agent moves along an edge that is
+        # gone, so the trial raises in the worker (shm disabled so the
+        # parent never compiles the plan).
         monkeypatch.setattr(parallel, "shared_plans_available", lambda: False)
         shutdown_fabric()
         bad = SweepSpec(
-            name="bad", families=("regular",), ns=(21,), deltas=("9",),
-            algorithms=("trivial",), seeds=(0, 1, 2, 3),
+            name="bad", families=("er-min-degree",), ns=(40,),
+            algorithms=("theorem1",), scenarios=("edge-churn",),
+            seeds=(0, 1, 2, 3), preset="testing",
         )
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="non-neighbor"):
             run_sweep(bad, workers=2)
         # The fabric tore itself down and the next sweep just works.
         good = run_sweep(small_spec(), workers=2)
         assert len(good.records) == 8
 
-    def test_parent_failure_with_shared_plans_is_clean(self):
+    def test_parent_failure_with_shared_plans_is_clean(self, monkeypatch):
+        # A family whose generator refuses the point after the spec
+        # passed: the parent trips while it builds the plan to export.
+        def refuse(n, delta, rng):
+            raise GenerationError("no instance here")
+
+        monkeypatch.setitem(GRAPH_FAMILIES, "refusing-test", refuse)
+        clear_instance_cache()
         bad = SweepSpec(
-            name="bad", families=("regular",), ns=(21,), deltas=("9",),
+            name="bad", families=("refusing-test",), ns=(21,), deltas=("9",),
             algorithms=("trivial",), seeds=(0, 1),
         )
-        with pytest.raises(ReproError):
+        with pytest.raises(GenerationError, match="no instance here"):
             run_sweep(bad, workers=2)
 
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from itertools import accumulate
+
 import pytest
 
 from repro.errors import GraphError
+from repro.graphs.build import GraphBuilder
 from repro.graphs.graph import StaticGraph, bfs_distance
+from repro.graphs.ports import PortLabeling
 
 
 def triangle() -> StaticGraph:
@@ -49,9 +54,10 @@ class TestConstruction:
         with pytest.raises(GraphError):
             StaticGraph({0: [0, 1], 1: [0]})
 
-    def test_edge_to_missing_vertex_rejected(self):
-        with pytest.raises(GraphError):
-            StaticGraph({0: [1, 2], 1: [0]})
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_edge_to_missing_vertex_rejected(self, validate):
+        with pytest.raises(GraphError, match=r"edge \(0, 2\) points outside"):
+            StaticGraph({0: [1, 2], 1: [0]}, validate=validate)
 
     def test_id_outside_space_rejected(self):
         with pytest.raises(GraphError):
@@ -77,6 +83,51 @@ class TestConstruction:
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(GraphError):
             StaticGraph.from_edges([(0, 0)])
+
+
+def _csr_built() -> StaticGraph:
+    builder = GraphBuilder(4, id_space=12)
+    builder.edges.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+    return builder.build(ids=[1, 4, 6, 11])
+
+
+#: Every way to make a graph; each must store the same CSR layout.
+CONSTRUCTORS = {
+    "mapping": lambda: StaticGraph({5: [2, 9], 2: [5, 9], 9: [2, 5, 11], 11: [9]}),
+    "mapping-unvalidated": lambda: StaticGraph(
+        {0: [1], 1: [0, 3], 3: [1], 6: []}, validate=False
+    ),
+    "from-edges": lambda: StaticGraph.from_edges([(0, 1), (1, 2)], vertices=[7]),
+    "from-csr": _csr_built,
+    "relabeled": lambda: triangle().relabeled({0: 10, 1: 30, 2: 20}),
+}
+
+
+class TestOneStorage:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_every_constructor_lays_out_csr(self, name):
+        graph = CONSTRUCTORS[name]()
+        ids = graph.vertices
+        offsets, indices = graph.csr_adjacency()
+        degrees = graph.degree_array()
+        assert list(degrees) == [graph.degree(v) for v in ids]
+        assert list(offsets) == [0, *accumulate(degrees)]
+        for i, v in enumerate(ids):
+            row = indices[offsets[i]:offsets[i + 1]]
+            assert tuple(ids[j] for j in row) == graph.neighbors(v)
+        reversed_ports = {v: graph.neighbors(v)[::-1] for v in ids}
+        for labeling in (
+            PortLabeling(graph),
+            PortLabeling(graph, rng=random.Random(name)),
+            PortLabeling(graph, permutations=reversed_ports),
+        ):
+            flat = labeling.flat_port_targets()
+            table = labeling.port_table()
+            for i, v in enumerate(ids):
+                row = flat[offsets[i]:offsets[i + 1]]
+                assert tuple(ids[j] for j in row) == table[v]
+                assert sorted(table[v]) == list(graph.neighbors(v))
+        assert PortLabeling(graph, permutations=reversed_ports).port_table() == reversed_ports
 
 
 class TestQueries:

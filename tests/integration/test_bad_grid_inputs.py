@@ -45,6 +45,33 @@ BAD_GRIDS = {
     ),
     "max-rounds-negative": (["--max-rounds", "-5"], {"max_rounds": -5}, "max_rounds"),
     "n-repeated": (["--n", "16", "--n", "16"], {"ns": [16, 16]}, "must not repeat"),
+    # Points outside a family's (n, δ) domain: each generator would
+    # refuse them only after set-up has begun.
+    "regular-degree-above-n": (
+        ["--family", "regular", "--n", "5"],
+        {"families": ["regular"], "ns": [5]},
+        "need 1 <= degree <= n - 1",
+    ),
+    "regular-odd-degree-sum": (
+        ["--family", "regular", "--n", "7", "--delta", "3"],
+        {"families": ["regular"], "ns": [7], "deltas": ["3"]},
+        "degree must be even",
+    ),
+    "powerlaw-floor-above-n": (
+        ["--family", "powerlaw", "--n", "10", "--delta", "20"],
+        {"families": ["powerlaw"], "ns": [10], "deltas": ["20"]},
+        "need 1 <= min_degree <= n - 2",
+    ),
+    "er-min-degree-zero": (
+        ["--family", "er-min-degree", "--n", "10", "--delta", "0"],
+        {"families": ["er-min-degree"], "ns": [10], "deltas": ["0"]},
+        "need 1 <= min_degree <= n - 1",
+    ),
+    "geometric-delta-above-n": (
+        ["--family", "geometric", "--n", "10", "--delta", "12"],
+        {"families": ["geometric"], "ns": [10], "deltas": ["12"]},
+        "need 1 <= min_degree <= n - 1",
+    ),
 }
 
 

@@ -13,12 +13,19 @@ from its start vertex, so a move that assumes it is home is refused.
 Those trials end in a ``ProtocolError``; its text is pinned per seed
 with the same care as a record, because it shows which hop an agent
 took after the restart.
+
+The lower-bound experiments and the structured families build their
+graphs through the mapping constructor, and LB-KT0 adds an explicit
+KT0 port labeling, so their records are pinned too
+(``HAND_BUILT_DIGESTS``): they cover the construction path and the
+start draw the generator instances never take.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -27,6 +34,13 @@ from repro.errors import ProtocolError
 from repro.experiments.harness import run_trial, run_trials
 from repro.experiments.parallel import CONSTANTS_PRESETS, _instance_for
 from repro.experiments.results_io import record_to_jsonable
+from repro.graphs.families import torus_grid_graph
+from repro.graphs.lowerbound import (
+    cliques_sharing_vertex,
+    double_star,
+    swapped_edge_cliques,
+)
+from repro.graphs.ports import PortModel
 
 DELTA_RULE = "n^0.75"
 SEEDS = range(24)
@@ -107,6 +121,18 @@ CRASH_RESTART_ERRORS = [
 ]
 
 
+#: name -> SHA-256 of the 24 seeds' JSON lines on one hand-built
+#: instance (see ``hand_built_records``).
+HAND_BUILT_DIGESTS = {
+    "lb-kt0-walk": "62700d5417f3327cb0a04734773ecb18188e1186b67372cc7ced53bce88490d6",
+    "lb-dist2-trivial": "8794ed6e247c49e7b7104f9205a25bf8aa42c1ed0e72e5b21d2327ebd4ab194a",
+    "lb-dist2-walk": "9f4c806f645d0b6955c8da73428209d0540aa96a809cf05f2ec3f054e296c440",
+    "lb-mindeg-trivial": "3816ac88668bd9c2875b38507b349c8114336fb5c4f02f10401f113585576254",
+    "lb-mindeg-walk": "df5b3c169f28757c7fbcae5598dba006ad85b1f082c693ced66f439e63563702",
+    "torus-theorem1": "0a2a78f742120cb6c4ba8332c3914276997f99a431387b2aa37f07dfaaea6399",
+}
+
+
 def _line(record) -> bytes:
     return json.dumps(record_to_jsonable(record), sort_keys=True).encode() + b"\n"
 
@@ -145,6 +171,41 @@ def crash_restart_digest(n: int, algorithm: str) -> str:
     return digest.hexdigest()
 
 
+def hand_built_records(name: str) -> list:
+    """The 24 seeds' records of one hand-built instance, run as the
+    lower-bound experiments run them: one ``run_trial`` per seed."""
+    if name == "torus-theorem1":  # seeded starts on a mapping-built graph
+        graph = torus_grid_graph(8, 8)
+        return [run_trial(graph, "theorem1", seed) for seed in SEEDS]
+    if name == "lb-kt0-walk":  # explicit KT0 ports
+        n = 64
+        graph, labeling, v_a, v_b = swapped_edge_cliques(n, random.Random("pin:kt0"))
+        return [
+            run_trial(
+                graph, "random-walk", seed, start_a=v_a, start_b=v_b,
+                max_rounds=800 * n, port_model=PortModel.KT0, labeling=labeling,
+            )
+            for seed in SEEDS
+        ]
+    if name.startswith("lb-dist2-"):  # starts at distance two
+        n = 65
+        graph, start_a, start_b = cliques_sharing_vertex(n)
+        kwargs = {"check_instance": False}
+    else:
+        n = 64
+        graph, start_a, start_b = double_star(n)
+        kwargs = {}
+    if name.endswith("-walk"):
+        algorithm = "random-walk"
+        kwargs["max_rounds"] = 400 * n
+    else:
+        algorithm = "trivial"
+    return [
+        run_trial(graph, algorithm, seed, start_a=start_a, start_b=start_b, **kwargs)
+        for seed in SEEDS
+    ]
+
+
 @pytest.mark.parametrize("key", list(GRID_DIGESTS), ids=str)
 def test_grid_records_are_pinned(key):
     assert grid_digest(*key) == GRID_DIGESTS[key]
@@ -158,3 +219,11 @@ def test_crash_restart_outcomes_are_pinned(n, algorithm):
 @pytest.mark.parametrize("n, algorithm, seed, text", CRASH_RESTART_ERRORS)
 def test_crash_restart_errors_are_pinned(n, algorithm, seed, text):
     assert crash_restart_outcome(n, algorithm, seed) == f"ProtocolError: {text}"
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT_DIGESTS))
+def test_hand_built_records_are_pinned(name):
+    digest = hashlib.sha256()
+    for record in hand_built_records(name):
+        digest.update(_line(record))
+    assert digest.hexdigest() == HAND_BUILT_DIGESTS[name]

@@ -64,7 +64,7 @@ class TestPrecomputedTables:
             port_model=PortModel.KT0,
         )
         assert kt0.plan.kt0_ports[1] == (0, 1)
-        assert kt0.plan.port_row(1) == tuple(
+        assert kt0.plan.kt0_rows[1] == tuple(
             kt0.plan.index_of[u] for u in kt0.labeling.port_table()[1]
         )
 

@@ -1,10 +1,11 @@
 """Differential property tests for compiled execution plans.
 
 An :class:`~repro.runtime.plan.ExecutionPlan` is only a *re-encoding*
-of a ``(StaticGraph, PortLabeling)`` pair: every array accessor must
+of a ``(StaticGraph, PortLabeling)`` pair: every plan attribute must
 agree with the dict/frozenset accessors of the objects it was compiled
-from — on every registered sweep family, under both port models, with
-shuffled hidden labelings.  These tests pin that agreement (plus the
+from — on every registered sweep family and on graphs built through
+the mapping constructor, under both port models, with shuffled and
+explicit hidden labelings.  These tests pin that agreement (plus the
 compile-time compatibility checks and the dense-index translation
 boundary) so the engine's hot loop can trust the arrays blindly.
 """
@@ -18,46 +19,55 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulerError
 from repro.experiments.parallel import GRAPH_FAMILIES, build_graph
+from repro.graphs.families import (
+    complete_bipartite_graph,
+    hypercube_graph,
+    margulis_expander,
+    stochastic_block_graph,
+    torus_grid_graph,
+)
 from repro.graphs.generators import dilate_id_space, random_graph_with_min_degree
+from repro.graphs.graph import StaticGraph
+from repro.graphs.lowerbound import swapped_edge_cliques
 from repro.graphs.ports import PortLabeling, PortModel
 from repro.runtime.plan import ExecutionPlan
 
 
 def assert_plan_matches(graph, labeling, plan):
-    """Every plan accessor vs the graph/labeling dict accessors."""
+    """Every plan attribute vs the graph/labeling dict accessors."""
     assert plan.n == graph.n
     assert plan.ids == graph.vertices
-    assert len(plan.neighbor_offsets) == plan.n + 1
-    assert plan.neighbor_offsets[-1] == len(plan.neighbor_indices) == 2 * graph.edge_count
+    offsets = plan.neighbor_offsets
+    assert len(offsets) == plan.n + 1
+    assert offsets[-1] == len(plan.neighbor_indices) == 2 * graph.edge_count
+    if plan.port_model is PortModel.KT1:
+        assert plan.port_targets is None
+        assert plan.kt0_rows is None and plan.kt0_ports is None
+    else:
+        assert plan.nbr_index is None  # never read by KT0 loops
     for index, vertex in enumerate(graph.vertices):
-        assert plan.index(vertex) == index
-        assert plan.vertex_id(index) == vertex
-        assert plan.degree_of(index) == graph.degree(vertex)
+        assert plan.index_of[vertex] == index
+        assert plan.degrees[index] == graph.degree(vertex)
+        lo, hi = offsets[index], offsets[index + 1]
         # CSR slice, translated back to identifiers, is N(v) in order.
-        csr_ids = tuple(plan.ids[i] for i in plan.neighbor_slice(index))
+        csr_ids = tuple(plan.ids[i] for i in plan.neighbor_indices[lo:hi])
         assert csr_ids == graph.neighbors(vertex)
-        assert plan.neighbor_ids_of(index) == graph.neighbors(vertex)
+        assert plan.nbr_ids[index] == graph.neighbors(vertex)
+        assert plan.closed_set(index) == graph.closed_neighbor_set(vertex)
+        accessible = labeling.accessible_ports(vertex, plan.port_model)
         if plan.port_model is PortModel.KT1:
+            assert plan.nbr_ids[index] == accessible
             # The KT1 movement-resolution row agrees with the membership set.
             assert set(plan.nbr_index[index]) == set(graph.neighbor_set(vertex))
             for u, dense in plan.nbr_index[index].items():
                 assert plan.ids[dense] == u
         else:
-            assert plan.nbr_index is None  # never read by KT0 loops
-        assert plan.closed_set(index) == graph.closed_neighbor_set(vertex)
-        assert plan.accessible_ports_of(index) == labeling.accessible_ports(
-            vertex, plan.port_model
-        )
-        if plan.port_model is PortModel.KT0:
+            assert plan.kt0_ports[index] == accessible
             # The flat port table row is the hidden bijection P̂_v.
-            row = plan.port_row(index)
+            row = plan.kt0_rows[index]
             hidden = labeling.port_table()[vertex]
             assert tuple(plan.ids[i] for i in row) == hidden
-            offset = plan.neighbor_offsets[index]
-            flat = tuple(
-                plan.port_targets[offset + p] for p in range(len(row))
-            )
-            assert flat == row
+            assert tuple(plan.port_targets[lo:hi]) == row
             for port, neighbor in enumerate(hidden):
                 assert labeling.resolve(vertex, port) == neighbor
 
@@ -95,13 +105,52 @@ def test_non_contiguous_identifiers():
         assert_plan_matches(graph, labeling, plan)
 
 
+def _mapping_built():
+    """Graphs from the mapping constructor, with their labelings."""
+    rng = random.Random("mapping-built")
+    cases = {
+        "hypercube": hypercube_graph(4),
+        "torus": torus_grid_graph(4, 5),
+        "margulis": margulis_expander(4),
+        "bipartite": complete_bipartite_graph(3, 5),
+        "stochastic-block": stochastic_block_graph(6, rng, p_in=0.7, p_out=0.1),
+        "from-edges-isolated": StaticGraph.from_edges(
+            [(0, 1), (1, 2), (2, 0), (2, 3)], vertices=[7]
+        ),
+        "non-contiguous": StaticGraph(
+            {3: [10, 42], 10: [3, 42], 42: [3, 10, 99], 99: [42]}, id_space=128
+        ),
+    }
+    out = {
+        name: (graph, PortLabeling(graph, rng=random.Random(f"ports:{name}")))
+        for name, graph in cases.items()
+    }
+    graph, labeling, _, _ = swapped_edge_cliques(12, random.Random("swapped"))
+    out["swapped-edge-cliques"] = (graph, labeling)  # explicit permutations
+    return out
+
+
+MAPPING_BUILT = _mapping_built()
+
+
+@pytest.mark.parametrize("name", sorted(MAPPING_BUILT))
+@pytest.mark.parametrize("port_model", [PortModel.KT1, PortModel.KT0])
+def test_mapping_built_graphs(name, port_model):
+    """Mapping-built graphs compile through the same zero-copy path."""
+    graph, labeling = MAPPING_BUILT[name]
+    plan = ExecutionPlan.compile(graph, labeling=labeling, port_model=port_model)
+    assert plan.neighbor_offsets is graph.csr_adjacency()[0]
+    if port_model is PortModel.KT0:
+        assert plan.port_targets is labeling.flat_port_targets()
+    assert_plan_matches(graph, labeling, plan)
+
+
 class TestCompileContracts:
     def test_kt1_plans_skip_port_tables(self):
         graph = build_graph("complete", 16, "8")
         plan = ExecutionPlan.compile(graph)
+        assert plan.port_targets is None
         assert plan.kt0_rows is None and plan.kt0_ports is None
-        with pytest.raises(SchedulerError):
-            plan.port_row(0)
 
     def test_kt1_default_labeling_is_lazy(self):
         graph = build_graph("complete", 16, "8")

@@ -273,16 +273,18 @@ class TestFaultPaths:
         assert len(result.records) == 2
 
     def test_deterministic_error_fails_job_fast(self, tmp_path):
-        # regular graphs need n * delta even: every lease of that unit
-        # would fail identically, so the worker reports unit-failed and
-        # the broker fails the job instead of re-queueing five times.
+        # Under edge churn a theorem1 agent moves along an edge that is
+        # gone: every lease of that unit would fail identically, so the
+        # worker reports unit-failed and the broker fails the job
+        # instead of re-queueing five times.
         bad = SweepSpec(
-            name="bad", families=("regular",), ns=(21,), deltas=("9",),
-            algorithms=("trivial",), seeds=(0, 1), preset="testing",
+            name="bad", families=("er-min-degree",), ns=(40,),
+            algorithms=("theorem1",), scenarios=("edge-churn",),
+            seeds=(0, 1), preset="testing",
         )
         with Broker(tmp_path / "cache") as broker:
             start_worker_thread(broker.address, reconnect=2.0)
-            with pytest.raises(ServiceError, match="GenerationError"):
+            with pytest.raises(ServiceError, match="ProtocolError"):
                 submit_sweep(broker.address, bad)
             status = broker_status(broker.address)["jobs"][bad.spec_hash()]
             assert status["failed"] is not None
