@@ -20,7 +20,7 @@ from repro.experiments.harness import (
     TrialRecord,
     StreamSummary,
     run_trial,
-    repeat_trials,
+    run_trials,
     aggregate_rounds,
 )
 from repro.experiments.cache import ResultCache, content_hash
@@ -63,7 +63,7 @@ __all__ = [
     "TrialRecord",
     "StreamSummary",
     "run_trial",
-    "repeat_trials",
+    "run_trials",
     "aggregate_rounds",
     "Table",
     "summarize_records",

@@ -7,23 +7,26 @@ execution semantics a :class:`TrialRecord` summarizes.
 
 Two execution shapes:
 
-* :func:`run_trial` — one seeded trial, full setup each call;
+* :func:`run_trial` — one seeded trial, full setup each call, for
+  callers that must see each trial's own failure or pass scheduler
+  options (``record_trace``) the batch does not take;
 * :func:`run_trials` — the batched executor: compile one
   :class:`~repro.runtime.plan.ExecutionPlan` for the instance, then
   run every seed against it with a single reused engine
-  (:meth:`~repro.runtime.engine.Engine.reset` between trials).  The
+  (:meth:`~repro.runtime.engine.Engine.reset` between trials), or
+  through the lockstep kernels when the batch is eligible.  The
   records are byte-identical to per-seed :func:`run_trial` calls —
   ``tests/integration/test_scheduler_equivalence.py`` asserts it for
   every registered algorithm — while skipping all per-trial table
   building (``docs/performance.md`` quantifies the difference).
 
-:func:`repeat_trials` keeps its historical signature and routes to the
-batched executor automatically whenever its keyword arguments allow.
+Sweep grids reach :func:`run_trials` through the chunks of
+:func:`repro.experiments.parallel.run_sweep`; registry experiments the
+grid axes cannot express call it directly (DESIGN.md §1).
 """
 
 from __future__ import annotations
 
-import random
 from array import array
 from dataclasses import dataclass, field
 from typing import Any
@@ -48,21 +51,9 @@ __all__ = [
     "StreamSummary",
     "run_trial",
     "run_trials",
-    "repeat_trials",
     "aggregate_rounds",
     "json_native",
 ]
-
-#: Keyword arguments :func:`run_trials` understands; :func:`repeat_trials`
-#: takes the batched path only when every forwarded kwarg is in this
-#: set, falling back to per-seed :func:`run_trial` calls otherwise
-#: (e.g. ``record_trace``).
-_BATCHABLE_KWARGS = frozenset({
-    "plan", "constants", "delta", "start_a", "start_b",
-    "max_rounds", "check_instance", "port_model", "labeling",
-    "scenario",
-})
-
 
 #: The scalar int fields of a :class:`TrialRecord`, in the column order
 #: of the batch codec and the warehouse (one int64 column each).
@@ -337,27 +328,6 @@ def run_trials(
             _trial_record(graph, algorithm, seed, result, scenario=record_scenario)
         )
     return records
-
-
-def repeat_trials(
-    graph: StaticGraph,
-    algorithm: str,
-    seeds: range | list[int],
-    **kwargs: Any,
-) -> list[TrialRecord]:
-    """Run one trial per seed (new random starts and tapes each time).
-
-    Takes the batched :func:`run_trials` path (one compiled plan for
-    the whole seed list, lockstep when eligible) whenever every
-    keyword argument is one it understands, and per-seed
-    :func:`run_trial` calls otherwise (e.g. ``record_trace``).  Every
-    trial is independently seeded, so the records are identical on
-    both routes.  Grids that should fan out over cores run through
-    :func:`repro.experiments.parallel.run_sweep`.
-    """
-    if set(kwargs) <= _BATCHABLE_KWARGS:
-        return run_trials(graph, algorithm, seeds, **kwargs)
-    return [run_trial(graph, algorithm, seed, **kwargs) for seed in seeds]
 
 
 class StreamSummary:

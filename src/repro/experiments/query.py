@@ -14,8 +14,10 @@ candidate run is verified constant at C speed
 (``slice.count(value) == length``) and then consumed as whole slices:
 ``met.count(1)`` for the met tally and one bulk append of the met
 rounds into the group's ``array('q')``.  Dictionary keys decode one
-code per run.  The summaries do not depend on the order of their
-rounds, so the kernel and the record fold agree exactly.
+code per run; one whose value table holds a single entry is constant,
+checked once and left out of run detection.  The summaries do not
+depend on the order of their rounds, so the kernel and the record fold
+agree exactly.
 """
 
 from __future__ import annotations
@@ -75,7 +77,16 @@ class LazyFrame:
         """
         warehouse = self._warehouse
         rows = warehouse.rows
-        columns = [warehouse.column(name) for name in self._keys]
+        # A dictionary column listing one value is constant: no run detection.
+        constant = {}
+        for name in self._keys:
+            if len(warehouse.dictionaries.get(name, ())) == 1:
+                codes = warehouse.column(name)
+                if codes.count(0) != rows:  # decoding a stray code raises
+                    warehouse.decode(name, next(code for code in codes if code))
+                constant[name] = warehouse.decode(name, 0)
+        varying = [name for name in self._keys if name not in constant]
+        columns = [warehouse.column(name) for name in varying]
         met = warehouse.column("met")
         rounds = warehouse.column("rounds")
         deltas = warehouse.column("delta")
@@ -112,10 +123,12 @@ class LazyFrame:
                 for column, probe in zip(columns, probes)
             ):
                 stop = row + (stop - row + 1) // 2
-            key = tuple(
-                warehouse.decode(name, probe) if name in _DICT_COLUMNS else probe
-                for name, probe in zip(self._keys, probes)
-            )
+            found = {
+                name: warehouse.decode(name, probe) if name in _DICT_COLUMNS else probe
+                for name, probe in zip(varying, probes)
+            }
+            found.update(constant)
+            key = tuple(found[name] for name in self._keys)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = StreamSummary()

@@ -108,21 +108,25 @@ class Table:
         return target
 
 
+#: The record fields a report groups by, in column order.
+_GROUP_KEYS = ("algorithm", "graph_name", "n", "delta", "scenario")
+
+
 def _summary_table(
-    title: str, groups: "dict[tuple[str, str, int, int], StreamSummary]"
+    title: str, groups: "dict[tuple[str, str, int, int, str | None], StreamSummary]"
 ) -> Table:
-    """The grouped summary table of ``(algorithm, graph, n, δ)`` groups."""
+    """The grouped summary table of ``(algorithm, graph, n, δ, scenario)`` groups."""
     table = Table(
         title=title,
         headers=[
-            "algorithm", "graph", "n", "delta",
+            "algorithm", "graph", "n", "delta", "scenario",
             "met", "mean rounds", "median rounds",
         ],
     )
-    for (algorithm, graph_name, n, delta), group in groups.items():
+    for (algorithm, graph_name, n, delta, scenario), group in groups.items():
         summary = group.summary()
         table.add_row(
-            algorithm, graph_name, n, delta,
+            algorithm, graph_name, n, delta, scenario or "none",
             f"{group.met}/{group.total}",
             summary.mean if summary else float("nan"),
             summary.median if summary else float("nan"),
@@ -137,8 +141,8 @@ def summarize_records(
 ) -> Table:
     """Fold a record stream into a grouped summary table, record by record.
 
-    Groups by ``(algorithm, graph name, n, δ)`` — the axes a sweep
-    export varies — and keeps only the per-group
+    Groups by ``(algorithm, graph name, n, δ, scenario)`` — the axes a
+    sweep export varies — and keeps only the per-group
     :class:`~repro.experiments.harness.StreamSummary` aggregates, so
     an arbitrarily large stream (a generator over a JSONL file) is
     summarized holding one int per successful trial and no record.
@@ -147,9 +151,9 @@ def summarize_records(
     """
     from repro.experiments.harness import StreamSummary
 
-    groups: dict[tuple[str, str, int, int], StreamSummary] = {}
-    for record in records:
-        key = (record.algorithm, record.graph_name, record.n, record.delta)
+    groups: dict[tuple[str, str, int, int, str | None], StreamSummary] = {}
+    for record in records:  # _GROUP_KEYS spelled out: faster than attrgetter
+        key = (record.algorithm, record.graph_name, record.n, record.delta, record.scenario)
         group = groups.get(key)
         if group is None:
             group = groups[key] = StreamSummary()
@@ -190,9 +194,7 @@ def summarize_warehouse(path: str | Path, title: str | None = None) -> Table:
 
     if title is None:
         title = f"RECORDS {Path(path).name}"
-    groups = (
-        query.scan(path).group_by("algorithm", "graph_name", "n", "delta").collect()
-    )
+    groups = query.scan(path).group_by(*_GROUP_KEYS).collect()
     return _summary_table(title, groups)
 
 

@@ -521,6 +521,8 @@ class SweepWarehouse:
         manifest = _read_manifest(self._directory)
         self.rows: int = manifest["rows"]
         self._dict_meta = manifest["dict_columns"]
+        #: Each dictionary column's value table: code ``i`` is entry ``i``.
+        self.dictionaries = {name: meta["values"] for name, meta in self._dict_meta.items()}
         self._frames = manifest["report_frames"]
         self.has_point = bool(manifest.get("has_point"))
         self.content_hash = manifest.get("content_hash")
@@ -587,7 +589,7 @@ class SweepWarehouse:
         Raises :class:`~repro.errors.WarehouseError` for a code outside
         the column's value table (a corrupt segment or manifest).
         """
-        values = self._dict_meta[name]["values"]
+        values = self.dictionaries[name]
         if 0 <= code < len(values):
             return values[code]
         raise WarehouseError(

@@ -12,6 +12,7 @@ exactly.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from dataclasses import dataclass
@@ -34,16 +35,12 @@ from repro.extensions.multihop import multihop_programs
 from repro.runtime.multi import MultiAgentScheduler
 from repro.core.sample import sample_run
 from repro.errors import ProtocolError, ReproError
-from repro.experiments.harness import StreamSummary, repeat_trials, run_trial
-from repro.experiments.parallel import SweepSpec, resolve_delta, run_sweep
-from repro.experiments.report import Table
-from repro.graphs.generators import (
-    complete_graph,
-    powerlaw_graph_with_floor,
-    random_geometric_dense_graph,
-    random_graph_with_min_degree,
-    random_regular_graph,
+from repro.experiments.harness import StreamSummary, run_trial, run_trials
+from repro.experiments.parallel import (
+    SweepSpec, build_graph, clear_instance_cache, resolve_delta, run_sweep,
 )
+from repro.experiments.report import Table
+from repro.graphs.generators import complete_graph, random_graph_with_min_degree
 from repro.graphs.graph import StaticGraph
 from repro.graphs.lowerbound import (
     cliques_sharing_vertex,
@@ -71,6 +68,28 @@ def _rng(tag: str) -> random.Random:
 def _delta_for(n: int, exponent: float = 0.75) -> int:
     # One δ convention for registry experiments and sweep specs alike.
     return resolve_delta(f"n^{exponent}", n)
+
+
+#: ``SweepSpec``'s default δ rule, which most registry grids keep.
+_RULE = "n^0.75"
+
+
+def _met_groups(spec: SweepSpec) -> dict[tuple[str, int, str, str], StreamSummary]:
+    """Run ``spec`` inline; its groups keyed ``(family, n, δ rule, algorithm)``.
+
+    A claim's table is read off these aggregates, so a group in which
+    any trial failed to meet raises :class:`ReproError` instead.
+    """
+    groups = {}
+    for key, group in run_sweep(spec, workers=1, stream=True).groups.items():
+        family, n, rule, algorithm, _ = key
+        if group.met != group.total:
+            raise ReproError(
+                f"{spec.name}: {algorithm} met in only {group.met}/{group.total} "
+                f"trials on {family} n={n} delta={rule}"
+            )
+        groups[family, n, rule, algorithm] = group
+    return groups
 
 
 def two_hop_oracle(
@@ -181,9 +200,11 @@ def run_t1_scaling(quick: bool = True) -> list[Table]:
     spread case — where strict runs carry the load — is measured
     separately in the CONSTRUCT experiment on ER graphs.
     """
-    ns = [300, 600, 1200, 2400] if quick else [300, 600, 1200, 2400, 4800]
-    trials = 5 if quick else 9
-    constants = Constants.tuned()
+    ns = (300, 600, 1200, 2400) if quick else (300, 600, 1200, 2400, 4800)
+    groups = _met_groups(SweepSpec(
+        name="t1-scaling", families=("geometric",), ns=ns,
+        algorithms=("theorem1", "trivial"), seeds=tuple(range(5 if quick else 9)),
+    ))
     table = Table(
         title="T1-SCALING — Theorem 1 rounds vs n (geometric, delta = n^0.75)",
         headers=[
@@ -192,18 +213,15 @@ def run_t1_scaling(quick: bool = True) -> list[Table]:
         ],
     )
     points = []
-    for index, n in enumerate(ns):
-        graph = random_geometric_dense_graph(n, _delta_for(n), _rng(f"t1s:{index}"))
-        records = repeat_trials(graph, "theorem1", range(trials), constants=constants)
-        trivial = repeat_trials(graph, "trivial", range(trials))
-        assert all(r.met for r in records + trivial)
-        summary = summarize([r.rounds for r in records])
+    for n in ns:
+        graph = build_graph("geometric", n, _RULE)
+        summary = groups["geometric", n, _RULE, "theorem1"].summary()
         bound = bounds.theorem1_bound(graph.n, graph.min_degree, graph.max_degree)
         points.append((n, summary.median))
         table.add_row(
             n, graph.min_degree, graph.max_degree, summary.median, summary.mean,
             bound, summary.median / bound,
-            summarize([r.rounds for r in trivial]).median,
+            groups["geometric", n, _RULE, "trivial"].summary().median,
         )
     fit = fit_power_law([x for x, _ in points], [y for _, y in points])
     table.add_note(
@@ -224,10 +242,11 @@ def run_t1_delta(quick: bool = True) -> list[Table]:
     Δ) is preset-independent.
     """
     n = 1600 if quick else 3200
-    exponents = (0.55, 0.65, 0.75, 0.85, 0.93)
-    deltas = [max(8, round(n ** e)) for e in exponents] + [n // 2]
-    trials = 3 if quick else 5
-    constants = Constants.aggressive()
+    rules = tuple(f"n^{e}" for e in (0.55, 0.65, 0.75, 0.85, 0.93)) + (str(n // 2),)
+    groups = _met_groups(SweepSpec(
+        name="t1-delta", ns=(n,), deltas=rules, algorithms=("theorem1", "trivial"),
+        seeds=tuple(range(3 if quick else 5)), preset="aggressive",
+    ))
     table = Table(
         title=f"T1-DELTA — Theorem 1 rounds vs delta (n = {n}, aggressive constants)",
         headers=[
@@ -235,16 +254,13 @@ def run_t1_delta(quick: bool = True) -> list[Table]:
             "t1/trivial",
         ],
     )
-    for index, delta in enumerate(deltas):
-        graph = random_graph_with_min_degree(n, delta, _rng(f"t1d:{index}"))
-        records = repeat_trials(graph, "theorem1", range(trials), constants=constants)
-        trivial = repeat_trials(graph, "trivial", range(trials))
-        assert all(r.met for r in records + trivial)
-        t1_median = summarize([r.rounds for r in records]).median
-        tr_median = summarize([r.rounds for r in trivial]).median
+    for rule in rules:
+        graph = build_graph("er-min-degree", n, rule)
+        t1_median = groups["er-min-degree", n, rule, "theorem1"].summary().median
+        tr_median = groups["er-min-degree", n, rule, "trivial"].summary().median
         table.add_row(
-            delta, graph.min_degree, graph.max_degree, t1_median, tr_median,
-            t1_median / tr_median,
+            resolve_delta(rule, n), graph.min_degree, graph.max_degree, t1_median,
+            tr_median, t1_median / tr_median,
         )
     table.add_note(
         "paper: theorem1 beats the trivial probe once delta = omega(sqrt(n) log n) "
@@ -308,23 +324,24 @@ def run_t2_phases(quick: bool = True) -> list[Table]:
 
 def run_t2_end_to_end(quick: bool = True) -> list[Table]:
     """Full Theorem 2 algorithm (documents the early-collision effect)."""
-    ns = [400, 800] if quick else [400, 800, 1600]
-    trials = 3 if quick else 5
-    constants = Constants.tuned()
+    ns = (400, 800) if quick else (400, 800, 1600)
+    groups = _met_groups(SweepSpec(
+        name="t2-full", ns=ns, deltas=("n^0.8",), algorithms=("theorem2",),
+        seeds=tuple(range(3 if quick else 5)),
+    ))
+    constants = Constants.tuned()  # the sweep's default preset
     table = Table(
         title="T2-FULL — whiteboard-free algorithm end to end",
         headers=["n", "delta", "mean rounds", "t'", "met before barrier", "met"],
     )
-    for index, n in enumerate(ns):
-        graph = random_graph_with_min_degree(n, _delta_for(n, 0.8), _rng(f"t2f:{index}"))
-        records = repeat_trials(graph, "theorem2", range(trials), constants=constants)
+    for n in ns:
+        graph = build_graph("er-min-degree", n, "n^0.8")
+        group = groups["er-min-degree", n, "n^0.8", "theorem2"]
         t_prime = constants.sync_barrier(graph.id_space, graph.min_degree)
-        met = [r for r in records if r.met]
-        early = sum(1 for r in met if r.rounds < t_prime)
+        early = sum(1 for rounds in group.rounds if rounds < t_prime)
         table.add_row(
-            n, graph.min_degree,
-            summarize([r.rounds for r in met]).mean if met else float("nan"),
-            t_prime, f"{early}/{len(met)}", f"{len(met)}/{trials}",
+            n, graph.min_degree, group.summary().mean, t_prime,
+            f"{early}/{group.met}", f"{group.met}/{group.total}",
         )
     table.add_note(
         "agent b waits at v0_b (adjacent to a's start) until the barrier, so "
@@ -354,7 +371,8 @@ def run_construct(quick: bool = True) -> list[Table]:
             for seed in range(trials)
         ]
         outcomes = [p.outcome for p in runs]
-        assert all(o is not None and o.completed for o in outcomes)
+        if not all(o is not None and o.completed for o in outcomes):
+            raise ReproError(f"CONSTRUCT: a solo Construct run did not finish at n={n}")
         rounds = [o.end_round - o.start_round for o in outcomes]
         bound = bounds.theorem1_construct_bound(n, delta)
         table.add_row(
@@ -453,7 +471,8 @@ def run_main_rendezvous(quick: bool = True) -> list[Table]:
                 max_rounds=4_000_000,
             )
             result = scheduler.run()
-            assert result.met
+            if not result.met:
+                raise ReproError(f"MAIN-RDV: seed {seed} did not meet at n={n}")
             rounds.append(result.rounds)
         bound = bounds.theorem1_meeting_bound(n, graph.min_degree, graph.max_degree)
         table.add_row(
@@ -474,16 +493,15 @@ def run_estimation(quick: bool = True) -> list[Table]:
     )
     for index, n in enumerate(ns):
         graph = random_graph_with_min_degree(n, _delta_for(n), _rng(f"est:{index}"))
-        known = repeat_trials(graph, "theorem1", range(trials), constants=constants)
-        estimated = repeat_trials(
+        known = run_trials(graph, "theorem1", range(trials), constants=constants)
+        estimated = run_trials(
             graph, "theorem1", range(trials), constants=constants, delta="estimate"
         )
-        assert all(r.met for r in known + estimated)
+        if not all(r.met for r in known + estimated):
+            raise ReproError(f"ESTIMATION: a theorem1 trial did not meet at n={n}")
         known_mean = summarize([r.rounds for r in known]).mean
         est_mean = summarize([r.rounds for r in estimated]).mean
-        restarts = max(
-            r.reports["a"].get("estimation_restarts", 0) for r in estimated
-        )
+        restarts = max(r.reports["a"].get("estimation_restarts", 0) for r in estimated)
         table.add_row(n, graph.min_degree, known_mean, est_mean,
                       est_mean / known_mean, restarts)
     return [table]
@@ -502,14 +520,13 @@ def run_lb_mindeg(quick: bool = True) -> list[Table]:
     )
     for index, n in enumerate(ns):
         graph, j, k = double_star(n)
-        trivial = repeat_trials(
-            graph, "trivial", range(trials), start_a=j, start_b=k
-        )
-        walks = repeat_trials(
+        trivial = run_trials(graph, "trivial", range(trials), start_a=j, start_b=k)
+        walks = run_trials(
             graph, "random-walk", range(trials), start_a=j, start_b=k,
             max_rounds=400 * n,
         )
-        assert all(r.met for r in trivial)
+        if not all(r.met for r in trivial):
+            raise ReproError(f"LB-MINDEG: a trivial trial did not meet at n={n}")
         t_mean = summarize([r.rounds for r in trivial]).mean
         w_rounds = [r.rounds for r in walks]  # censored at budget on failure
         w_mean = summarize(w_rounds).mean
@@ -531,16 +548,12 @@ def run_lb_kt0(quick: bool = True) -> list[Table]:
     )
     for index, n in enumerate(ns):
         graph, labeling, v_a, v_b = swapped_edge_cliques(n, _rng(f"kt0:{index}"))
-        rounds = []
-        met = 0
-        for seed in range(trials):
-            record = run_trial(
-                graph, "random-walk", seed, start_a=v_a, start_b=v_b,
-                max_rounds=800 * n, port_model=PortModel.KT0, labeling=labeling,
-            )
-            met += record.met
-            rounds.append(record.rounds)
-        mean = summarize(rounds).mean
+        walks = run_trials(
+            graph, "random-walk", range(trials), start_a=v_a, start_b=v_b,
+            max_rounds=800 * n, port_model=PortModel.KT0, labeling=labeling,
+        )
+        met = sum(r.met for r in walks)
+        mean = summarize([r.rounds for r in walks]).mean
         table.add_row(n, graph.min_degree, f"{met}/{trials}", mean, mean / n)
     table.add_note(
         "the crafted ports make the cross edges indistinguishable from clique "
@@ -561,21 +574,14 @@ def run_lb_dist2(quick: bool = True) -> list[Table]:
     )
     for index, n in enumerate(ns):
         graph, c_a, c_b = cliques_sharing_vertex(n)
-        trivial_met = 0
-        for seed in range(trials):
-            record = run_trial(
-                graph, "trivial", seed, start_a=c_a, start_b=c_b,
-                check_instance=False,
-            )
-            trivial_met += record.met
-        walk_rounds = []
-        for seed in range(trials):
-            record = run_trial(
-                graph, "random-walk", seed, start_a=c_a, start_b=c_b,
-                max_rounds=400 * n, check_instance=False,
-            )
-            walk_rounds.append(record.rounds)
-        mean = summarize(walk_rounds).mean
+        trivial_met = sum(r.met for r in run_trials(
+            graph, "trivial", range(trials), start_a=c_a, start_b=c_b, check_instance=False,
+        ))
+        walks = run_trials(
+            graph, "random-walk", range(trials), start_a=c_a, start_b=c_b,
+            max_rounds=400 * n, check_instance=False,
+        )
+        mean = summarize([r.rounds for r in walks]).mean
         table.add_row(n, graph.min_degree, f"{trivial_met}/{trials}", mean, mean / n)
     table.add_note(
         "the trivial probe relies on the adjacency contract and fails outright at "
@@ -631,8 +637,16 @@ def run_lb_deterministic(quick: bool = True) -> list[Table]:
 
 def run_complete_aw(quick: bool = True) -> list[Table]:
     """Anderson-Weber [6] on complete graphs, vs our generalization."""
-    ns = [256, 576, 1024, 1600] if quick else [256, 1024, 2304, 4096]
+    ns = (256, 576, 1024, 1600) if quick else (256, 1024, 2304, 4096)
     trials = 5 if quick else 10
+    groups = _met_groups(SweepSpec(
+        name="complete-aw", families=("complete",), ns=ns,
+        algorithms=("anderson-weber", "trivial"), seeds=tuple(range(trials)),
+    ))
+    groups.update(_met_groups(SweepSpec(
+        name="complete-aw-theorem1", families=("complete",), ns=ns,
+        algorithms=("theorem1",), seeds=tuple(range(2 if quick else trials)),
+    )))
     table = Table(
         title="COMPLETE-AW — complete graphs: [6]'s O(sqrt n) vs theorem1 vs trivial",
         headers=[
@@ -640,18 +654,13 @@ def run_complete_aw(quick: bool = True) -> list[Table]:
         ],
     )
     aw_points = []
-    for index, n in enumerate(ns):
-        graph = complete_graph(n)
-        aw = repeat_trials(graph, "anderson-weber", range(trials))
-        t1 = repeat_trials(graph, "theorem1", range(2 if quick else trials))
-        trivial = repeat_trials(graph, "trivial", range(trials))
-        assert all(r.met for r in aw + t1 + trivial)
-        aw_mean = summarize([r.rounds for r in aw]).mean
+    for n in ns:
+        aw_mean = groups["complete", n, _RULE, "anderson-weber"].summary().mean
         aw_points.append((n, aw_mean))
         table.add_row(
             n, aw_mean, aw_mean / math.sqrt(n),
-            summarize([r.rounds for r in t1]).mean,
-            summarize([r.rounds for r in trivial]).mean,
+            groups["complete", n, _RULE, "theorem1"].summary().mean,
+            groups["complete", n, _RULE, "trivial"].summary().mean,
         )
     fit = fit_power_law([x for x, _ in aw_points], [y for _, y in aw_points])
     table.add_note(
@@ -664,27 +673,30 @@ def run_complete_aw(quick: bool = True) -> list[Table]:
 def run_shootout(quick: bool = True) -> list[Table]:
     """Who wins where: paper algorithms vs baselines across families."""
     n = 800
-    trials = 3 if quick else 5
-    rng_tag = "shoot"
-    families: list[tuple[str, StaticGraph]] = [
-        ("er-dense", random_graph_with_min_degree(n, _delta_for(n), _rng(f"{rng_tag}:0"))),
-        ("geometric", random_geometric_dense_graph(n, _delta_for(n), _rng(f"{rng_tag}:1"))),
-        ("powerlaw", powerlaw_graph_with_floor(n, _delta_for(n, 0.62), _rng(f"{rng_tag}:2"))),
-        ("regular", random_regular_graph(n, _delta_for(n), _rng(f"{rng_tag}:3"))),
-        ("complete", complete_graph(n)),
-    ]
-    algorithms = ["theorem1", "trivial", "explore", "random-walk"]
+    rows = (
+        ("er-min-degree", _RULE), ("geometric", _RULE), ("powerlaw", "n^0.62"),
+        ("regular", _RULE), ("complete", _RULE),
+    )
+    algorithms = ("theorem1", "trivial", "explore", "random-walk")
+    seeds = tuple(range(3 if quick else 5))
+    groups = _met_groups(SweepSpec(
+        name="shootout", families=tuple(f for f, rule in rows if rule == _RULE),
+        ns=(n,), algorithms=algorithms, seeds=seeds,
+    ))
+    groups.update(_met_groups(SweepSpec(
+        name="shootout-powerlaw", families=("powerlaw",), ns=(n,),
+        deltas=("n^0.62",), algorithms=algorithms, seeds=seeds,
+    )))
     table = Table(
         title=f"SHOOTOUT — mean rounds by family and algorithm (n = {n})",
         headers=["family", "delta", "Delta", *algorithms],
     )
-    for name, graph in families:
-        row: list = [name, graph.min_degree, graph.max_degree]
-        for algorithm in algorithms:
-            records = repeat_trials(graph, algorithm, range(trials))
-            rounds = [r.rounds for r in records if r.met]
-            row.append(summarize(rounds).mean if rounds else float("nan"))
-        table.add_row(*row)
+    for family, rule in rows:
+        graph = build_graph(family, n, rule)
+        table.add_row(
+            family, graph.min_degree, graph.max_degree,
+            *(groups[family, n, rule, a].summary().mean for a in algorithms),
+        )
     table.add_note("at n = 800 with safe constants the trivial probe dominates — "
                    "consistent with the paper: sublinearity is asymptotic, kicking in "
                    "past delta = omega(sqrt(n) log n) with the hidden constants of "
@@ -846,12 +858,12 @@ def run_oracles(quick: bool = True) -> list[Table]:
             map_rounds, dist_rounds = [], []
             for seed in range(trials):
                 map_result = run_with_map_oracle(graph, start_a, partner, seed)
-                assert map_result.met
-                map_rounds.append(map_result.rounds)
                 dist_result = run_with_distance_oracle(graph, start_a, partner, seed)
-                assert dist_result.met
+                if not (map_result.met and dist_result.met):
+                    raise ReproError(f"ORACLES: an oracle run missed at n={n}, seed {seed}")
+                map_rounds.append(map_result.rounds)
                 dist_rounds.append(dist_result.rounds)
-            t1 = repeat_trials(
+            t1 = run_trials(
                 graph, "theorem1", range(trials), constants=constants,
                 start_a=start_a, start_b=partner, check_instance=False,
                 max_rounds=4_000_000,
@@ -930,8 +942,7 @@ def run_ext_distance_two(quick: bool = True) -> list[Table]:
         start_b = next(
             v for v in graph.vertices if graph.distance(start_a, v) == 2
         )
-        multihop_rounds, multihop_met = [], 0
-        theorem1_rounds, theorem1_met = [], 0
+        multihop_rounds = []
         budget = 4_000_000
         for seed in range(trials):
             prog_a, prog_b = multihop_programs(graph.min_degree, constants)
@@ -940,21 +951,18 @@ def run_ext_distance_two(quick: bool = True) -> list[Table]:
                 max_rounds=budget,
             ).run()
             if result.met:
-                multihop_met += 1
                 multihop_rounds.append(result.rounds)
-            record = run_trial(
-                graph, "theorem1", seed, constants=constants,
-                start_a=start_a, start_b=start_b, check_instance=False,
-                max_rounds=budget,
-            )
-            if record.met:
-                theorem1_met += 1
-                theorem1_rounds.append(record.rounds)
+        theorem1 = run_trials(
+            graph, "theorem1", range(trials), constants=constants,
+            start_a=start_a, start_b=start_b, check_instance=False,
+            max_rounds=budget,
+        )
+        theorem1_rounds = [r.rounds for r in theorem1 if r.met]
         table.add_row(
             n, graph.min_degree,
-            f"{multihop_met}/{trials}",
+            f"{len(multihop_rounds)}/{trials}",
             summarize(multihop_rounds).mean if multihop_rounds else float("nan"),
-            f"{theorem1_met}/{trials}",
+            f"{len(theorem1_rounds)}/{trials}",
             summarize(theorem1_rounds).mean if theorem1_rounds else float("nan"),
         )
     table.add_note("Theorem 5 forbids worst-case guarantees at distance 2; this "
@@ -992,6 +1000,25 @@ def run_parallel_sweep(quick: bool = True) -> list[Table]:
     return [table]
 
 
+def _outcomes(
+    graph: StaticGraph, algorithm: str, scenario: str, trials: int, max_rounds: int
+) -> tuple[StreamSummary, int]:
+    """Seeds ``0..trials-1`` under ``scenario``: their summary and error count.
+
+    A fault or churn can end a trial in a clean ``ProtocolError``, which
+    counts as an outcome here; a batch would stop at the first one.
+    """
+    group, errors = StreamSummary(), 0
+    for seed in range(trials):
+        try:
+            group.add(run_trial(
+                graph, algorithm, seed, scenario=scenario, max_rounds=max_rounds
+            ))
+        except ProtocolError:
+            errors += 1
+    return group, errors
+
+
 def run_fault_tolerance(quick: bool = True) -> list[Table]:
     """FAULT-TOL: theorem1 meeting probability under injected faults.
 
@@ -1018,27 +1045,14 @@ def run_fault_tolerance(quick: bool = True) -> list[Table]:
         headers=["scenario", "met", "protocol errors", "mean rounds (met)",
                  "P(meet) LCB"],
     )
-    scenarios = ("none", "wb-corrupt", "wb-loss", "crash-restart", "chaos")
-    groups = {name: StreamSummary() for name in scenarios}
-    errors: dict[str, int] = {name: 0 for name in scenarios}
-    for name in scenarios:
-        for seed in range(trials):
-            try:
-                groups[name].add(run_trial(
-                    graph, "theorem1", seed, scenario=name, max_rounds=200_000
-                ))
-            except ProtocolError:
-                errors[name] += 1
-    for name in scenarios:
-        met = groups[name].met
-        summary = groups[name].summary()
-        lcb = bounds.meeting_probability_lower_bound(met, trials)
+    for name in ("none", "wb-corrupt", "wb-loss", "crash-restart", "chaos"):
+        group, errors = _outcomes(graph, "theorem1", name, trials, 200_000)
+        summary = group.summary()
+        lcb = bounds.meeting_probability_lower_bound(group.met, trials)
         mean = summary.mean if summary else float("nan")
-        table.add_row(name, f"{met}/{trials}", errors[name], mean, round(lcb, 3))
-        if name == "none" and lcb <= 0.5:  # the gate must survive -O
-            raise ReproError(
-                f"benign baseline failed its w.h.p. gate: LCB {lcb:.3f} <= 0.5"
-            )
+        table.add_row(name, f"{group.met}/{trials}", errors, mean, round(lcb, 3))
+        if name == "none" and lcb <= 0.5:
+            raise ReproError(f"benign baseline failed its w.h.p. gate: LCB {lcb:.3f}")
     table.add_note(
         "LCB = p_hat - sqrt(ln(1/0.05)/(2N)): the true meeting probability "
         "exceeds the bound with 95% confidence; the benign row must clear 1/2, "
@@ -1080,30 +1094,14 @@ def run_dynamic_churn(quick: bool = True) -> list[Table]:
         headers=["algorithm", "scenario", "met", "protocol errors",
                  "mean rounds (met)"],
     )
-    algorithms = ("random-walk", "trivial")
-    scenarios = ("none", "edge-churn", "adversarial-churn")
-    cells = [(algorithm, name) for algorithm in algorithms for name in scenarios]
-    groups = {cell: StreamSummary() for cell in cells}
-    errors: dict[tuple[str, str], int] = {cell: 0 for cell in cells}
-    for algorithm, name in cells:
-        for seed in range(trials):
-            try:
-                groups[algorithm, name].add(run_trial(
-                    graph, algorithm, seed, scenario=name, max_rounds=100 * n,
-                ))
-            except ProtocolError:
-                errors[algorithm, name] += 1
-    for algorithm, name in cells:
-        met = groups[algorithm, name].met
-        summary = groups[algorithm, name].summary()
-        mean = summary.mean if summary else float("nan")
-        table.add_row(
-            algorithm, name, f"{met}/{trials}", errors[algorithm, name], mean
-        )
-        if name == "none" and met != trials:  # the gate must survive -O
-            raise ReproError(
-                f"benign {algorithm} baseline missed {trials - met} trials"
-            )
+    for algorithm in ("random-walk", "trivial"):
+        for name in ("none", "edge-churn", "adversarial-churn"):
+            group, errors = _outcomes(graph, algorithm, name, trials, 100 * n)
+            summary = group.summary()
+            mean = summary.mean if summary else float("nan")
+            table.add_row(algorithm, name, f"{group.met}/{trials}", errors, mean)
+            if name == "none" and group.met != trials:
+                raise ReproError(f"benign {algorithm} missed {trials - group.met} trials")
     table.add_note(
         "double swaps preserve every degree, so the instance stays a valid "
         "min-degree graph throughout; adversarial churn re-anchors one swap "
@@ -1236,6 +1234,10 @@ def run_experiment(key: str, quick: bool = True, save_dir: str | None = None) ->
     """Run one registered experiment; optionally persist markdown tables."""
     spec = EXPERIMENTS[key]
     tables = spec.runner(quick)
+    # Experiments share no sweep instance.  A finished engine's reference
+    # cycles still hold its graph and plan, so only a collection frees them.
+    clear_instance_cache()
+    gc.collect()
     if save_dir is not None:
         for i, t in enumerate(tables):
             t.save_markdown(save_dir, f"{key.lower()}-{i}")

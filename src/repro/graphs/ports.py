@@ -83,10 +83,19 @@ class PortLabeling:
         offsets, indices = graph.csr_adjacency()
         if permutations is not None:
             index_of = {v: i for i, v in enumerate(graph.vertices)}
+            for v in permutations:
+                if v not in index_of:
+                    raise GraphError(f"port permutation given for non-vertex {v!r}")
             flat = array("q")
             for v in graph.vertices:
-                perm = tuple(permutations[v])
-                if sorted(perm) != list(graph.neighbors(v)):
+                if v not in permutations:
+                    raise GraphError(f"no port permutation given for vertex {v}")
+                try:
+                    perm = tuple(permutations[v])
+                    valid = sorted(perm) == list(graph.neighbors(v))
+                except TypeError:  # not iterable, or unorderable entries
+                    valid = False
+                if not valid:
                     raise GraphError(
                         f"port permutation at vertex {v} is not a permutation of N({v})"
                     )

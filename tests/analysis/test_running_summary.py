@@ -6,13 +6,13 @@ import random
 
 import pytest
 
-from repro.experiments.harness import StreamSummary, repeat_trials
+from repro.experiments.harness import StreamSummary, run_trials
 from repro.graphs.generators import complete_graph
 
 
 class TestStreamSummary:
     def records(self):
-        return repeat_trials(complete_graph(24), "trivial", range(6))
+        return run_trials(complete_graph(24), "trivial", range(6))
 
     def test_summary_matches_materialized_records(self):
         records = self.records()

@@ -131,6 +131,28 @@ class TestReportCommand:
         assert "trivial" in out
         assert "3 records in 1 group(s)" in out
 
+    @pytest.mark.parametrize("source", ["jsonl", "warehouse"])
+    def test_report_keeps_scenarios_apart(self, capsys, tmp_path, source):
+        """One row per scenario, as the sweep table prints them."""
+        export, cache = tmp_path / "records.jsonl", tmp_path / "cache"
+        assert main([
+            "sweep", "--name", "two-worlds", "--family", "er-min-degree",
+            "--n", "60", "--algorithm", "random-walk", "--scenario", "none",
+            "--scenario", "edge-churn", "--seeds", "4", "--workers", "1",
+            "--out", str(export), "--cache-dir", str(cache), "--warehouse",
+        ]) == 0
+        sweep_rows = capsys.readouterr().out.splitlines()[3:5]
+        (warehouse,) = cache.glob("*.wh")
+        assert main(["report", str(export if source == "jsonl" else warehouse)]) == 0
+        out = capsys.readouterr().out
+        assert "8 records in 2 group(s)" in out
+        report_rows = out.splitlines()[3:5]
+        # (scenario, met, mean, median): sweep columns 5-8, report columns 4-7.
+        assert [row.split()[4:] for row in report_rows] == [
+            row.split()[5:] for row in sweep_rows
+        ]
+        assert [row.split()[4] for row in report_rows] == ["none", "edge-churn"]
+
     def test_report_missing_file(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "absent.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err

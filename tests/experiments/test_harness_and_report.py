@@ -8,8 +8,8 @@ from repro.errors import GraphError
 from repro.experiments.harness import (
     TrialRecord,
     aggregate_rounds,
-    repeat_trials,
     run_trial,
+    run_trials,
 )
 from repro.experiments.report import Table
 from repro.graphs.generators import complete_graph, path_graph
@@ -39,15 +39,15 @@ class TestRunTrial:
         )
         assert record.met
 
-    def test_repeat_trials(self):
+    def test_run_trials(self):
         g = complete_graph(16)
-        records = repeat_trials(g, "trivial", range(4))
+        records = run_trials(g, "trivial", range(4))
         assert len(records) == 4
         assert {r.seed for r in records} == {0, 1, 2, 3}
 
     def test_aggregate_rounds(self):
         g = complete_graph(16)
-        records = repeat_trials(g, "trivial", range(4))
+        records = run_trials(g, "trivial", range(4))
         summary = aggregate_rounds(records)
         assert summary.count == 4
         assert summary.mean > 0

@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.analysis.stats import summarize
 from repro.errors import GenerationError, ReproError
-from repro.experiments.harness import aggregate_rounds, repeat_trials, run_trial
+from repro.experiments.harness import aggregate_rounds, run_trial, run_trials
 from repro.experiments.parallel import (
     CONSTANTS_PRESETS,
     GRAPH_FAMILIES,
@@ -224,11 +224,11 @@ class TestRunSweepDeterminism:
         assert fanned.records == serial.records
         assert fanned.workers == 4
 
-    def test_matches_serial_repeat_trials(self):
+    def test_matches_serial_run_trials(self):
         spec = small_spec(families=("er-min-degree",))
         result = run_sweep(spec, workers=2)
         graph = build_graph("er-min-degree", 48, "n^0.75")
-        serial = repeat_trials(graph, "trivial", range(4))
+        serial = run_trials(graph, "trivial", range(4))
         assert list(result.records) == serial
 
     def test_merged_summary_equals_serial_path(self):
@@ -240,7 +240,7 @@ class TestRunSweepDeterminism:
             groups.setdefault(key, []).append(record)
         for (family, n, delta_spec, algorithm), records in groups.items():
             graph = build_graph(family, n, delta_spec)
-            serial = repeat_trials(graph, algorithm, spec.seeds)
+            serial = run_trials(graph, algorithm, spec.seeds)
             assert aggregate_rounds(records) == aggregate_rounds(serial)
 
     def test_pooled_note_summarizes_every_met_trial(self):

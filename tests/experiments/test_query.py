@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.errors import WarehouseError
-from repro.experiments.harness import StreamSummary, TrialRecord, repeat_trials
+from repro.experiments.harness import StreamSummary, TrialRecord, run_trials
 from repro.experiments.query import scan
 from repro.experiments.results_io import write_records_jsonl
 from repro.experiments.warehouse import (
@@ -32,7 +32,7 @@ def mixed_records():
     for graph in graphs:
         for algorithm in ("trivial", "random-walk"):
             records.extend(
-                repeat_trials(graph, algorithm, range(3), max_rounds=60)
+                run_trials(graph, algorithm, range(3), max_rounds=60)
             )
     return records
 
@@ -120,6 +120,17 @@ class TestFusedKernel:
         oracle = record_fold(records)
         assert digest(groups) == digest(oracle)
         assert list(groups) == list(oracle)
+
+    def test_one_value_column_still_checks_its_codes(self, tmp_path):
+        """A column whose table lists one value skips run detection, but a
+        code past that table is still a corrupt warehouse."""
+        records = [synthetic("a", 10, seed, True, 50) for seed in range(4)]
+        path = write_records_warehouse(records, tmp_path / "wh")
+        assert len(scan(path).group_by("algorithm", "scenario").collect()) == 1
+        segment = next(path.glob("algorithm.*"))
+        segment.write_bytes(b"\x00\x00\x01\x00")
+        with pytest.raises(WarehouseError, match="algorithm code 1"):
+            scan(path).group_by("algorithm", "scenario").collect()
 
     def test_zero_row_warehouse(self, tmp_path):
         path = write_records_warehouse([], tmp_path / "wh")

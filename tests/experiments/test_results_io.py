@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.core.api import ALGORITHMS
 from repro.experiments.harness import (
     TrialRecord,
-    repeat_trials,
     run_trial,
     run_trials,
 )
@@ -39,7 +38,7 @@ from repro.graphs.ports import PortLabeling, PortModel
 
 
 def sample_records():
-    return repeat_trials(complete_graph(20), "trivial", range(3))
+    return run_trials(complete_graph(20), "trivial", range(3))
 
 
 class TestJsonl:

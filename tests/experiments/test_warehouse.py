@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.errors import WarehouseError
-from repro.experiments.harness import TrialRecord, repeat_trials, run_trial
+from repro.experiments.harness import TrialRecord, run_trial, run_trials
 from repro.experiments.query import scan
 from repro.experiments.results_io import record_to_jsonable
 from repro.experiments.warehouse import (
@@ -23,7 +23,7 @@ from repro.graphs.generators import complete_graph, random_graph_with_min_degree
 
 
 def sample_records():
-    return repeat_trials(complete_graph(20), "trivial", range(4))
+    return run_trials(complete_graph(20), "trivial", range(4))
 
 
 def scenario_records():

@@ -9,9 +9,16 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.core.dense import is_dense_set
+from repro.errors import ReproError
+from repro.experiments import parallel
+from repro.experiments.parallel import SweepSpec
 from repro.experiments.workloads import (
     EXPERIMENTS,
+    _met_groups,
+    run_experiment,
     run_theorem2_oracle,
     two_hop_oracle,
 )
@@ -83,3 +90,26 @@ class TestOracleTheorem2:
         start_a, start_b = edges[0]
         result = run_theorem2_oracle(g, start_a, start_b, 0, constants)
         assert result.met
+
+
+class TestSweepClaims:
+    """The grid experiments read their tables off ``run_sweep`` groups."""
+
+    def _spec(self, **axes):
+        return SweepSpec(
+            name="claim", families=("complete",), ns=(16,),
+            algorithms=("trivial",), seeds=(0, 1), **axes,
+        )
+
+    def test_groups_keyed_by_instance_and_algorithm(self):
+        groups = _met_groups(self._spec())
+        assert list(groups) == [("complete", 16, "n^0.75", "trivial")]
+        assert groups["complete", 16, "n^0.75", "trivial"].met == 2
+
+    def test_a_missed_meeting_is_an_error(self):
+        with pytest.raises(ReproError, match="trivial met in only 0/2 trials"):
+            _met_groups(self._spec(max_rounds=0))
+
+    def test_run_experiment_drops_the_instance_memo(self):
+        run_experiment("T2-FULL")
+        assert parallel._instance_for.cache_info().currsize == 0

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import GraphError, ProtocolError
 from repro.graphs.generators import complete_graph, cycle_graph
+from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortLabeling, PortModel
 
 
@@ -44,6 +45,16 @@ class TestHiddenLabeling:
         perms = {v: g.neighbors(v) for v in g.vertices}
         perms[0] = (1, 1)
         with pytest.raises(GraphError):
+            PortLabeling(g, permutations=perms)
+
+    @pytest.mark.parametrize("perms, vertex", [
+        ({0: (1, 2)}, "for vertex 1$"),
+        ({0: 5, 1: (0, 2), 2: (0, 1)}, "at vertex 0 "),
+        ({0: (1, 2), 1: (0, 2), 2: (0, 1), 9: (1,)}, "non-vertex 9$"),
+    ], ids=["missing-vertex", "not-a-sequence", "unknown-vertex"])
+    def test_malformed_permutation_map_rejected(self, perms, vertex):
+        g = StaticGraph({0: [1, 2], 1: [0, 2], 2: [0, 1]})
+        with pytest.raises(GraphError, match=vertex):
             PortLabeling(g, permutations=perms)
 
     def test_out_of_range_port(self):

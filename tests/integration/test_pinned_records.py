@@ -18,7 +18,9 @@ The lower-bound experiments and the structured families build their
 graphs through the mapping constructor, and LB-KT0 adds an explicit
 KT0 port labeling, so their records are pinned too
 (``HAND_BUILT_DIGESTS``): they cover the construction path and the
-start draw the generator instances never take.
+start draw the generator instances never take.  Each of those digests
+is checked twice, once over per-seed ``run_trial`` calls and once over
+the single ``run_trials`` call the lower-bound experiments make.
 """
 
 from __future__ import annotations
@@ -171,22 +173,17 @@ def crash_restart_digest(n: int, algorithm: str) -> str:
     return digest.hexdigest()
 
 
-def hand_built_records(name: str) -> list:
-    """The 24 seeds' records of one hand-built instance, run as the
-    lower-bound experiments run them: one ``run_trial`` per seed."""
+def hand_built_instance(name: str) -> tuple:
+    """One hand-built instance: its graph, algorithm and trial keywords."""
     if name == "torus-theorem1":  # seeded starts on a mapping-built graph
-        graph = torus_grid_graph(8, 8)
-        return [run_trial(graph, "theorem1", seed) for seed in SEEDS]
+        return torus_grid_graph(8, 8), "theorem1", {}
     if name == "lb-kt0-walk":  # explicit KT0 ports
         n = 64
         graph, labeling, v_a, v_b = swapped_edge_cliques(n, random.Random("pin:kt0"))
-        return [
-            run_trial(
-                graph, "random-walk", seed, start_a=v_a, start_b=v_b,
-                max_rounds=800 * n, port_model=PortModel.KT0, labeling=labeling,
-            )
-            for seed in SEEDS
-        ]
+        return graph, "random-walk", {
+            "start_a": v_a, "start_b": v_b, "max_rounds": 800 * n,
+            "port_model": PortModel.KT0, "labeling": labeling,
+        }
     if name.startswith("lb-dist2-"):  # starts at distance two
         n = 65
         graph, start_a, start_b = cliques_sharing_vertex(n)
@@ -195,15 +192,21 @@ def hand_built_records(name: str) -> list:
         n = 64
         graph, start_a, start_b = double_star(n)
         kwargs = {}
+    kwargs.update(start_a=start_a, start_b=start_b)
     if name.endswith("-walk"):
-        algorithm = "random-walk"
         kwargs["max_rounds"] = 400 * n
-    else:
-        algorithm = "trivial"
-    return [
-        run_trial(graph, algorithm, seed, start_a=start_a, start_b=start_b, **kwargs)
-        for seed in SEEDS
-    ]
+        return graph, "random-walk", kwargs
+    return graph, "trivial", kwargs
+
+
+def hand_built_records(name: str, batched: bool = False) -> list:
+    """The 24 seeds' records of one hand-built instance: one ``run_trial``
+    per seed, or one batched ``run_trials`` call as the lower-bound
+    experiments make it."""
+    graph, algorithm, kwargs = hand_built_instance(name)
+    if batched:
+        return run_trials(graph, algorithm, SEEDS, **kwargs)
+    return [run_trial(graph, algorithm, seed, **kwargs) for seed in SEEDS]
 
 
 @pytest.mark.parametrize("key", list(GRID_DIGESTS), ids=str)
@@ -225,5 +228,14 @@ def test_crash_restart_errors_are_pinned(n, algorithm, seed, text):
 def test_hand_built_records_are_pinned(name):
     digest = hashlib.sha256()
     for record in hand_built_records(name):
+        digest.update(_line(record))
+    assert digest.hexdigest() == HAND_BUILT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT_DIGESTS))
+def test_hand_built_batched_records_are_pinned(name):
+    """The batch (lockstep for the KT0 walk) gives the per-seed records."""
+    digest = hashlib.sha256()
+    for record in hand_built_records(name, batched=True):
         digest.update(_line(record))
     assert digest.hexdigest() == HAND_BUILT_DIGESTS[name]

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.experiments import harness, parallel
-from repro.experiments.harness import repeat_trials, run_trial, run_trials
+from repro.experiments.harness import run_trial, run_trials
 from repro.experiments.parallel import (
     SweepSpec,
     _ChunkTask,
@@ -161,9 +161,4 @@ class TestEntryPointRouting:
         )
         indices, records = _execute_chunk_task(task)
         assert indices == (0, 1) and len(records) == 2
-        assert lockstep_spy.calls == 1
-
-    def test_repeat_trials(self, graph, lockstep_spy, no_per_trial_runs):
-        records = repeat_trials(graph, "random-walk", [0, 1], max_rounds=400)
-        assert [record.seed for record in records] == [0, 1]
         assert lockstep_spy.calls == 1

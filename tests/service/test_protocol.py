@@ -18,7 +18,7 @@ import zlib
 import pytest
 
 from repro.errors import ReproError, ServiceError, WireError
-from repro.experiments.harness import repeat_trials
+from repro.experiments.harness import run_trials
 from repro.graphs.generators import complete_graph
 from repro.service.protocol import (
     MAGIC,
@@ -52,7 +52,7 @@ def pair():
 
 
 def sample_records():
-    return repeat_trials(complete_graph(16), "trivial", range(2))
+    return run_trials(complete_graph(16), "trivial", range(2))
 
 
 class TestFraming:
