@@ -50,8 +50,6 @@ Commands
     (:mod:`repro.service.chaos`) between real broker and worker
     processes — delays, truncation, corruption, blackholes, and
     healing partitions, all replayable from a seeded JSON schedule.
-    ``serve --fault-schedule`` instead faults the broker's own
-    accepted sockets in-process.
 
 Run ``python -m repro --help`` (or ``<command> --help``) for the full
 option reference; ``docs/cli.md`` documents every subcommand with
@@ -287,22 +285,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     per_host = _worker_count("serve", "--workers-per-host", args.workers_per_host)
     if per_host is None:
         return 2
-    schedule = None
-    if args.fault_schedule:
-        from repro.service.chaos import FaultSchedule
-
-        try:
-            schedule = FaultSchedule.from_file(args.fault_schedule)
-        except (OSError, ReproError) as error:
-            print(f"serve: bad fault schedule: {error}", file=sys.stderr)
-            return 2
     try:
         broker = Broker(
             args.cache_dir,
             host=args.host,
             port=args.port,
             warehouse=args.warehouse,
-            fault_schedule=schedule,
             **tuning,
         )
     except ReproError as error:
@@ -322,12 +310,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             + ")",
             file=sys.stderr,
         )
-        if schedule is not None:
-            print(
-                f"[broker] fault schedule armed: {len(schedule.rules)} "
-                f"rule(s), seed {schedule.seed}",
-                file=sys.stderr,
-            )
         for index in range(args.local_workers):
             # Worker hosts must NOT be daemons: with --workers-per-host
             # above 1 each host runs its own fabric pool, and daemonic
@@ -645,12 +627,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workers-per-host", type=int, default=1,
         help="fabric width inside each local worker host; 0 = one per "
              "core (default 1)",
-    )
-    serve_parser.add_argument(
-        "--fault-schedule", default=None, metavar="FILE",
-        help="arm a seeded chaos schedule (JSON) against every accepted "
-             "connection — deterministic fault injection for soak tests; "
-             "see docs/performance.md 'Fault model and chaos testing'",
     )
 
     work_parser = sub.add_parser(

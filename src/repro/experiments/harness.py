@@ -287,46 +287,56 @@ def run_trials(
 
     engine: Engine | None = None
     records: list[TrialRecord] = []
-    for seed in seed_list:
-        spec, program_a, program_b, sa, sb, budget = prepare_rendezvous(
-            graph,
-            algorithm,
-            start_a=start_a,
-            start_b=start_b,
-            seed=seed,
-            delta=delta,
-            constants=constants,
-            max_rounds=max_rounds,
-        )
-        if engine is None:
-            scheduler = SyncScheduler(
+    try:
+        for seed in seed_list:
+            spec, program_a, program_b, sa, sb, budget = prepare_rendezvous(
                 graph,
-                program_a,
-                program_b,
-                sa,
-                sb,
+                algorithm,
+                start_a=start_a,
+                start_b=start_b,
                 seed=seed,
-                port_model=port_model,
-                labeling=labeling,
-                whiteboards=spec.uses_whiteboards,
-                max_rounds=budget,
-                plan=plan,
-                scenario=active,
+                delta=delta,
+                constants=constants,
+                max_rounds=max_rounds,
             )
-            engine = scheduler.engine
-            result = scheduler.run()
-        else:
-            if sa == sb:  # SyncScheduler's pair invariant, re-checked per seed
-                raise SchedulerError("agents must start at two different vertices")
-            engine.reset(
-                (program_a, program_b), (sa, sb), seed=seed, max_rounds=budget
+            if engine is None:
+                scheduler = SyncScheduler(
+                    graph,
+                    program_a,
+                    program_b,
+                    sa,
+                    sb,
+                    seed=seed,
+                    port_model=port_model,
+                    labeling=labeling,
+                    whiteboards=spec.uses_whiteboards,
+                    max_rounds=budget,
+                    plan=plan,
+                    scenario=active,
+                )
+                engine = scheduler.engine
+                result = scheduler.run()
+            else:
+                if sa == sb:  # SyncScheduler's pair invariant, re-checked per seed
+                    raise SchedulerError("agents must start at two different vertices")
+                engine.reset(
+                    (program_a, program_b), (sa, sb), seed=seed, max_rounds=budget
+                )
+                result = engine.run_pair()
+            if active is None:
+                verify_result(graph, result, start_a=start_a, start_b=start_b)
+            records.append(
+                _trial_record(graph, algorithm, seed, result, scenario=record_scenario)
             )
-            result = engine.run_pair()
-        if active is None:
-            verify_result(graph, result, start_a=start_a, start_b=start_b)
-        records.append(
-            _trial_record(graph, algorithm, seed, result, scenario=record_scenario)
-        )
+    finally:
+        if engine is not None:
+            # Each view holds its engine and slot, and each slot holds
+            # the context and generator that hold the view.  Breaking
+            # that cycle lets reference counting free the engine, and
+            # with it the plan and graph, without a collection.
+            for slot in engine.drivers:
+                slot.gen = None
+                slot.ctx = None
     return records
 
 

@@ -322,22 +322,12 @@ class StaticGraph:
         """The full adjacency table ``{v: N(v)}``, sorted per vertex.
 
         This is the graph's internal table, returned without copying so
-        the runtime engine can bind it once per execution instead of
-        resolving neighborhoods round by round — treat it as
-        **read-only**; mutating it corrupts the graph.  On graphs built
-        by :meth:`from_csr` the table materializes on first access and
-        is cached.
+        execution plans share its tuples as their ``nbr_ids`` rows —
+        treat it as **read-only**; mutating it corrupts the graph.  On
+        graphs built by :meth:`from_csr` the table materializes on first
+        access and is cached.
         """
         return self._adjacency()
-
-    @property
-    def neighbor_set_map(self) -> Mapping[VertexId, frozenset[VertexId]]:
-        """The membership table ``{v: frozenset(N(v))}`` (read-only).
-
-        Companion of :attr:`neighbor_map` for O(1) edge tests in the
-        runtime engine's movement resolution.
-        """
-        return self._membership()
 
     def degree(self, vertex: VertexId) -> int:
         """Degree of ``vertex``."""

@@ -18,10 +18,10 @@ What makes it fast — without changing one observable bit:
   :class:`~repro.runtime.plan.ExecutionPlan`: the graph and port
   labeling compiled once into CSR arrays over dense vertex indices
   ``0..n-1``.  Agent positions are dense indices throughout the loop;
-  a KT1 move is one per-vertex dict lookup (public target identifier →
-  dense index), a KT0 move one list index and one tuple index.  Public
-  identifiers reappear only at the observation boundary (views,
-  whiteboard keys, traces, results), so every
+  a KT1 move is one membership test in the mover's ``N⁺`` row plus
+  one ``index_of`` lookup, a KT0 move one list index and one tuple
+  index.  Public identifiers reappear only at the observation boundary
+  (views, whiteboard keys, traces, results), so every
   :class:`ExecutionResult` is byte-identical to the seed schedulers'.
   Passing a pre-compiled ``plan`` removes *all* per-execution table
   building — the basis of the batched trial executor
@@ -222,6 +222,18 @@ class AgentSlot:
         return self._ids[self.index]
 
 
+def _rows(engine: "Engine") -> Any:
+    """Where ``engine`` reads per-vertex rows: the churn overlay, else the plan.
+
+    Both carry ``nbr_ids`` and ``closed_sets`` (``None`` under KT0)
+    and ``kt0_rows`` (``None`` under KT1).
+    """
+    scenario = engine.scenario
+    if scenario is not None and scenario.overlay is not None:
+        return scenario.overlay
+    return engine.plan
+
+
 class EngineView(AgentView):
     """A plan-backed :class:`AgentView` bound to an :class:`Engine`.
 
@@ -231,28 +243,22 @@ class EngineView(AgentView):
     identifiers, disabled whiteboards raise) are enforced identically.
     """
 
-    __slots__ = ("_kt1", "_plan", "_ids", "_nbr_ids", "_degrees", "_kt0_ports", "_wb", "_closed_of")
+    __slots__ = ("_kt1", "_ids", "_nbr_ids", "_degrees", "_kt0_ports", "_wb", "_closed_sets")
 
     def __init__(self, engine: "Engine", slot: AgentSlot) -> None:
         super().__init__(engine, slot)
         plan = engine.plan
         self._kt1 = engine.port_model is PortModel.KT1
-        self._plan = plan
         self._ids = plan.ids
         self._degrees = plan.degrees
         self._kt0_ports = plan.kt0_ports
         self._wb = engine.whiteboards
-        scenario = engine.scenario
-        overlay = scenario.overlay if scenario is not None else None
-        if overlay is not None:
-            # Churn scenario: neighbor rows and closed neighborhoods
-            # resolve through the copy-on-write overlay, never the
-            # (shared, immutable) plan.
-            self._nbr_ids = overlay.nbr_ids if overlay.nbr_ids is not None else plan.nbr_ids
-            self._closed_of = overlay.closed_set
-        else:
-            self._nbr_ids = plan.nbr_ids
-            self._closed_of = plan.closed_set
+        # Under churn, neighbor rows and closed neighborhoods resolve
+        # through the copy-on-write overlay, never the (shared,
+        # immutable) plan.
+        rows = _rows(engine)
+        self._nbr_ids = rows.nbr_ids
+        self._closed_sets = rows.closed_sets
 
     @property
     def round(self) -> int:
@@ -288,7 +294,7 @@ class EngineView(AgentView):
         """``N⁺(v)`` of the current vertex as a frozenset (KT1 only)."""
         if not self._kt1:
             raise ProtocolError("neighbor identifiers are not accessible under KT0")
-        return self._closed_of(self._driver.index)
+        return self._closed_sets[self._driver.index]
 
     @property
     def whiteboard(self) -> Any:
@@ -525,22 +531,15 @@ class Engine:
 
         _MOVE, _STAY, _WAIT, _HALT, _KEEP = Move, Stay, WaitUntil, Halt, KEEP
         kt1 = self.port_model is PortModel.KT1
-        plan = self.plan
-        ids = plan.ids
-        nbr_index = plan.nbr_index
-        kt0_rows = plan.kt0_rows
-        on_round = None
-        if scenario is not None:
-            on_round = scenario.on_round
-            overlay = scenario.overlay
-            if overlay is not None:
-                # Churn resolves moves through the overlay's rows; the
-                # overlay replaces entries inside these same outer
-                # lists, so the bindings stay current.
-                if overlay.nbr_index is not None:
-                    nbr_index = overlay.nbr_index
-                if overlay.kt0_rows is not None:
-                    kt0_rows = overlay.kt0_rows
+        ids = self.plan.ids
+        index_of = self.plan.index_of
+        # Churn resolves moves through the overlay's rows; the overlay
+        # replaces entries inside these same outer lists, so the
+        # bindings stay current.
+        rows = _rows(self)
+        closed_sets = rows.closed_sets
+        kt0_rows = rows.kt0_rows
+        on_round = scenario.on_round if scenario is not None else None
         wb_write = self.whiteboards.write
         max_rounds = self.max_rounds
         record = self._record_trace
@@ -639,15 +638,15 @@ class Engine:
                 if cls is _MOVE:
                     target = act_a.target
                     if kt1:
-                        dest = nbr_index[idx_a].get(target)
-                        if dest is not None:
-                            a.index = dest
-                            a.moves += 1
-                        elif target != ids[idx_a]:
+                        if target not in closed_sets[idx_a]:
                             raise ProtocolError(
                                 f"agent at {ids[idx_a]} tried to move to "
                                 f"non-neighbor {target}"
                             )
+                        dest = index_of[target]
+                        if dest != idx_a:  # a move onto v itself is a stay
+                            a.index = dest
+                            a.moves += 1
                     else:
                         row = kt0_rows[idx_a]
                         if 0 <= target < len(row):
@@ -672,15 +671,15 @@ class Engine:
                 if cls is _MOVE:
                     target = act_b.target
                     if kt1:
-                        dest = nbr_index[idx_b].get(target)
-                        if dest is not None:
-                            b.index = dest
-                            b.moves += 1
-                        elif target != ids[idx_b]:
+                        if target not in closed_sets[idx_b]:
                             raise ProtocolError(
                                 f"agent at {ids[idx_b]} tried to move to "
                                 f"non-neighbor {target}"
                             )
+                        dest = index_of[target]
+                        if dest != idx_b:
+                            b.index = dest
+                            b.moves += 1
                     else:
                         row = kt0_rows[idx_b]
                         if 0 <= target < len(row):
@@ -727,19 +726,12 @@ class Engine:
 
         _MOVE, _STAY, _WAIT, _HALT, _KEEP = Move, Stay, WaitUntil, Halt, KEEP
         kt1 = self.port_model is PortModel.KT1
-        plan = self.plan
-        ids = plan.ids
-        nbr_index = plan.nbr_index
-        kt0_rows = plan.kt0_rows
-        on_round = None
-        if scenario is not None:
-            on_round = scenario.on_round
-            overlay = scenario.overlay
-            if overlay is not None:
-                if overlay.nbr_index is not None:
-                    nbr_index = overlay.nbr_index
-                if overlay.kt0_rows is not None:
-                    kt0_rows = overlay.kt0_rows
+        ids = self.plan.ids
+        index_of = self.plan.index_of
+        rows = _rows(self)
+        closed_sets = rows.closed_sets
+        kt0_rows = rows.kt0_rows
+        on_round = scenario.on_round if scenario is not None else None
         wb_write = self.whiteboards.write
         max_rounds = self.max_rounds
         pair_mode = self.termination == "pair"
@@ -822,15 +814,15 @@ class Engine:
                     index = slot.index
                     target = act.target
                     if kt1:
-                        dest = nbr_index[index].get(target)
-                        if dest is not None:
-                            slot.index = dest
-                            slot.moves += 1
-                        elif target != ids[index]:
+                        if target not in closed_sets[index]:
                             raise ProtocolError(
                                 f"agent at {ids[index]} tried to move to "
                                 f"non-neighbor {target}"
                             )
+                        dest = index_of[target]
+                        if dest != index:
+                            slot.index = dest
+                            slot.moves += 1
                     else:
                         row = kt0_rows[index]
                         if 0 <= target < len(row):

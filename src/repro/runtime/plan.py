@@ -36,12 +36,18 @@ adjacency as exactly these buffers, and every
 so ``compile`` adopts the graph's CSR pair, degree array, and — for
 KT0 — the labeling's flat port table *by reference* instead of
 re-flattening anything.  The per-vertex rows the interpreter hot loop
-touches (``nbr_ids``, the graph's own neighbor tuples; ``nbr_index``
-mapping a public target identifier straight to its dense index for
-KT1 movement resolution; ``kt0_rows`` as tuples for KT0) materialize
-**lazily on first engine bind**: a parent process that only compiles
-and exports plans (the sweep fabric) never builds a single per-vertex
-Python row.
+touches materialize **lazily on first engine bind**, so a parent
+process that only compiles and exports plans (the sweep fabric) never
+builds a single per-vertex Python row:
+
+* ``nbr_ids`` — the graph's own neighbor tuples, shared, not copied;
+* ``closed_sets`` (KT1 plans; ``None`` on KT0 plans) — ``N⁺(v)`` of
+  each vertex as a frozenset of public identifiers, built once from
+  ``nbr_ids``.  It is the plan's only per-vertex membership table: a
+  KT1 move is legal iff its target is in the mover's row (the vertex
+  itself being a stay), and ``closed_neighbors`` views return the row;
+* ``kt0_rows`` / ``kt0_ports`` (KT0 plans) — each vertex's port table
+  row, and its port keys ``0 .. deg-1``, as tuples.
 
 The identifier/index translation boundary is strict: everything inside
 :class:`~repro.runtime.engine.Engine` runs on dense indices, and public
@@ -53,7 +59,7 @@ stay byte-identical to the pre-plan schedulers (the frozen oracles in
 algorithm).  ``docs/performance.md`` documents the layer, the cache
 lifetimes, and the benchmarks gating its speedups.
 
-Plans are immutable once compiled (the lazy row/view caches aside) and
+Plans are immutable once compiled (the lazy rows aside) and
 may be shared freely across engines, trials, and threads of one
 process; they are keyed by *object identity* of their graph, so always
 compile from the same :class:`StaticGraph` instance the trials run on.
@@ -82,7 +88,6 @@ from itertools import chain, count, repeat
 from operator import eq
 from typing import TYPE_CHECKING
 
-from repro._typing import VertexId
 from repro.errors import SchedulerError
 from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortLabeling, PortModel
@@ -124,12 +129,11 @@ class ExecutionPlan:
         "neighbor_indices",
         "port_targets",
         "nbr_ids",
-        "nbr_index",
+        "closed_sets",
         "kt0_rows",
         "kt0_ports",
         "walk_setup",
         "_labeling",
-        "_closed_sets",
     )
 
     def __init__(
@@ -147,16 +151,15 @@ class ExecutionPlan:
         self.n = n
         self.ids = ids
         self.index_of = {v: i for i, v in enumerate(ids)}
-        self._closed_sets: list[frozenset[VertexId] | None] = [None] * n
         # Adopt the graph's flat buffers zero-copy.  The per-vertex
-        # rows — nbr_ids, and nbr_index (KT1) or kt0_rows/kt0_ports
+        # rows — nbr_ids, and closed_sets (KT1) or kt0_rows/kt0_ports
         # (KT0) — materialize lazily in __getattr__ on first engine
         # bind, so compile-and-export pipelines never build them.
         self.neighbor_offsets, self.neighbor_indices = graph.csr_adjacency()
         self.degrees = graph.degree_array()
         if port_model is PortModel.KT0:
             self.port_targets = labeling.flat_port_targets()  # type: ignore[union-attr]
-            self.nbr_index = None  # never read by KT0 loops
+            self.closed_sets = None  # KT0 hides neighbor identifiers
         else:
             self.port_targets = None
             self.kt0_rows = None
@@ -172,11 +175,10 @@ class ExecutionPlan:
             # The graph's own tuples, shared rather than rebuilt.
             nbr_map = self.graph.neighbor_map
             value = [nbr_map[v] for v in self.ids]
-        elif name == "nbr_index":
-            # Keys and values reuse the tuples' and index_of's int
-            # objects, so no int is boxed per arc.
-            getter = self.index_of.__getitem__
-            value = [dict(zip(row, map(getter, row))) for row in self.nbr_ids]
+        elif name == "closed_sets":
+            # The sets reuse the tuples' int objects, so no int is
+            # boxed per arc.
+            value = [frozenset(row) | {v} for v, row in zip(self.ids, self.nbr_ids)]
         elif name == "kt0_rows":
             flat = self.port_targets
             offsets = self.neighbor_offsets
@@ -268,15 +270,6 @@ class ExecutionPlan:
         if self._labeling is None:
             self._labeling = PortLabeling(self.graph)
         return self._labeling
-
-    def closed_set(self, index: int) -> frozenset[VertexId]:
-        """``N⁺`` of ``index`` as public identifiers, cached per vertex."""
-        cached = self._closed_sets[index]
-        if cached is None:
-            vertex = self.ids[index]
-            cached = self.graph.neighbor_set(vertex) | {vertex}
-            self._closed_sets[index] = cached
-        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -57,23 +57,24 @@ _SWAP_RETRIES = 32
 class PlanOverlay:
     """Copy-on-write adjacency over a shared, immutable execution plan.
 
-    Owns fresh *outer* row lists (``nbr_ids`` / ``nbr_index`` under
-    KT1, ``kt0_rows`` under KT0) whose entries start out as the plan's
-    own row objects; a swap replaces only the four touched rows.  The
-    engine's hot loops and views bind these outer lists once per
-    execution — row replacement stays visible through the binding.
+    Owns fresh *outer* row lists — ``nbr_ids`` and ``closed_sets``
+    (the ``N⁺`` frozensets) under KT1, ``kt0_rows`` under KT0 — whose
+    entries start out as the plan's own row objects, plus the dense
+    ``adj`` sets swaps are drawn from.  A swap replaces only the four
+    touched rows; :meth:`restore` puts the plan's row objects back.
+    The engine's hot loops and views bind these outer lists once per
+    execution, so row replacement stays visible through the binding.
     """
 
     __slots__ = (
         "plan",
         "ids",
         "nbr_ids",
-        "nbr_index",
+        "closed_sets",
         "kt0_rows",
         "adj",
         "_edges",
         "_edge_pos",
-        "_closed",
         "_swaps",
         "_kt1",
     )
@@ -92,25 +93,13 @@ class PlanOverlay:
         self._edge_pos = {edge: i for i, edge in enumerate(edges)}
         if self._kt1:
             self.nbr_ids: list | None = list(rows)
-            self.nbr_index: list | None = list(plan.nbr_index)
+            self.closed_sets: list | None = list(plan.closed_sets)
             self.kt0_rows: list | None = None
         else:
             self.nbr_ids = None
-            self.nbr_index = None
+            self.closed_sets = None
             self.kt0_rows = list(plan.kt0_rows)
-        self._closed: list[frozenset | None] = [None] * plan.n
         self._swaps: list[tuple[int, int, int, int]] = []
-
-    # -- the view-facing closed-neighborhood cache ----------------------
-
-    def closed_set(self, index: int) -> frozenset:
-        """``N⁺`` of a dense index under the *current* (churned) world."""
-        cached = self._closed[index]
-        if cached is None:
-            ids = self.ids
-            cached = frozenset(map(ids.__getitem__, self.adj[index])) | {ids[index]}
-            self._closed[index] = cached
-        return cached
 
     # -- mutation -------------------------------------------------------
 
@@ -174,16 +163,14 @@ class PlanOverlay:
         plan = self.plan
         for w in dirty:
             # Inverse rewires already restored the adjacency; put the
-            # plan's original row *objects* back so post-restore trials
-            # are indistinguishable from never having churned (row
-            # rebuilds sort by public ID, which the plan's rows need
-            # not).
+            # plan's original row *objects* back, so post-restore
+            # trials read exactly the plan's rows and the rebuilt
+            # copies are freed.
             if self._kt1:
                 self.nbr_ids[w] = plan.nbr_ids[w]
-                self.nbr_index[w] = plan.nbr_index[w]
+                self.closed_sets[w] = plan.closed_sets[w]
             else:
                 self.kt0_rows[w] = plan.kt0_rows[w]
-            self._closed[w] = None
 
     # -- internals ------------------------------------------------------
 
@@ -205,9 +192,10 @@ class PlanOverlay:
         if self._kt1:
             ids = self.ids
             for w in (u, v, x, y):
-                pairs = sorted((ids[t], t) for t in adj[w])
-                self.nbr_ids[w] = tuple(p for p, _ in pairs)
-                self.nbr_index[w] = dict(pairs)
+                # Dense order is identifier order, as in the plan's rows.
+                row = tuple(map(ids.__getitem__, sorted(adj[w])))
+                self.nbr_ids[w] = row
+                self.closed_sets[w] = frozenset(row) | {ids[w]}
         else:
             # Degrees are invariant, so each vertex keeps its port
             # count; the hidden bijection follows the rewiring — the
@@ -218,8 +206,6 @@ class PlanOverlay:
             self._replace_port(rows, v, u, y)
             self._replace_port(rows, x, y, u)
             self._replace_port(rows, y, x, v)
-        closed = self._closed
-        closed[u] = closed[v] = closed[x] = closed[y] = None
 
     def _remove_edge(self, a: int, b: int) -> None:
         key = (a, b) if a < b else (b, a)

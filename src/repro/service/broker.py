@@ -62,7 +62,6 @@ from repro.experiments.cache import ResultCache, content_hash
 from repro.experiments.harness import TrialRecord
 from repro.experiments.parallel import SweepPoint, SweepSpec, open_cache
 from repro.experiments.warehouse import WarehouseCache
-from repro.service.chaos import FaultSchedule, arm, wrap_socket
 from repro.service.protocol import recv_frame, send_frame, decode_records
 
 __all__ = [
@@ -189,11 +188,6 @@ class Broker:
     read_deadline:
         Seconds a peer may stall mid-frame before its connection is
         dropped and its leases re-queue (:data:`DEFAULT_READ_DEADLINE`).
-    fault_schedule:
-        Arm a :class:`~repro.service.chaos.FaultSchedule` on every
-        accepted connection (``repro serve --fault-schedule``) —
-        smoke-testing only; ``None`` (the default) takes the exact
-        pre-chaos code path.
     """
 
     def __init__(
@@ -207,7 +201,6 @@ class Broker:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         read_deadline: float = DEFAULT_READ_DEADLINE,
-        fault_schedule: FaultSchedule | None = None,
     ) -> None:
         self.cache_dir = Path(cache_dir)
         self.warehouse = warehouse
@@ -215,7 +208,6 @@ class Broker:
         self.lease_timeout = _positive_seconds("lease_timeout", lease_timeout)
         self.max_attempts = _count_at_least_one("max_attempts", max_attempts)
         self.read_deadline = float(read_deadline)
-        self._chaos = arm(fault_schedule) if fault_schedule is not None else None
         self._clean_shutdown = False
         self._bind = (host, port)
         self._listener: socket.socket | None = None
@@ -357,11 +349,6 @@ class Broker:
                 conn, _addr = self._listener.accept()
             except OSError:
                 break  # listener closed by stop()
-            if self._chaos is not None:
-                wrapped = wrap_socket(conn, self._chaos)
-                if wrapped is None:
-                    continue  # a partition rule refused this connection
-                conn = wrapped  # type: ignore[assignment]
             with self._lock:
                 if not self._running:
                     conn.close()

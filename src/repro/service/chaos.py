@@ -27,14 +27,9 @@ The fault taxonomy (one rule kind each):
               (or refuse for ``heal_ms``), then heal
 ========== ==========================================================
 
-Two integration points share the rule engine:
-
-* :class:`ChaosProxy` — a TCP proxy that sits between real broker and
-  worker processes, so end-to-end CLI runs can be faulted without
-  patching any code (``repro chaos-proxy``);
-* :func:`wrap_socket` / :class:`ChaosSocket` — wrap one accepted
-  service socket in-process (``repro serve --fault-schedule``, unit
-  tests).
+Schedules run through :class:`ChaosProxy`, a TCP proxy that sits
+between real broker and worker processes, so end-to-end CLI runs can
+be faulted without patching any code (``repro chaos-proxy``).
 
 Connections are numbered in acceptance order (0, 1, 2 …) and each
 direction of each connection is an independent byte/op stream, so a
@@ -68,9 +63,9 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import ChaosError
 
@@ -78,8 +73,6 @@ __all__ = [
     "FaultRule",
     "FaultSchedule",
     "ChaosProxy",
-    "ChaosSocket",
-    "wrap_socket",
     "random_schedule",
     "FAULT_KINDS",
 ]
@@ -335,7 +328,7 @@ def random_schedule(
 
 
 # ----------------------------------------------------------------------
-# The armed rule engine shared by the proxy and the socket wrapper
+# The armed rule engine
 # ----------------------------------------------------------------------
 
 
@@ -511,109 +504,6 @@ class _StreamChaos:
         if not dripped and buffer:
             emit(bytes(buffer))
         return not sever
-
-
-# ----------------------------------------------------------------------
-# ChaosSocket: wrap one in-process service socket
-# ----------------------------------------------------------------------
-
-
-class ChaosSocket:
-    """A socket wrapper applying one connection's fault streams.
-
-    Used by ``repro serve --fault-schedule`` to perturb accepted
-    connections without a proxy process.  Reads pass through the
-    ``"up"`` stream (the peer talks toward the broker) and writes
-    through ``"down"``.  A ``truncate`` on the read side surfaces as
-    a clean EOF mid-frame; a ``drop`` swallows traffic while keeping
-    the socket open — exactly the symptoms the real faults produce.
-    """
-
-    def __init__(self, sock: socket.socket, core: _ChaosCore, conn: int) -> None:
-        self._sock = sock
-        self._core = core
-        self._conn = conn
-        self._up = _StreamChaos(core, conn, "up")
-        self._down = _StreamChaos(core, conn, "down")
-        self._read_severed = False
-        self._pending: list[bytes] = []
-        core.register(conn, self._sever)
-
-    def _sever(self) -> None:
-        self._read_severed = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    # -- reads ---------------------------------------------------------
-
-    def recv(self, bufsize: int) -> bytes:
-        while True:
-            if self._pending:
-                piece = self._pending.pop(0)
-                if len(piece) > bufsize:
-                    piece, rest = piece[:bufsize], piece[bufsize:]
-                    self._pending.insert(0, rest)
-                return piece
-            if self._read_severed:
-                return b""
-            data = self._sock.recv(bufsize)
-            if not data:
-                return b""
-            keep = self._up.transform(data, self._pending.append)
-            if not keep:
-                # Deliver what survived the cut, then EOF mid-frame.
-                self._read_severed = True
-
-    # -- writes --------------------------------------------------------
-
-    def sendall(self, data: bytes) -> None:
-        keep = self._down.transform(data, self._sock.sendall)
-        if not keep:
-            self._sever()
-            raise OSError("chaos: connection severed by a truncate rule")
-
-    # -- passthrough ---------------------------------------------------
-
-    def settimeout(self, value: float | None) -> None:
-        self._sock.settimeout(value)
-
-    def gettimeout(self) -> float | None:
-        return self._sock.gettimeout()
-
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
-    def shutdown(self, how: int) -> None:
-        self._sock.shutdown(how)
-
-    def close(self) -> None:
-        self._core.unregister(self._conn)
-        self._sock.close()
-
-
-def wrap_socket(
-    sock: socket.socket, core: _ChaosCore
-) -> ChaosSocket | None:
-    """Admit ``sock`` through ``core``; ``None`` when a partition refuses it."""
-    index, refused = core.admit()
-    if refused:
-        try:
-            sock.close()
-        except OSError:
-            pass
-        return None
-    return ChaosSocket(sock, core, index)
-
-
-def arm(schedule: FaultSchedule) -> _ChaosCore:
-    """Arm a schedule for socket wrapping (the broker's entry point)."""
-    return _ChaosCore(schedule)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
 
 from repro.errors import GraphError
@@ -11,8 +14,18 @@ from repro.experiments.harness import (
     run_trial,
     run_trials,
 )
+from repro.experiments.parallel import (
+    build_graph,
+    clear_instance_cache,
+    plan_for_instance,
+)
 from repro.experiments.report import Table
-from repro.graphs.generators import complete_graph, path_graph
+from repro.graphs.generators import (
+    complete_graph,
+    path_graph,
+    random_graph_with_min_degree,
+)
+from repro.runtime.plan import ExecutionPlan
 
 
 class TestRunTrial:
@@ -60,6 +73,41 @@ class TestRunTrial:
         )
         with pytest.raises(ValueError):
             aggregate_rounds([record])
+
+
+class TestBatchFootprint:
+    """What a finished engine batch leaves behind."""
+
+    def test_theorem1_batch_builds_one_membership_table(self):
+        """KT1 moves and views read the plan's N⁺ rows, nothing else."""
+        graph = random_graph_with_min_degree(64, 8, random.Random("one-table"))
+        plan = ExecutionPlan.compile(graph)
+        records = run_trials(graph, "theorem1", range(3), plan=plan)
+        assert all(record.met for record in records)
+        assert graph._neighbor_sets is None  # the graph's frozensets
+        assert not hasattr(plan, "nbr_index")
+        assert len(plan.closed_sets) == graph.n
+
+    def test_finished_batch_frees_its_plan_without_a_collection(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            clear_instance_cache()
+            before = {id(o) for o in gc.get_objects() if isinstance(o, ExecutionPlan)}
+            graph = build_graph("er-min-degree", 64, "n^0.5")
+            plan = plan_for_instance("er-min-degree", 64, "n^0.5")
+            records = run_trials(graph, "theorem1", range(3), plan=plan)
+            assert len(records) == 3
+            del graph, plan, records
+            clear_instance_cache()
+            left = [
+                o for o in gc.get_objects()
+                if isinstance(o, ExecutionPlan) and id(o) not in before
+            ]
+            assert left == []
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestTable:

@@ -288,9 +288,13 @@ class TestLazyViews:
     def test_plan_rows_lazy_then_cached(self):
         graph = complete_graph(10)
         plan = ExecutionPlan.compile(graph)
+        assert graph._neighbors is None  # compile built no rows
         rows = plan.nbr_ids  # materialized via __getattr__
         assert rows is plan.nbr_ids  # cached in the slot
-        assert plan.nbr_index[0][5] == 5
+        closed = plan.closed_sets  # built from the rows on first access
+        assert closed is plan.closed_sets
+        assert closed[0] == frozenset(range(10)) and plan.index_of[5] == 5
+        assert graph._neighbor_sets is None  # not from the graph's sets
 
     def test_csr_graph_pickles(self):
         import pickle

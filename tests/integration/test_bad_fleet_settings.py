@@ -136,3 +136,18 @@ def test_run_worker_resolves_zero_to_one_per_core(monkeypatch):
     with pytest.raises(ReproError, match="workers must be >= 0"):
         run_worker(("127.0.0.1", 9), workers=-2, reconnect=0)
     assert seen == [os.cpu_count() or 1]
+
+
+def test_removed_fault_schedule_flag_is_a_usage_error(tmp_path, capsys, nothing_starts):
+    """Schedules fault a fleet through `repro chaos-proxy`, never the broker."""
+    argv = ["serve", "--port", "0", "--cache-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--fault-schedule", str(tmp_path / "chaos.json")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --fault-schedule" in capsys.readouterr().err
+    assert nothing_starts == []
+    # Without the flag the broker binds, reports its address and stops
+    # when (stubbed) serving ends.
+    assert main(argv) == 0
+    assert "[broker] listening on 127.0.0.1:" in capsys.readouterr().err
+    assert nothing_starts == ["bind"]

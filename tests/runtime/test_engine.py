@@ -42,7 +42,7 @@ class TestPrecomputedTables:
     def test_graph_exposes_adjacency_tables(self):
         g = path_graph(4)
         assert g.neighbor_map[1] == (0, 2)
-        assert g.neighbor_set_map[1] == frozenset({0, 2})
+        assert g.neighbor_set(1) == frozenset({0, 2})
         # Same tables the accessors already expose, not copies.
         assert g.neighbor_map[2] is g.neighbors(2)
 

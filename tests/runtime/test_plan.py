@@ -44,7 +44,7 @@ def assert_plan_matches(graph, labeling, plan):
         assert plan.port_targets is None
         assert plan.kt0_rows is None and plan.kt0_ports is None
     else:
-        assert plan.nbr_index is None  # never read by KT0 loops
+        assert plan.closed_sets is None  # KT0 hides neighbor identifiers
     for index, vertex in enumerate(graph.vertices):
         assert plan.index_of[vertex] == index
         assert plan.degrees[index] == graph.degree(vertex)
@@ -53,14 +53,17 @@ def assert_plan_matches(graph, labeling, plan):
         csr_ids = tuple(plan.ids[i] for i in plan.neighbor_indices[lo:hi])
         assert csr_ids == graph.neighbors(vertex)
         assert plan.nbr_ids[index] == graph.neighbors(vertex)
-        assert plan.closed_set(index) == graph.closed_neighbor_set(vertex)
         accessible = labeling.accessible_ports(vertex, plan.port_model)
         if plan.port_model is PortModel.KT1:
             assert plan.nbr_ids[index] == accessible
-            # The KT1 movement-resolution row agrees with the membership set.
-            assert set(plan.nbr_index[index]) == set(graph.neighbor_set(vertex))
-            for u, dense in plan.nbr_index[index].items():
-                assert plan.ids[dense] == u
+            # The KT1 move table row is N⁺(v), and index_of resolves
+            # each member to the dense index the CSR slice holds.
+            closed = plan.closed_sets[index]
+            assert closed == graph.closed_neighbor_set(vertex)
+            dense = sorted(plan.index_of[u] for u in closed)
+            assert dense == sorted([index, *plan.neighbor_indices[lo:hi]])
+            for u in closed:
+                assert plan.ids[plan.index_of[u]] == u
         else:
             assert plan.kt0_ports[index] == accessible
             # The flat port table row is the hidden bijection P̂_v.

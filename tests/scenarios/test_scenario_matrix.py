@@ -163,6 +163,7 @@ class TestActiveScenariosGraceful:
         graph, _ = _instance("random-walk", PortModel.KT1)
         plan = ExecutionPlan.compile(graph)
         before = [tuple(row) for row in plan.nbr_ids]
+        closed_before = list(plan.closed_sets)
         benign_before = run_trials(
             graph, "random-walk", [7, 8], plan=plan, max_rounds=600
         )
@@ -171,6 +172,9 @@ class TestActiveScenariosGraceful:
             scenario="adversarial-churn", max_rounds=600,
         )
         assert [tuple(row) for row in plan.nbr_ids] == before
+        # The overlay replaced rows in its own lists, never the plan's.
+        assert len(plan.closed_sets) == len(closed_before)
+        assert all(a is b for a, b in zip(plan.closed_sets, closed_before))
         benign_after = run_trials(
             graph, "random-walk", [7, 8], plan=plan, max_rounds=600
         )

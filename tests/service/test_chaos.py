@@ -21,9 +21,7 @@ from repro.service.chaos import (
     FaultSchedule,
     _ChaosCore,
     _StreamChaos,
-    arm,
     random_schedule,
-    wrap_socket,
 )
 
 
@@ -33,7 +31,7 @@ def schedule(*faults, seed=0) -> FaultSchedule:
 
 def run_stream(sched, data, conn=0, direction="up", chunks=None):
     """Push ``data`` through one stream; returns (forwarded, severed)."""
-    stream = _StreamChaos(arm(sched), conn, direction)
+    stream = _StreamChaos(_ChaosCore(sched), conn, direction)
     out: list[bytes] = []
     kept = True
     for piece in (chunks if chunks is not None else [data]):
@@ -155,7 +153,7 @@ class TestStreamTransforms:
         assert (out, severed) == (b"", True)
 
     def test_fired_faults_land_in_the_event_log_with_positions(self):
-        core = arm(schedule(
+        core = _ChaosCore(schedule(
             {"kind": "delay", "ms": 1},
             {"kind": "truncate", "after_bytes": 2},
         ))
@@ -167,7 +165,7 @@ class TestStreamTransforms:
 
 class TestPartitions:
     def test_trigger_severs_refuses_then_heals(self):
-        core = arm(schedule({"kind": "partition", "at_conn": 2, "refuse": 2}))
+        core = _ChaosCore(schedule({"kind": "partition", "at_conn": 2, "refuse": 2}))
         severed: list[int] = []
         admitted = []
         for index in range(7):
@@ -180,17 +178,6 @@ class TestPartitions:
         # 5, 6 healed.
         assert admitted == [True, True, False, False, False, True, True]
         assert severed == [0, 1]
-
-    def test_wrap_socket_refusal_closes_the_socket(self):
-        core = arm(schedule(
-            {"kind": "partition", "at_conn": 0, "refuse": 0, "heal_ms": 1}
-        ))
-        a, b = socket.socketpair()
-        try:
-            assert wrap_socket(a, core) is None
-            assert a.fileno() == -1  # closed by the refusal
-        finally:
-            b.close()
 
     def test_core_without_partitions_admits_everything(self):
         core = _ChaosCore(schedule({"kind": "delay", "ms": 1}))
