@@ -7,9 +7,11 @@ what PR 3 added on top — the compiled
 KT0 + KT1 many-seed workload (the shape of every statistical sweep)
 through both paths:
 
-* **baseline** — per-seed :func:`~repro.experiments.harness.run_trial`
-  calls, each paying full setup (labeling + plan compilation per
-  trial), exactly what the sweep engine did before execution plans;
+* **baseline** — per-seed calls of the frozen engine path
+  (:func:`~repro.runtime.reference.reference_run_trials` with one
+  seed), each paying full setup (labeling + plan compilation per
+  trial) and running every round on the engine, exactly what the
+  sweep engine did before execution plans;
 * **planned** — one plan compiled per workload, every seed run
   through ``run_trials`` against it with a reused engine.
 
@@ -38,13 +40,14 @@ from typing import Callable
 
 import _bench_json
 
-from repro.experiments.harness import run_trial, run_trials
+from repro.experiments.harness import run_trials
 from repro.experiments.report import Table
 from repro.experiments.results_io import record_to_jsonable
 from repro.graphs.generators import complete_graph, random_regular_graph
 from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortModel
 from repro.runtime.plan import ExecutionPlan
+from repro.runtime.reference import reference_run_trials
 
 SPEEDUP_GATE = 2.0
 
@@ -108,13 +111,18 @@ def _record_bytes(records) -> bytes:
 
 
 def _baseline(graph: StaticGraph, workload: _Workload):
-    """Per-seed run_trial calls: full setup every trial."""
+    """Per-seed frozen engine runs: full setup every trial.
+
+    ``run_trial`` is a batch of one and takes the lockstep kernels, so
+    it would not measure the per-trial engine path this baseline
+    stands for.
+    """
     began = time.perf_counter()
     records = [
-        run_trial(
-            graph, workload.algorithm, seed,
+        reference_run_trials(
+            graph, workload.algorithm, [seed],
             port_model=workload.port_model, max_rounds=workload.max_rounds,
-        )
+        )[0]
         for seed in workload.seeds
     ]
     return records, time.perf_counter() - began

@@ -70,7 +70,7 @@ from repro.graphs import (
     star_graph,
     swapped_edge_cliques,
 )
-from repro.runtime import ExecutionResult, SyncScheduler, run_rendezvous
+from repro.runtime import ExecutionResult, SyncScheduler
 
 __version__ = "1.0.0"
 
@@ -105,7 +105,6 @@ __all__ = [
     # runtime
     "ExecutionResult",
     "SyncScheduler",
-    "run_rendezvous",
     # errors
     "ReproError",
     "GraphError",

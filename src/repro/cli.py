@@ -261,8 +261,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _interrupt(signum: int, frame: object) -> None:
+    """SIGTERM handler: stop the way Ctrl-C does."""
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import multiprocessing
+    import signal
 
     from repro.errors import ReproError
     from repro.service import Broker, format_address, run_worker
@@ -302,6 +308,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: cannot start broker: {error}", file=sys.stderr)
         return 1
     hosts: list[multiprocessing.Process] = []
+    previous_sigterm = None
     try:
         print(
             f"[broker] listening on {format_address(broker.address)} "
@@ -328,6 +335,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{per_host} worker(s)",
                 file=sys.stderr,
             )
+        # SIGTERM takes the Ctrl-C path, so a plain `kill` stops the
+        # local hosts too.  Installed after they fork: the hosts keep
+        # the default disposition, so terminate() still ends them.
+        previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
         broker.serve_forever()
     except KeyboardInterrupt:
         print("\n[broker] shutting down", file=sys.stderr)
@@ -337,6 +348,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host.terminate()
         for host in hosts:
             host.join(timeout=5.0)
+        if previous_sigterm is not None:
+            signal.signal(signal.SIGTERM, previous_sigterm)
     return 0
 
 

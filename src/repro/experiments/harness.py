@@ -1,24 +1,33 @@
 """Seeded trial running and aggregation for the experiment registry.
 
 Every trial executes on the unified runtime engine
-(:class:`repro.runtime.engine.Engine`, via
-:func:`repro.core.api.rendezvous`); ``docs/runtime.md`` documents the
+(:class:`repro.runtime.engine.Engine`) or, for eligible batches, on the
+lockstep kernels that reproduce it; ``docs/runtime.md`` documents the
 execution semantics a :class:`TrialRecord` summarizes.
 
-Two execution shapes:
+Two execution shapes, one executor:
 
-* :func:`run_trial` — one seeded trial, full setup each call, for
-  callers that must see each trial's own failure or pass scheduler
-  options (``record_trace``) the batch does not take;
-* :func:`run_trials` — the batched executor: compile one
-  :class:`~repro.runtime.plan.ExecutionPlan` for the instance, then
-  run every seed against it with a single reused engine
-  (:meth:`~repro.runtime.engine.Engine.reset` between trials), or
-  through the lockstep kernels when the batch is eligible.  The
-  records are byte-identical to per-seed :func:`run_trial` calls —
-  ``tests/integration/test_scheduler_equivalence.py`` asserts it for
-  every registered algorithm — while skipping all per-trial table
-  building (``docs/performance.md`` quantifies the difference).
+* :func:`run_trials` — the trial executor: arm each seed once (its
+  programs, starts and budget, checked as
+  :class:`~repro.runtime.scheduler.SyncScheduler` checks them), bind or
+  compile one :class:`~repro.runtime.plan.ExecutionPlan` for the
+  instance, then hand the armed seeds to the lockstep kernels when the
+  batch is eligible, or run them on a single engine re-armed per seed
+  (:meth:`~repro.runtime.engine.Engine.reset`).  The records do not
+  depend on the route: ``tests/integration/test_scheduler_equivalence.py``
+  asserts they equal the frozen per-seed engine path
+  (:func:`repro.runtime.reference.reference_run_trials`) for every
+  registered algorithm, while skipping all per-trial table building
+  (``docs/performance.md`` quantifies the difference);
+* :func:`run_trial` — one seeded trial, a batch of one through
+  :func:`run_trials`, for callers that must see each trial's own
+  failure.  Scheduler extras the harness does not take
+  (``record_trace``) go through
+  :class:`~repro.runtime.scheduler.SyncScheduler` or
+  :func:`repro.core.api.rendezvous`.
+
+A finished engine holds no reference cycle, so a batch's plan and graph
+are freed by reference counting as soon as its caller drops them.
 
 Sweep grids reach :func:`run_trials` through the chunks of
 :func:`repro.experiments.parallel.run_sweep`; registry experiments the
@@ -29,21 +38,22 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable, Iterator
 
 from repro._typing import VertexId
 from repro.analysis.stats import Summary, summarize
-from repro.core.api import prepare_rendezvous, rendezvous
+from repro.core.api import ALGORITHMS, prepare_rendezvous
 from repro.core.verification import verify_result
 from repro.core.constants import Constants
-from repro.errors import ProtocolError, SchedulerError
+from repro.errors import ProtocolError
 from repro.graphs.graph import StaticGraph
 from repro.graphs.ports import PortLabeling, PortModel
 from repro.graphs.validation import require_neighborhood_instance
 from repro.runtime.engine import Engine, ExecutionResult
 from repro.runtime.lockstep import lockstep_supported, run_lockstep_batch
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.scheduler import SyncScheduler
+from repro.runtime.scheduler import check_pair
 from repro.scenarios.spec import active_scenario
 
 __all__ = [
@@ -175,9 +185,12 @@ def run_trial(
     max_rounds: int | None = None,
     check_instance: bool = True,
     scenario: Any = None,
-    **scheduler_kwargs: Any,
+    *,
+    plan: ExecutionPlan | None = None,
+    port_model: PortModel = PortModel.KT1,
+    labeling: PortLabeling | None = None,
 ) -> TrialRecord:
-    """Run one seeded trial and wrap the result in a :class:`TrialRecord`.
+    """Run one seeded trial: a batch of one through :func:`run_trials`.
 
     When ``check_instance`` is true (default) and explicit starts are
     given, the harness first asserts the starts form a valid
@@ -191,28 +204,13 @@ def run_trial(
     skipped — churned edges and crashed agents legitimately violate
     its invariants — and the record carries the scenario's name.
     """
-    if check_instance and start_a is not None and start_b is not None:
-        require_neighborhood_instance(graph, start_a, start_b)
-    active = active_scenario(scenario)
-    if active is not None:
-        scheduler_kwargs["scenario"] = active
-    result = rendezvous(
-        graph,
-        algorithm=algorithm,
-        start_a=start_a,
-        start_b=start_b,
-        seed=seed,
-        delta=delta,
-        constants=constants,
-        max_rounds=max_rounds,
-        **scheduler_kwargs,
-    )
-    if active is None:
-        verify_result(graph, result, start_a=start_a, start_b=start_b)
-    return _trial_record(
-        graph, algorithm, seed, result,
-        scenario=active.name if active is not None else None,
-    )
+    return run_trials(
+        graph, algorithm, [seed],
+        plan=plan, constants=constants, delta=delta,
+        start_a=start_a, start_b=start_b, max_rounds=max_rounds,
+        check_instance=check_instance, port_model=port_model,
+        labeling=labeling, scenario=scenario,
+    )[0]
 
 
 def run_trials(
@@ -233,28 +231,28 @@ def run_trials(
 ) -> list[TrialRecord]:
     """Run one trial per seed against a single compiled plan.
 
-    The batched twin of per-seed :func:`run_trial` calls: the first
-    seed goes through the full :class:`SyncScheduler` façade (its
-    validations and engine construction, with ``plan=`` bound or
-    compiled there — no duplicated setup logic to drift), and every
-    further seed re-arms that same engine in place
-    (:meth:`~repro.runtime.engine.Engine.reset` — reused agent slots
-    and views, fresh programs, tapes, and whiteboards).  Per-trial
-    validation, start selection, and result verification match
-    :func:`run_trial` exactly, so the returned records are
-    byte-identical to the serial path for any seed list.
+    Each seed is *armed* once: :func:`~repro.core.api.prepare_rendezvous`
+    resolves its programs, starts and round budget, and
+    :func:`~repro.runtime.scheduler.check_pair` makes the same start
+    checks :class:`~repro.runtime.scheduler.SyncScheduler` makes.  The
+    plan is bound (``plan=``) or compiled right after the first seed
+    is armed.  Records do not depend on the batch's size or on the
+    route it takes.
 
     Eligible batches (see
-    :func:`repro.runtime.lockstep.lockstep_supported`) first try the
-    lockstep executor — the same records from struct-of-arrays tapes
-    at a fraction of the cost; any batch the kernels decline falls
-    back here automatically (``docs/performance.md`` § Lockstep
-    execution).
+    :func:`repro.runtime.lockstep.lockstep_supported`) hand their armed
+    seeds to the lockstep kernels — the same records from
+    struct-of-arrays tapes at a fraction of the cost
+    (``docs/performance.md`` § Lockstep execution).  Every other batch
+    runs on one :class:`~repro.runtime.engine.Engine` re-armed per seed
+    (:meth:`~repro.runtime.engine.Engine.reset`), its seeds armed one
+    at a time, so no finished trial's programs outlive its run; a batch
+    the kernels decline runs its already armed seeds there.
 
-    ``scenario`` selects the world-mutation axis exactly as in
-    :func:`run_trial`; a batch with an *active* scenario never routes
-    to lockstep (the kernels cannot mutate the world) and skips the
-    static-world result verification.
+    ``scenario`` selects the world-mutation axis; a batch with an
+    *active* scenario never routes to lockstep (the kernels cannot
+    mutate the world), skips the static-world result verification, and
+    names the scenario in its records.
     """
     seed_list = list(seeds)
     if not seed_list:
@@ -264,80 +262,80 @@ def run_trials(
     active = active_scenario(scenario)
     record_scenario = active.name if active is not None else None
 
-    if lockstep_supported(algorithm, port_model, scenario=active):
-        results = run_lockstep_batch(
+    def arm(seed: int) -> tuple:
+        _, program_a, program_b, sa, sb, budget = prepare_rendezvous(
             graph,
             algorithm,
-            seed_list,
-            plan=plan,
-            constants=constants,
-            delta=delta,
             start_a=start_a,
             start_b=start_b,
+            seed=seed,
+            delta=delta,
+            constants=constants,
             max_rounds=max_rounds,
-            port_model=port_model,
-            labeling=labeling,
         )
-        if results is not None:
-            records = []
-            for seed, result in zip(seed_list, results):
-                verify_result(graph, result, start_a=start_a, start_b=start_b)
-                records.append(_trial_record(graph, algorithm, seed, result))
-            return records
+        check_pair(graph, sa, sb, labeling)
+        return seed, program_a, program_b, sa, sb, budget
 
-    engine: Engine | None = None
-    records: list[TrialRecord] = []
-    try:
-        for seed in seed_list:
-            spec, program_a, program_b, sa, sb, budget = prepare_rendezvous(
-                graph,
-                algorithm,
-                start_a=start_a,
-                start_b=start_b,
-                seed=seed,
-                delta=delta,
-                constants=constants,
-                max_rounds=max_rounds,
-            )
-            if engine is None:
-                scheduler = SyncScheduler(
-                    graph,
-                    program_a,
-                    program_b,
-                    sa,
-                    sb,
-                    seed=seed,
-                    port_model=port_model,
-                    labeling=labeling,
-                    whiteboards=spec.uses_whiteboards,
-                    max_rounds=budget,
-                    plan=plan,
-                    scenario=active,
-                )
-                engine = scheduler.engine
-                result = scheduler.run()
-            else:
-                if sa == sb:  # SyncScheduler's pair invariant, re-checked per seed
-                    raise SchedulerError("agents must start at two different vertices")
-                engine.reset(
-                    (program_a, program_b), (sa, sb), seed=seed, max_rounds=budget
-                )
-                result = engine.run_pair()
-            if active is None:
-                verify_result(graph, result, start_a=start_a, start_b=start_b)
-            records.append(
-                _trial_record(graph, algorithm, seed, result, scenario=record_scenario)
-            )
-    finally:
-        if engine is not None:
-            # Each view holds its engine and slot, and each slot holds
-            # the context and generator that hold the view.  Breaking
-            # that cycle lets reference counting free the engine, and
-            # with it the plan and graph, without a collection.
-            for slot in engine.drivers:
-                slot.gen = None
-                slot.ctx = None
+    first = arm(seed_list[0])
+    if plan is None:
+        plan = ExecutionPlan.compile(graph, labeling, port_model)
+    else:
+        plan.ensure_matches(graph, labeling, port_model)
+    # Later seeds are armed lazily, one per engine run; ``first`` is
+    # dropped so only ``armed`` holds it, and its programs go with it.
+    armed: Iterable[tuple] = chain([first], map(arm, seed_list[1:]))
+    del first
+
+    results: Iterable[ExecutionResult] | None = None
+    if lockstep_supported(algorithm, port_model, scenario=active):
+        armed = list(armed)
+        results = run_lockstep_batch(plan, algorithm, armed)
+    if results is None:
+        results = _engine_results(
+            graph, plan, armed, port_model,
+            ALGORITHMS[algorithm].uses_whiteboards, active,
+        )
+    records = []
+    for seed, result in zip(seed_list, results):
+        if active is None:
+            verify_result(graph, result, start_a=start_a, start_b=start_b)
+        records.append(
+            _trial_record(graph, algorithm, seed, result, scenario=record_scenario)
+        )
     return records
+
+
+def _engine_results(
+    graph: StaticGraph,
+    plan: ExecutionPlan,
+    armed: Iterable[tuple],
+    port_model: PortModel,
+    whiteboards: bool,
+    scenario: Any,
+) -> Iterator[ExecutionResult]:
+    """Run armed seeds on one engine, re-armed per seed; yield each result."""
+    engine: Engine | None = None
+    for seed, program_a, program_b, start_a, start_b, budget in armed:
+        if engine is None:
+            engine = Engine(
+                graph,
+                (program_a, program_b),
+                (start_a, start_b),
+                names=("a", "b"),
+                seed=seed,
+                port_model=port_model,
+                whiteboards=whiteboards,
+                max_rounds=budget,
+                multi_view=False,
+                plan=plan,
+                scenario=scenario,
+            )
+        else:
+            engine.reset(
+                (program_a, program_b), (start_a, start_b),
+                seed=seed, max_rounds=budget,
+            )
+        yield engine.run_pair()
 
 
 class StreamSummary:

@@ -12,7 +12,6 @@ exactly.
 
 from __future__ import annotations
 
-import gc
 import math
 import random
 from dataclasses import dataclass
@@ -1234,10 +1233,9 @@ def run_experiment(key: str, quick: bool = True, save_dir: str | None = None) ->
     """Run one registered experiment; optionally persist markdown tables."""
     spec = EXPERIMENTS[key]
     tables = spec.runner(quick)
-    # Experiments share no sweep instance.  A finished engine's reference
-    # cycles still hold its graph and plan, so only a collection frees them.
+    # Experiments share no sweep instance; a finished engine holds no
+    # reference cycle, so dropping the memo frees its graphs and plans.
     clear_instance_cache()
-    gc.collect()
     if save_dir is not None:
         for i, t in enumerate(tables):
             t.save_markdown(save_dir, f"{key.lower()}-{i}")

@@ -30,7 +30,7 @@ from repro.runtime.agent import AgentContext, AgentProgram, walk, walk_and_retur
 from repro.runtime.engine import Engine
 from repro.runtime.lockstep import lockstep_supported, run_lockstep_batch
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.scheduler import ExecutionResult, SyncScheduler, run_rendezvous
+from repro.runtime.scheduler import ExecutionResult, SyncScheduler
 from repro.runtime.single import SingleAgentRecorder, run_single_agent
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "walk_and_return",
     "ExecutionResult",
     "SyncScheduler",
-    "run_rendezvous",
     "SingleAgentRecorder",
     "run_single_agent",
     "lockstep_supported",

@@ -204,12 +204,11 @@ class AgentSlot:
 
     __slots__ = ("name", "program", "gen", "index", "wake_round", "halted", "moves", "ctx", "_ids")
 
-    def __init__(self, name: str, program: AgentProgram, start_index: int,
-                 ids: tuple[VertexId, ...]) -> None:
+    def __init__(self, name: str, ids: tuple[VertexId, ...]) -> None:
         self.name = name
-        self.program = program
+        self.program: AgentProgram | None = None
         self.gen = None
-        self.index = start_index
+        self.index = 0
         self.wake_round = 0
         self.halted = False
         self.moves = 0
@@ -220,6 +219,28 @@ class AgentSlot:
     def position(self) -> VertexId:
         """Public identifier of the agent's current vertex."""
         return self._ids[self.index]
+
+
+def _context(
+    name: str,
+    start: VertexId,
+    id_space: int,
+    seed: int,
+    port_model: PortModel,
+    whiteboards: bool,
+    params: dict[str, Any] | None,
+) -> AgentContext:
+    """A fresh agent context: its own random tape ``f"{seed}:{name}"``
+    and a private copy of its parameters; the caller binds the view."""
+    return AgentContext(
+        name=name,  # type: ignore[arg-type]
+        start_vertex=start,
+        id_space=id_space,
+        rng=random.Random(f"{seed}:{name}"),
+        port_model=port_model,
+        whiteboards_enabled=whiteboards,
+        params=dict(params or {}),
+    )
 
 
 def _rows(engine: "Engine") -> Any:
@@ -342,11 +363,20 @@ class Engine:
     """Unified synchronous executor for k ≥ 2 agents on a static graph.
 
     The façades (:class:`~repro.runtime.scheduler.SyncScheduler`,
-    :class:`~repro.runtime.multi.MultiAgentScheduler`) validate their
-    inputs and construct an engine; the engine itself assumes valid
-    arguments.  ``run_pair`` is the specialized two-agent loop (the
-    hot path of every rendezvous trial); ``run_many`` is the general
-    k-agent loop with ``"all"``/``"pair"`` termination.
+    :class:`~repro.runtime.multi.MultiAgentScheduler`) and the trial
+    executor (:func:`repro.experiments.harness.run_trials`) validate
+    their inputs and construct an engine; the engine itself assumes
+    valid arguments.  ``run_pair`` is the specialized two-agent loop
+    (the hot path of every rendezvous trial); ``run_many`` is the
+    general k-agent loop with ``"all"``/``"pair"`` termination.
+
+    The constructor builds one slot per agent and arms it through
+    :meth:`reset`, which :func:`~repro.experiments.harness.run_trials`
+    calls again for every further seed.  While a run is armed, each
+    view points back at the engine; when the run ends — by result or
+    by exception — both loops drop every slot's generator and context,
+    so a finished engine is no reference cycle and reference counting
+    frees it, with its plan and graph, once its owner lets go.
 
     Parameters mirror the façade constructors; ``params`` is one
     optional per-agent parameter dict per program, ``multi_view``
@@ -383,7 +413,18 @@ class Engine:
         self.graph = graph
         self.port_model = port_model
         self._wb_enabled = whiteboards
-        self.whiteboards = WhiteboardStore() if whiteboards else DisabledWhiteboards()
+        self.max_rounds = int(max_rounds)
+        self.termination = termination
+        self._record_trace = record_trace
+        self._trace_limit = trace_limit
+        self._trace: list[tuple[int, VertexId, VertexId]] = []
+        if multi_view is None:
+            multi_view = len(programs) != 2
+        self._view_cls = MultiAgentView if multi_view else EngineView
+        # One slot per agent; ``reset`` arms them.
+        self.drivers: list[AgentSlot] = [
+            AgentSlot(name, plan.ids) for name, _ in zip(names, programs)
+        ]
         # ``scenario`` is a pre-normalized *active* ScenarioSpec (the
         # façades run it through ``repro.scenarios.active_scenario``,
         # so no-op configurations arrive here as None and take the
@@ -394,38 +435,8 @@ class Engine:
         else:
             from repro.scenarios.runtime import ScenarioRuntime
 
-            self.scenario = ScenarioRuntime(scenario, self)
-            self.scenario.arm(seed)
-            self.whiteboards = self.scenario.make_store(whiteboards)
-        self.max_rounds = int(max_rounds)
-        self.current_round = 0
-        self.termination = termination
-        self._record_trace = record_trace
-        self._trace_limit = trace_limit
-        self._trace: list[tuple[int, VertexId, VertexId]] = []
-
-        if multi_view is None:
-            multi_view = len(programs) != 2
-        view_cls = MultiAgentView if multi_view else EngineView
-
-        ids = plan.ids
-        index_of = plan.index_of
-        agent_params = params if params is not None else [None] * len(programs)
-        self.drivers: list[AgentSlot] = []
-        for name, program, start, p in zip(names, programs, starts, agent_params):
-            slot = AgentSlot(name, program, index_of[start], ids)
-            ctx = AgentContext(
-                name=name,  # type: ignore[arg-type]
-                start_vertex=start,
-                id_space=graph.id_space,
-                rng=random.Random(f"{seed}:{name}"),
-                port_model=port_model,
-                whiteboards_enabled=whiteboards,
-                params=dict(p or {}),
-            )
-            ctx.view = view_cls(self, slot)
-            slot.ctx = ctx
-            self.drivers.append(slot)
+            self.scenario = ScenarioRuntime(scenario, plan, self.drivers)
+        self.reset(programs, starts, seed=seed, params=params)
 
     # -- introspection used by views and façades -----------------------
 
@@ -444,11 +455,6 @@ class Engine:
         """
         return tuple(self.scenario.events) if self.scenario is not None else ()
 
-    def other_driver(self, slot: AgentSlot) -> AgentSlot:
-        """The slot of the other agent (two-agent engines only)."""
-        a, b = self.drivers
-        return b if slot is a else a
-
     # -- batched-trial reuse -------------------------------------------
 
     def reset(
@@ -459,30 +465,36 @@ class Engine:
         params: Sequence[dict[str, Any] | None] | None = None,
         max_rounds: int | None = None,
     ) -> None:
-        """Re-arm the engine for a fresh execution on the same plan.
+        """Arm the engine for a fresh execution on the same plan.
 
-        Slots, views, and the compiled plan are reused; everything
-        per-execution — programs, positions, random tapes, whiteboard
-        store, round clock, trace buffer — is replaced, so the run
-        that follows is indistinguishable from one on a brand-new
-        engine.  This is the batched trial executor's inner step
-        (:func:`repro.experiments.harness.run_trials`).
+        The constructor arms the first execution through here, and
+        the batched trial executor
+        (:func:`repro.experiments.harness.run_trials`) every further
+        one.  Slots and the compiled plan are reused; everything
+        per-execution — programs, positions, contexts with their views,
+        random tapes, whiteboard store, round clock, trace buffer — is
+        built afresh, so the run that follows is indistinguishable from
+        one on a brand-new engine.  This is the one place an engine
+        builds an :class:`AgentContext`.
         """
-        if len(programs) != len(self.drivers) or len(starts) != len(self.drivers):
+        drivers = self.drivers
+        if len(programs) != len(drivers) or len(starts) != len(drivers):
             raise SchedulerError("reset requires one program and start per slot")
         if max_rounds is not None:
             self.max_rounds = int(max_rounds)
-        self.whiteboards = (
-            WhiteboardStore() if self._wb_enabled else DisabledWhiteboards()
-        )
         if self.scenario is not None:
             self.scenario.arm(seed)
             self.whiteboards = self.scenario.make_store(self._wb_enabled)
+        else:
+            self.whiteboards = (
+                WhiteboardStore() if self._wb_enabled else DisabledWhiteboards()
+            )
         self.current_round = 0
         self._trace.clear()
         index_of = self.plan.index_of
+        view_cls = self._view_cls
         agent_params = params if params is not None else [None] * len(programs)
-        for slot, program, start, p in zip(self.drivers, programs, starts, agent_params):
+        for slot, program, start, p in zip(drivers, programs, starts, agent_params):
             try:
                 start_index = index_of[start]
             except KeyError:
@@ -493,19 +505,25 @@ class Engine:
             slot.wake_round = 0
             slot.halted = False
             slot.moves = 0
-            view = slot.ctx.view
-            view._wb = self.whiteboards  # the one view field bound per execution
-            ctx = AgentContext(
-                name=slot.name,  # type: ignore[arg-type]
-                start_vertex=start,
-                id_space=self.graph.id_space,
-                rng=random.Random(f"{seed}:{slot.name}"),
-                port_model=self.port_model,
-                whiteboards_enabled=self._wb_enabled,
-                params=dict(p or {}),
+            ctx = _context(
+                slot.name, start, self.graph.id_space, seed,
+                self.port_model, self._wb_enabled, p,
             )
-            ctx.view = view
+            ctx.view = view_cls(self, slot)
             slot.ctx = ctx
+
+    def _release(self) -> None:
+        """Drop every slot's generator and context once a run has ended.
+
+        Each view holds its engine and slot, and each slot holds the
+        context and generator that hold the view; dropping both ends
+        that cycle, so reference counting frees a finished engine — and
+        with it the plan and graph — without a collection.  Programs
+        stay: the result's reports come from them.
+        """
+        for slot in self.drivers:
+            slot.gen = None
+            slot.ctx = None
 
     # -- the two-agent hot loop ----------------------------------------
 
@@ -521,6 +539,12 @@ class Engine:
         """
         if len(self.drivers) != 2:
             raise SchedulerError("run_pair requires exactly two agents")
+        try:
+            return self._pair_loop()
+        finally:
+            self._release()
+
+    def _pair_loop(self) -> ExecutionResult:
         a, b = self.drivers
         scenario = self.scenario
         a.gen = a.program.run(a.ctx)
@@ -718,6 +742,12 @@ class Engine:
 
     def run_many(self) -> MultiExecutionResult:
         """Execute until the termination condition, mutual halt, or budget."""
+        try:
+            return self._many_loop()
+        finally:
+            self._release()
+
+    def _many_loop(self) -> MultiExecutionResult:
         drivers = self.drivers
         scenario = self.scenario
         for slot in drivers:
@@ -986,14 +1016,10 @@ def run_solo(
     jumps); ``Halt`` or generator exhaustion ends the run early.
     """
     run = _SoloRun(source=source, position=start)
-    ctx = AgentContext(
-        name=name,  # type: ignore[arg-type]
-        start_vertex=start,
-        id_space=id_space if id_space is not None else _guess_id_space(source, start),
-        rng=random.Random(f"{seed}:{name}"),
-        port_model=PortModel.KT1,
-        whiteboards_enabled=False,
-        params=dict(params or {}),
+    ctx = _context(
+        name, start,
+        id_space if id_space is not None else _guess_id_space(source, start),
+        seed, PortModel.KT1, False, params,
     )
     ctx.view = _SoloView(run)  # type: ignore[assignment]
 

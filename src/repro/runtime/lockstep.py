@@ -9,7 +9,10 @@ the trial — ``BENCH_engine.json``'s rr-400x8 random-walk workload spends
 >95% of its time inside it.
 
 This module executes a whole seed batch in **lockstep** over one plan
-instead:
+instead.  It receives the batch *armed*: ``run_trials`` has already
+resolved every seed's programs, starts and budget, made the pair
+checks, and bound or compiled the plan — exactly as for the engine —
+so nothing here validates or sets up a trial:
 
 * **Struct-of-arrays state.**  One ``array('q')`` per role holds the S
   agents' dense positions (plus parallel move/round/budget columns);
@@ -37,8 +40,8 @@ vectorized: the lazy random walk (both port models) and the trivial
 probe (KT1, where its meeting round is a closed form of the shuffled
 probe order).  Everything else — and any batch that trips a
 non-vectorizable condition at runtime (unexpected program subclass,
-degree-0 vertices, self-loops) — returns ``None`` so the caller falls
-back to the per-seed engine path with no behavior change; see
+degree-0 vertices, self-loops) — returns ``None`` so the caller runs
+the same armed seeds on the engine with no behavior change; see
 ``docs/performance.md``.  The walk kernels' inputs and the graph half
 of that verdict are built once per plan
 (:attr:`~repro.runtime.plan.ExecutionPlan.walk_setup`), so a batch
@@ -52,17 +55,10 @@ from array import array
 from itertools import chain, compress, count, islice, repeat
 from operator import eq
 
-from typing import TYPE_CHECKING
-
 from repro._typing import VertexId
-from repro.errors import SchedulerError
-from repro.graphs.graph import StaticGraph
-from repro.graphs.ports import PortLabeling, PortModel
+from repro.graphs.ports import PortModel
 from repro.runtime.engine import ExecutionResult
 from repro.runtime.plan import ExecutionPlan
-
-if TYPE_CHECKING:  # the baselines/core layers import runtime — keep
-    from repro.core.constants import Constants  # runtime import-cycle-free
 
 __all__ = [
     "lockstep_supported",
@@ -208,7 +204,7 @@ def _prefix_moves(tape: list[int], start: int, length: int) -> int:
 
 
 def _run_walk_batch(
-    plan: ExecutionPlan, trials: list[tuple], ids: tuple
+    plan: ExecutionPlan, trials: list[tuple]
 ) -> list[ExecutionResult] | None:
     """Lockstep executor for ``RandomWalker`` vs ``RandomWalker``."""
     setup = plan.walk_setup  # built once per plan, verdict included
@@ -216,6 +212,7 @@ def _run_walk_batch(
         # A degree-0 vertex or a self-loop: the serial path runs it.
         return None
     table, offsets, degrees, bits, uniform, width = setup
+    ids = plan.ids
 
     total = len(trials)
     results: list[ExecutionResult | None] = [None] * total
@@ -338,7 +335,7 @@ def _walk_result(
 
 
 def _run_trivial_batch(
-    plan: ExecutionPlan, trials: list[tuple], ids: tuple
+    plan: ExecutionPlan, trials: list[tuple]
 ) -> list[ExecutionResult]:
     """Closed-form executor for ``TrivialProbeA`` vs ``WaitingB``.
 
@@ -350,6 +347,7 @@ def _run_trivial_batch(
     round ``2i + 1``.  The shuffle consumes the identical
     ``random.Random(f"{seed}:a")`` stream the serial context does.
     """
+    ids = plan.ids
     nbr_ids = plan.nbr_ids
     results = []
     for seed, program_a, program_b, ai, bi, budget in trials:
@@ -408,97 +406,42 @@ def _run_trivial_batch(
 
 
 def run_lockstep_batch(
-    graph: StaticGraph,
+    plan: ExecutionPlan,
     algorithm: str,
-    seeds: "range | list[int]",
-    *,
-    plan: ExecutionPlan | None = None,
-    constants: Constants | None = None,
-    delta: "int | str | None" = None,
-    start_a: VertexId | None = None,
-    start_b: VertexId | None = None,
-    max_rounds: int | None = None,
-    port_model: PortModel = PortModel.KT1,
-    labeling: PortLabeling | None = None,
+    armed: "list[tuple]",
 ) -> list[ExecutionResult] | None:
-    """Execute one seed batch in lockstep, or ``None`` to fall back.
+    """Execute armed seeds in lockstep, or ``None`` to fall back.
 
-    Mirrors :func:`repro.experiments.harness.run_trials`' serial loop
-    observable-for-observable: the same :func:`prepare_rendezvous`
-    resolution per seed, the same scheduler validation errors in the
-    same order, and — by the tape construction — the same
-    :class:`ExecutionResult` for every seed.  A ``None`` return means
-    "this batch is not vectorizable" (unregistered program subclass,
-    degree-0 vertex, self-loop); the caller runs the serial path, whose
-    behavior on those batches is the contract.
+    ``armed`` holds one ``(seed, program_a, program_b, start_a,
+    start_b, budget)`` tuple per seed, as
+    :func:`repro.experiments.harness.run_trials` arms them: inputs
+    resolved by :func:`~repro.core.api.prepare_rendezvous`, starts
+    checked, and ``plan`` bound or compiled for the batch.  What is
+    left here is the program-type check and the kernel dispatch; by
+    the tape construction each result equals the engine's for that
+    seed.  A ``None`` return means "this batch is not vectorizable"
+    (no kernel for the algorithm and port model, an unregistered
+    program subclass, a degree-0 vertex or a self-loop); the caller
+    runs the armed seeds on the engine, whose behavior on those
+    batches is the contract.
     """
-    seed_list = list(seeds)
-    if not seed_list or not lockstep_supported(algorithm, port_model):
+    if not lockstep_supported(algorithm, plan.port_model):
         return None
     # Function-local: these layers import the runtime package, so a
     # module-scope import would be circular.
     from repro.baselines.random_walk import RandomWalker
     from repro.baselines.trivial import TrivialProbeA, WaitingB
-    from repro.core.api import prepare_rendezvous
 
     walk = algorithm == "random-walk"
-
+    kind_a, kind_b = (RandomWalker, RandomWalker) if walk else (TrivialProbeA, WaitingB)
+    index_of = plan.index_of
     trials: list[tuple] = []
-    resolved: ExecutionPlan | None = None
-    index_of: dict | None = None
-    for seed in seed_list:
-        spec, program_a, program_b, sa, sb, budget = prepare_rendezvous(
-            graph,
-            algorithm,
-            start_a=start_a,
-            start_b=start_b,
-            seed=seed,
-            delta=delta,
-            constants=constants,
-            max_rounds=max_rounds,
-        )
-        if walk:
-            if (
-                type(program_a) is not RandomWalker
-                or type(program_b) is not RandomWalker
-            ):
-                return None
-        elif (
-            type(program_a) is not TrivialProbeA
-            or type(program_b) is not WaitingB
-        ):
+    for seed, program_a, program_b, start_a, start_b, budget in armed:
+        if type(program_a) is not kind_a or type(program_b) is not kind_b:
             return None
-        if resolved is None:
-            # First seed: the SyncScheduler façade's checks, verbatim
-            # and in its order, then plan binding as Engine would.
-            if sa not in graph or sb not in graph:
-                raise SchedulerError("start vertices must belong to the graph")
-            if sa == sb:
-                raise SchedulerError(
-                    "agents must start at two different vertices"
-                )
-            if labeling is not None and labeling.graph is not graph:
-                raise SchedulerError("labeling belongs to a different graph")
-            if plan is None:
-                resolved = ExecutionPlan.compile(graph, labeling, port_model)
-            else:
-                plan.ensure_matches(graph, labeling, port_model)
-                resolved = plan
-            index_of = resolved.index_of
-        elif sa == sb:
-            # The batched serial path re-checks exactly this per seed.
-            raise SchedulerError("agents must start at two different vertices")
-        try:
-            ai = index_of[sa]  # type: ignore[index]
-            bi = index_of[sb]  # type: ignore[index]
-        except KeyError as error:
-            # Engine._arm's message for post-first-seed membership.
-            raise SchedulerError(
-                f"start vertex {error.args[0]} not in the graph"
-            ) from None
-        trials.append((seed, program_a, program_b, ai, bi, budget))
-
-    ids = resolved.ids  # type: ignore[union-attr]
+        trials.append(
+            (seed, program_a, program_b, index_of[start_a], index_of[start_b], budget)
+        )
     if walk:
-        return _run_walk_batch(resolved, trials, ids)  # type: ignore[arg-type]
-    return _run_trivial_batch(resolved, trials, ids)  # type: ignore[arg-type]
+        return _run_walk_batch(plan, trials)
+    return _run_trivial_batch(plan, trials)

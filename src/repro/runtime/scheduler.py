@@ -37,7 +37,28 @@ from repro.runtime.agent import AgentProgram
 from repro.runtime.engine import AgentSlot, Engine, ExecutionResult
 from repro.runtime.plan import ExecutionPlan
 
-__all__ = ["ExecutionResult", "SyncScheduler", "run_rendezvous"]
+__all__ = ["ExecutionResult", "SyncScheduler", "check_pair"]
+
+
+def check_pair(
+    graph: StaticGraph,
+    start_a: VertexId,
+    start_b: VertexId,
+    labeling: PortLabeling | None = None,
+) -> None:
+    """The two-agent start checks, in the order every pair run makes them.
+
+    :class:`SyncScheduler` makes them once per execution and the
+    batched executor (:func:`repro.experiments.harness.run_trials`)
+    once per armed seed, so both paths raise the same
+    :class:`SchedulerError` for the same bad input.
+    """
+    if start_a not in graph or start_b not in graph:
+        raise SchedulerError("start vertices must belong to the graph")
+    if start_a == start_b:
+        raise SchedulerError("agents must start at two different vertices")
+    if labeling is not None and labeling.graph is not graph:
+        raise SchedulerError("labeling belongs to a different graph")
 
 
 class SyncScheduler:
@@ -76,10 +97,10 @@ class SyncScheduler:
         A pre-compiled :class:`~repro.runtime.plan.ExecutionPlan` for
         ``(graph, labeling, port_model)``.  When given, the engine
         binds it directly and skips all per-execution table building —
-        the fast path of batched trials
-        (:func:`repro.experiments.harness.run_trials`).  Must have
-        been compiled from this exact graph (and labeling, when one is
-        passed); mismatches raise :class:`SchedulerError`.
+        the fast path when many executions share one instance, as the
+        trials of :func:`repro.experiments.harness.run_trials` do.
+        Must have been compiled from this exact graph (and labeling,
+        when one is passed); mismatches raise :class:`SchedulerError`.
     scenario:
         A scenario name, :class:`~repro.scenarios.ScenarioSpec`, or
         ``None`` — the per-round world-mutation axis (edge churn,
@@ -108,12 +129,7 @@ class SyncScheduler:
         plan: ExecutionPlan | None = None,
         scenario: Any = None,
     ) -> None:
-        if start_a not in graph or start_b not in graph:
-            raise SchedulerError("start vertices must belong to the graph")
-        if start_a == start_b:
-            raise SchedulerError("agents must start at two different vertices")
-        if labeling is not None and labeling.graph is not graph:
-            raise SchedulerError("labeling belongs to a different graph")
+        check_pair(graph, start_a, start_b, labeling)
         if scenario is None:
             active = None
         else:
@@ -143,7 +159,6 @@ class SyncScheduler:
         self.port_model = port_model
         self.whiteboards = self._engine.whiteboards
         self.max_rounds = self._engine.max_rounds
-        self._a, self._b = self._engine.drivers
 
     # -- introspection used by views and oracles -----------------------
 
@@ -173,34 +188,9 @@ class SyncScheduler:
         """The two live agent slots ``[a, b]`` (read-only introspection)."""
         return self._engine.drivers
 
-    def other_driver(self, driver: AgentSlot) -> AgentSlot:
-        """The slot of the other agent."""
-        return self._b if driver is self._a else self._a
-
     # -- execution ------------------------------------------------------
 
     def run(self) -> ExecutionResult:
         """Execute until rendezvous, mutual halt, or the round budget."""
         return self._engine.run_pair()
 
-
-def run_rendezvous(
-    graph: StaticGraph,
-    program_a: AgentProgram,
-    program_b: AgentProgram,
-    start_a: VertexId,
-    start_b: VertexId,
-    seed: int = 0,
-    **scheduler_kwargs: Any,
-) -> ExecutionResult:
-    """One-call convenience wrapper around :class:`SyncScheduler`."""
-    scheduler = SyncScheduler(
-        graph,
-        program_a,
-        program_b,
-        start_a,
-        start_b,
-        seed=seed,
-        **scheduler_kwargs,
-    )
-    return scheduler.run()

@@ -44,7 +44,7 @@ from repro.scenarios.faults import FaultyWhiteboardStore
 from repro.scenarios.spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.engine import AgentSlot, Engine
+    from repro.runtime.engine import AgentSlot
     from repro.runtime.plan import ExecutionPlan
 
 __all__ = ["PlanOverlay", "ScenarioRuntime"]
@@ -228,15 +228,23 @@ class PlanOverlay:
 
 
 class ScenarioRuntime:
-    """Per-engine scenario state: RNG streams, event tape, mutators."""
+    """Per-engine scenario state: RNG streams, event tape, mutators.
 
-    __slots__ = ("spec", "engine", "events", "overlay", "_churn_rng", "_crash_rng", "_wb_rng")
+    It holds the engine's plan and its list of agent slots, never the
+    engine itself, so an engine and its scenario form no reference
+    cycle and a finished engine is freed without a collection.
+    """
 
-    def __init__(self, spec: ScenarioSpec, engine: "Engine") -> None:
+    __slots__ = ("spec", "plan", "drivers", "events", "overlay", "_churn_rng", "_crash_rng", "_wb_rng")
+
+    def __init__(
+        self, spec: ScenarioSpec, plan: "ExecutionPlan", drivers: "list[AgentSlot]"
+    ) -> None:
         self.spec = spec
-        self.engine = engine
+        self.plan = plan
+        self.drivers = drivers
         self.events: list[tuple] = []
-        self.overlay = PlanOverlay(engine.plan) if spec.churn_rate > 0.0 else None
+        self.overlay = PlanOverlay(plan) if spec.churn_rate > 0.0 else None
         self._churn_rng: random.Random | None = None
         self._crash_rng: random.Random | None = None
         self._wb_rng: random.Random | None = None
@@ -308,7 +316,7 @@ class ScenarioRuntime:
             if rng.random() < spec.churn_rate:
                 anchors = None
                 if spec.churn_mode == "adversarial":
-                    anchors = [slot.index for slot in self.engine.drivers]
+                    anchors = [slot.index for slot in self.drivers]
                 for _ in range(spec.churn_swaps):
                     anchor = (
                         anchors[rng.randrange(len(anchors))]
@@ -319,7 +327,7 @@ class ScenarioRuntime:
         if spec.crash_rate > 0.0:
             rng = self._crash_rng
             rate = spec.crash_rate
-            for slot in self.engine.drivers:
+            for slot in self.drivers:
                 if not slot.halted and rng.random() < rate:
                     self._crash(slot, rnd)
 

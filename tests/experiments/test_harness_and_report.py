@@ -7,7 +7,9 @@ import random
 
 import pytest
 
-from repro.errors import GraphError
+from repro.baselines.random_walk import RandomWalker
+from repro.core.api import prepare_rendezvous, rendezvous
+from repro.errors import GraphError, ProtocolError
 from repro.experiments.harness import (
     TrialRecord,
     aggregate_rounds,
@@ -25,7 +27,76 @@ from repro.graphs.generators import (
     path_graph,
     random_graph_with_min_degree,
 )
+from repro.runtime.multi import MultiAgentScheduler
 from repro.runtime.plan import ExecutionPlan
+from repro.runtime.scheduler import SyncScheduler
+
+
+def _plans_left_after(run) -> list:
+    """Plans still alive after ``run(graph, plan)`` ends, with ``gc`` off.
+
+    The instance comes from the sweep memo, which is cleared before and
+    after, so only a reference the finished run leaves behind can keep
+    its plan alive.  The ``gc`` state is restored.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        clear_instance_cache()
+        before = {id(o) for o in gc.get_objects() if isinstance(o, ExecutionPlan)}
+        graph = build_graph("er-min-degree", 64, "n^0.5")
+        plan = plan_for_instance("er-min-degree", 64, "n^0.5")
+        outcome = run(graph, plan)
+        del graph, plan, outcome
+        clear_instance_cache()
+        return [
+            o for o in gc.get_objects()
+            if isinstance(o, ExecutionPlan) and id(o) not in before
+        ]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _churn_batch(graph, plan):
+    # A churned theorem1 move may abort the batch; returned or raised,
+    # the batch must leave nothing behind.
+    try:
+        return run_trials(graph, "theorem1", range(3), plan=plan, scenario="edge-churn")
+    except ProtocolError:
+        return None
+
+
+def _sync_scheduler_run(graph, plan):
+    spec, program_a, program_b, start_a, start_b, budget = prepare_rendezvous(
+        graph, "theorem1", seed=0
+    )
+    return SyncScheduler(
+        graph, program_a, program_b, start_a, start_b,
+        whiteboards=spec.uses_whiteboards, max_rounds=budget, plan=plan,
+    ).run()
+
+
+def _multi_scheduler_run(graph, plan):
+    start = graph.vertices[0]
+    starts = [start, *graph.neighbors(start)[:2]]
+    return MultiAgentScheduler(
+        graph, [RandomWalker() for _ in starts], starts,
+        termination="pair", max_rounds=500, plan=plan,
+    ).run()
+
+
+#: One finished run per entry point that executes on an engine.
+FINISHED_RUNS = {
+    "run_trial": lambda graph, plan: run_trial(graph, "theorem1", 0, plan=plan),
+    "run_trials-edge-churn": _churn_batch,
+    "run_trials-crash-restart": lambda graph, plan: run_trials(
+        graph, "theorem2", range(3), plan=plan, scenario="crash-restart"
+    ),
+    "rendezvous": lambda graph, plan: rendezvous(graph, "theorem1", seed=0, plan=plan),
+    "SyncScheduler": _sync_scheduler_run,
+    "MultiAgentScheduler": _multi_scheduler_run,
+}
 
 
 class TestRunTrial:
@@ -89,25 +160,17 @@ class TestBatchFootprint:
         assert len(plan.closed_sets) == graph.n
 
     def test_finished_batch_frees_its_plan_without_a_collection(self):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            clear_instance_cache()
-            before = {id(o) for o in gc.get_objects() if isinstance(o, ExecutionPlan)}
-            graph = build_graph("er-min-degree", 64, "n^0.5")
-            plan = plan_for_instance("er-min-degree", 64, "n^0.5")
+        def batch(graph, plan):
             records = run_trials(graph, "theorem1", range(3), plan=plan)
             assert len(records) == 3
-            del graph, plan, records
-            clear_instance_cache()
-            left = [
-                o for o in gc.get_objects()
-                if isinstance(o, ExecutionPlan) and id(o) not in before
-            ]
-            assert left == []
-        finally:
-            if was_enabled:
-                gc.enable()
+            return records
+
+        assert _plans_left_after(batch) == []
+
+    @pytest.mark.parametrize("entry", sorted(FINISHED_RUNS))
+    def test_finished_run_frees_its_plan_without_a_collection(self, entry):
+        """Every entry point's engine frees itself when its run ends."""
+        assert _plans_left_after(FINISHED_RUNS[entry]) == []
 
 
 class TestTable:

@@ -12,9 +12,15 @@ from __future__ import annotations
 
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.errors import ReproError, ServiceError
 from repro.service import Broker, run_worker
@@ -120,6 +126,45 @@ def test_negative_worker_counts_exit_2(argv, tmp_path, capsys, nothing_starts):
     err = _one_line_error(capsys)
     assert err.startswith(f"{argv[0]}: bad --")
     assert nothing_starts == []
+
+
+def _group_alive(group: int) -> bool:
+    try:
+        os.killpg(group, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX process groups")
+def test_serve_stops_its_local_hosts_on_sigterm(tmp_path):
+    """A plain `kill` ends `serve` the way Ctrl-C does: hosts and all."""
+    log = tmp_path / "serve.log"
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    with open(log, "w") as stderr:
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", str(tmp_path / "cache"), "--local-workers", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+            start_new_session=True,
+        )
+    group = serve.pid  # a session leader's group id is its pid
+    try:
+        deadline = time.monotonic() + 60
+        while "local worker host(s)" not in log.read_text():
+            assert serve.poll() is None, log.read_text()
+            assert time.monotonic() < deadline, log.read_text()
+            time.sleep(0.05)
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=30) == 0, log.read_text()
+        deadline = time.monotonic() + 5
+        while _group_alive(group):
+            assert time.monotonic() < deadline, "a worker host outlived serve"
+            time.sleep(0.1)
+    finally:
+        if _group_alive(group):
+            os.killpg(group, signal.SIGKILL)
+        serve.wait(timeout=30)
 
 
 def test_run_worker_resolves_zero_to_one_per_core(monkeypatch):

@@ -13,9 +13,9 @@ Two families of checks:
   registered algorithm and under both port models;
 * the batched trial executor (:func:`repro.experiments.harness.run_trials`
   — one compiled :class:`~repro.runtime.plan.ExecutionPlan`, one reused
-  engine) records exactly the per-seed
-  :func:`~repro.experiments.harness.run_trial` records for every
-  registered algorithm.
+  engine or the lockstep kernels) records exactly what the frozen
+  engine-reset loop (:func:`repro.runtime.reference.reference_run_trials`)
+  records seed by seed, for every registered algorithm.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.runtime.reference import (
     ReferenceMultiAgentScheduler,
     ReferenceSyncScheduler,
     reference_run_single_agent,
+    reference_run_trials,
 )
 from repro.runtime.scheduler import SyncScheduler
 from repro.runtime.single import run_single_agent
@@ -204,35 +205,41 @@ class TestEngineMatchesSeedSchedulers:
             assert old == new, f"solo run diverged at seed {seed}"
 
 
+def _per_seed(graph, algorithm, seeds, **kwargs):
+    """The frozen engine-reset loop run once per seed, each paying its own
+    set-up: the serial reference ``run_trials`` must reproduce (``run_trial``
+    is itself a batch of one, so it cannot serve)."""
+    return [
+        reference_run_trials(graph, algorithm, [seed], **kwargs)[0]
+        for seed in seeds
+    ]
+
+
 class TestBatchedTrialsMatchSerial:
-    """run_trials (shared plan, reused engine) == per-seed run_trial."""
+    """run_trials (shared plan, reused engine or kernels) == per-seed runs."""
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_all_registered_algorithms_identical(self, algorithm):
-        from repro.experiments.harness import run_trial, run_trials
+        from repro.experiments.harness import run_trials
 
         graph = random_graph_with_min_degree(120, 35, random.Random("eq-batch"))
         constants = Constants.testing()
         seeds = [0, 7, 19]
-        serial = [
-            run_trial(graph, algorithm, seed, constants=constants)
-            for seed in seeds
-        ]
+        serial = _per_seed(graph, algorithm, seeds, constants=constants)
         batched = run_trials(graph, algorithm, seeds, constants=constants)
         assert batched == serial, f"{algorithm} batched records diverged"
 
     def test_kt0_and_explicit_plan_identical(self):
-        from repro.experiments.harness import run_trial, run_trials
+        from repro.experiments.harness import run_trials
         from repro.runtime.plan import ExecutionPlan
 
         graph = cycle_graph(48)
         plan = ExecutionPlan.compile(graph, port_model=PortModel.KT0)
         seeds = list(range(6))
-        serial = [
-            run_trial(graph, "random-walk", seed,
-                      port_model=PortModel.KT0, max_rounds=5_000)
-            for seed in seeds
-        ]
+        serial = _per_seed(
+            graph, "random-walk", seeds,
+            port_model=PortModel.KT0, max_rounds=5_000,
+        )
         batched = run_trials(
             graph, "random-walk", seeds,
             plan=plan, port_model=PortModel.KT0, max_rounds=5_000,
@@ -240,7 +247,7 @@ class TestBatchedTrialsMatchSerial:
         assert batched == serial
 
     def test_explicit_starts_and_delta_identical(self):
-        from repro.experiments.harness import run_trial, run_trials
+        from repro.experiments.harness import run_trials
 
         graph = random_graph_with_min_degree(90, 25, random.Random("eq-starts"))
         start_a = graph.vertices[0]
@@ -250,9 +257,7 @@ class TestBatchedTrialsMatchSerial:
             constants=constants, delta=20, start_a=start_a, start_b=start_b
         )
         seeds = [1, 2]
-        serial = [
-            run_trial(graph, "theorem1", seed, **kwargs) for seed in seeds
-        ]
+        serial = _per_seed(graph, "theorem1", seeds, **kwargs)
         batched = run_trials(graph, "theorem1", seeds, **kwargs)
         assert batched == serial
 
@@ -263,25 +268,24 @@ class TestBatchedTrialsMatchSerial:
 
         graph = random_graph_with_min_degree(64, 16, random.Random("eq-one"))
         constants = Constants.testing()
-        assert run_trials(graph, algorithm, [9], constants=constants) == [
-            run_trial(graph, algorithm, 9, constants=constants)
-        ]
+        serial = _per_seed(graph, algorithm, [9], constants=constants)
+        assert run_trials(graph, algorithm, [9], constants=constants) == serial
+        assert [run_trial(graph, algorithm, 9, constants=constants)] == serial
 
     def test_duplicate_seed_batch_identical(self):
         """Repeated seeds each re-run the identical trial."""
-        from repro.experiments.harness import run_trial, run_trials
+        from repro.experiments.harness import run_trials
 
         graph = random_graph_with_min_degree(64, 16, random.Random("eq-dup"))
         for algorithm in ("random-walk", "trivial", "explore"):
             batched = run_trials(
                 graph, algorithm, [3, 3, 3], max_rounds=2_000
             )
-            single = run_trial(graph, algorithm, 3, max_rounds=2_000)
-            assert batched == [single, single, single], algorithm
+            single = _per_seed(graph, algorithm, [3], max_rounds=2_000)
+            assert batched == single * 3, algorithm
 
     def test_mixed_vectorizable_and_fallback_sweep(self):
         """One sweep mixing a lockstep-eligible and a fallback algorithm."""
-        from repro.experiments.harness import run_trial
         from repro.experiments.parallel import (
             CONSTANTS_PRESETS,
             GRAPH_FAMILIES,
@@ -307,8 +311,8 @@ class TestBatchedTrialsMatchSerial:
                 f"sweep-graph:{point.family}:{point.n}:{point.delta_spec}"
             )
             graph = GRAPH_FAMILIES[point.family](point.n, delta, rng)
-            fresh.append(run_trial(
-                graph, point.algorithm, point.seed,
+            fresh.extend(_per_seed(
+                graph, point.algorithm, [point.seed],
                 constants=CONSTANTS_PRESETS[spec.preset](),
                 max_rounds=spec.max_rounds,
             ))

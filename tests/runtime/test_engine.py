@@ -191,5 +191,5 @@ class TestDispatchEdges:
         )
         assert [d.position for d in scheduler.drivers] == [0, 3]
         result = scheduler.run()
-        assert scheduler._a.position == 2
+        assert scheduler.drivers[0].position == 2
         assert scheduler.current_round == result.rounds

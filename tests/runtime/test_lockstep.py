@@ -28,11 +28,11 @@ from unittest import mock
 
 import pytest
 
-from repro.core.api import ALGORITHMS
+from repro.core.api import ALGORITHMS, prepare_rendezvous
 from repro.core.constants import Constants
 from repro.errors import ProtocolError
 from repro.experiments import harness
-from repro.experiments.harness import run_trial, run_trials
+from repro.experiments.harness import run_trials
 from repro.experiments.results_io import record_to_jsonable
 from repro.graphs.generators import (
     complete_graph,
@@ -65,6 +65,22 @@ def _record_bytes(records) -> bytes:
 def _declined(*args, **kwargs):
     """Stands in for ``run_lockstep_batch``: the kernels' own decline path."""
     return None
+
+
+def _armed(graph, algorithm, seeds, **kwargs):
+    """Seeds armed as ``run_trials`` arms them for the kernels."""
+    return [
+        (seed, *prepare_rendezvous(graph, algorithm, seed=seed, **kwargs)[1:])
+        for seed in seeds
+    ]
+
+
+def _per_seed_oracle(graph, algorithm, seeds, **kwargs):
+    """One frozen-oracle call per seed: the independent serial reference."""
+    return [
+        reference_run_trials(graph, algorithm, [seed], **kwargs)[0]
+        for seed in seeds
+    ]
 
 
 def _classic(graph, algorithm, seeds, **kwargs):
@@ -314,8 +330,13 @@ class TestFallback:
 
     def test_unsupported_algorithm_returns_none(self):
         graph = cycle_graph(16)
-        assert run_lockstep_batch(graph, "theorem1", [0, 1]) is None
-        assert run_lockstep_batch(graph, "explore", [0, 1]) is None
+        plan = ExecutionPlan.compile(graph)
+        for algorithm in ("theorem1", "explore"):
+            armed = _armed(graph, algorithm, [0, 1])
+            assert run_lockstep_batch(plan, algorithm, armed) is None
+            # The program-type check: a walk batch armed with other
+            # programs declines too.
+            assert run_lockstep_batch(plan, "random-walk", armed) is None
 
     def test_degree_zero_vertex_falls_back(self, monkeypatch):
         """An isolated vertex bails out of lockstep but not run_trials.
@@ -326,35 +347,24 @@ class TestFallback:
         graph = StaticGraph({0: [1, 2], 1: [0, 2], 2: [0, 1], 9: []})
         plan = ExecutionPlan.compile(graph)
         builds = _count_calls(monkeypatch, plan_module, "_walk_setup")
+        armed = _armed(
+            graph, "random-walk", [0, 1], start_a=0, start_b=1, max_rounds=50
+        )
         for _ in range(2):
-            assert run_lockstep_batch(
-                graph, "random-walk", [0, 1],
-                plan=plan, start_a=0, start_b=1, max_rounds=50,
-            ) is None
+            assert run_lockstep_batch(plan, "random-walk", armed) is None
         assert plan.walk_setup is None
         assert builds == [plan]
-        batched = run_trials(
-            graph, "random-walk", [0, 1],
-            plan=plan, start_a=0, start_b=1, max_rounds=50,
-            check_instance=False,
+        kwargs = dict(
+            plan=plan, start_a=0, start_b=1, max_rounds=50, check_instance=False
         )
-        serial = [
-            run_trial(
-                graph, "random-walk", seed,
-                plan=plan, start_a=0, start_b=1, max_rounds=50,
-                check_instance=False,
-            )
-            for seed in [0, 1]
-        ]
+        batched = run_trials(graph, "random-walk", [0, 1], **kwargs)
+        serial = _per_seed_oracle(graph, "random-walk", [0, 1], **kwargs)
         assert _record_bytes(batched) == _record_bytes(serial)
 
     def test_declined_batch_matches_per_trial_runs(self):
         graph = cycle_graph(24)
         batched = _classic(graph, "random-walk", [0, 5], max_rounds=200)
-        serial = [
-            run_trial(graph, "random-walk", seed, max_rounds=200)
-            for seed in [0, 5]
-        ]
+        serial = _per_seed_oracle(graph, "random-walk", [0, 5], max_rounds=200)
         assert _record_bytes(batched) == _record_bytes(serial)
 
 
@@ -450,5 +460,5 @@ class TestSeedListEdgeCases:
         graph = random_graph_with_min_degree(40, 8, random.Random("one"))
         batched = run_trials(graph, algorithm, [7], max_rounds=400)
         assert _record_bytes(batched) == _record_bytes(
-            [run_trial(graph, algorithm, 7, max_rounds=400)]
+            _per_seed_oracle(graph, algorithm, [7], max_rounds=400)
         )

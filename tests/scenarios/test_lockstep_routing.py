@@ -6,7 +6,8 @@ its kernels cannot churn edges, corrupt whiteboards, or crash agents.
 active scenario, while no-op scenarios are normalized away before the
 check and keep routing exactly as before the scenario axis existed.
 Conversely, every in-process entry point of the sweep engine must hand
-an eligible batch to the kernels instead of running it trial by trial.
+an eligible batch to the kernels instead of running it trial by trial,
+and a single benign trial is a batch of one that takes them too.
 """
 
 from __future__ import annotations
@@ -123,10 +124,13 @@ class TestBatchRouting:
         )
         assert routed == serial
 
-    def test_single_trials_bypass_lockstep_entirely(self, graph, lockstep_spy):
+    def test_single_trials_route_as_batches_of_one(self, graph, lockstep_spy):
+        """``run_trial`` is a batch of one: churn bypasses the kernels,
+        a benign random-walk trial takes them."""
         run_trial(graph, "random-walk", 0, scenario="edge-churn", max_rounds=400)
-        run_trial(graph, "random-walk", 0, scenario=None, max_rounds=400)
         assert lockstep_spy.calls == 0
+        run_trial(graph, "random-walk", 0, scenario=None, max_rounds=400)
+        assert lockstep_spy.calls == 1
 
 
 #: An eligible random-walk grid: one instance, three seeds.
