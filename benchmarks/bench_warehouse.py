@@ -207,9 +207,7 @@ def run_benchmark(quick: bool = False, repetitions: int = 3) -> Table:
         records = synthetic_records(count)
         export = write_records_jsonl(records, tmp / "export.jsonl")
         with ResultCache(tmp, "benchcache") as cache:
-            cache.append_many(
-                (f"k{i}", record) for i, record in enumerate(records)
-            )
+            cache.append_many(enumerate(records))
         cache_file = tmp / "benchcache.jsonl"
         warehouse = write_records_warehouse(records, tmp / "sweep.wh")
 

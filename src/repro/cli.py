@@ -16,7 +16,7 @@ Commands
     out over the persistent worker fabric
     (:mod:`repro.experiments.parallel`).
     Results are byte-identical for every worker count; with
-    ``--cache-dir`` the sweep streams into a content-addressed cache
+    ``--cache-dir`` the sweep streams into a per-spec result cache
     and ``--resume`` (the default) finishes interrupted runs instead
     of recomputing.  ``--stream`` folds records into summaries as
     they arrive (O(batch) memory, grids too large to hold);
@@ -566,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweep_parser.add_argument(
         "--cache-dir", default=None,
-        help="content-addressed result cache directory (enables resume)",
+        help="result cache directory, one file per spec (enables resume)",
     )
     sweep_parser.add_argument(
         "--warehouse", action="store_true",

@@ -6,8 +6,8 @@ Every quantitative claim of the paper maps to one entry of
 registry.  ``EXPERIMENTS.md`` records one section per entry.
 
 Large grids run through the process-pool sweep engine
-(:mod:`repro.experiments.parallel`) with its content-addressed result
-cache (:mod:`repro.experiments.cache`); ``repro sweep`` on the command
+(:mod:`repro.experiments.parallel`) with its resumable result cache
+(:mod:`repro.experiments.cache`); ``repro sweep`` on the command
 line is the front door.  Sweeps can alternatively persist to a columnar
 results warehouse (:mod:`repro.experiments.warehouse`), which ``repro
 report`` summarizes with one fused kernel (:mod:`repro.experiments.query`).

@@ -1,26 +1,24 @@
-"""Content-addressed on-disk cache for sweep trial results.
+"""On-disk JSON-lines cache for sweep trial results.
 
-The parallel sweep engine (:mod:`repro.experiments.parallel`) keys
-every trial by the hash of its *content* — the grid point's family,
-size, δ rule, algorithm, seed, constants preset, and round budget —
-so a cached record is valid exactly as long as that tuple is, and a
-re-run of the same :class:`~repro.experiments.parallel.SweepSpec`
-never recomputes a trial it already has on disk.
+The parallel sweep engine (:mod:`repro.experiments.parallel`) stores
+every trial under its **grid index**, as the warehouse does in its
+``_point`` column, in a file named by the spec's content hash
+(:meth:`~repro.experiments.parallel.SweepSpec.spec_hash`): a re-run
+of the same spec finds its trials, and no other spec reads them.
 
 Storage is one JSON-lines file per spec (``<dir>/<spec_hash>.jsonl``,
-one ``{"key": ..., "record": ...}`` object per line) plus a
-human-readable ``<spec_hash>.spec.json`` manifest.  Appending
-line-by-line makes interrupted sweeps resumable: reading back skips a
-torn line with a warning and the sweep re-runs whatever is missing.
-All record (de)serialization goes through
-:mod:`repro.experiments.results_io`, so cached records round-trip
-exactly like exported ones.
+one ``{"point": <grid index>, "record": ...}`` object per line, whose
+record is byte for byte the exported line) plus a human-readable
+``<spec_hash>.spec.json`` manifest.  Appending line-by-line makes
+interrupted sweeps resumable: reading back skips a torn line with a
+warning and the sweep re-runs whatever is missing.  A file in the
+earlier content-keyed format is refused, naming it.
 
 **Crash-safety boundary.**  :meth:`ResultCache.append_many` writes a
 whole batch with **one** flush at the end: a crash loses at most the
 records of the in-flight batch, every batch flushed before it is
 durable, and a torn line inside the lost batch is skipped by
-:meth:`ResultCache.iter_records`.  The first append after reopening
+:meth:`ResultCache.iter_indexed`.  The first append after reopening
 cuts that torn tail off, so new lines never glue onto it.  Since
 sweeps and the broker append a batch only after all of its trials
 completed, resume recomputes exactly the lost trials and nothing else.
@@ -34,8 +32,9 @@ import mmap
 import os
 import warnings
 from pathlib import Path
-from typing import Any, IO, Iterable, Iterator, Sequence
+from typing import Any, IO, Iterable, Iterator
 
+from repro.errors import ReproError
 from repro.experiments.harness import TrialRecord
 from repro.experiments.results_io import record_from_jsonable, record_to_jsonable
 
@@ -58,7 +57,7 @@ def content_hash(payload: Any) -> str:
 
 
 class ResultCache:
-    """Append-only JSON-lines store of trial records keyed by content hash.
+    """Append-only JSON-lines store of trial records, one line per grid point.
 
     Parameters
     ----------
@@ -69,10 +68,6 @@ class ResultCache:
     spec_payload:
         Optional JSON-able description of the spec, written once as a
         ``.spec.json`` manifest next to the data for human inspection.
-    keys:
-        The content key of every grid point, in grid order.  They let
-        :meth:`iter_indexed` and :meth:`append_indexed` speak grid
-        indices, like the warehouse cache does.
     """
 
     def __init__(
@@ -80,12 +75,10 @@ class ResultCache:
         directory: str | Path,
         spec_hash: str,
         spec_payload: Any | None = None,
-        keys: Sequence[str] = (),
     ) -> None:
         self._directory = Path(directory)
         self._spec_hash = spec_hash
         self._spec_payload = spec_payload
-        self._keys = keys
         self._handle: IO[str] | None = None
 
     @property
@@ -98,22 +91,20 @@ class ResultCache:
         """The human-readable spec manifest next to the data file."""
         return self._directory / f"{self._spec_hash}.spec.json"
 
-    def iter_records(self) -> Iterator[tuple[str, TrialRecord]]:
-        """Stream cached ``(key, record)`` pairs one at a time.
+    def iter_indexed(self) -> Iterator[tuple[int, TrialRecord]]:
+        """Stream the stored ``(grid index, record)`` rows in write order.
 
-        Resident memory is one record plus the set of keys already
-        seen.  Blank lines are skipped; corrupt lines (an interrupted
+        Resident memory is one record, and repeated indices all come
+        back.  Blank lines are skipped; corrupt lines (an interrupted
         writer) are skipped too, with one :class:`UserWarning` naming
         the file — a truncated tail after a crash is expected (the
-        sweep recomputes those keys), yet it should be *visible*, not
-        silent, when it happens mid-resume.  Duplicate keys yield
-        their *first* occurrence — for the deterministic trials this
-        cache stores, duplicates are byte-identical re-runs, so first
-        and last coincide.
+        sweep recomputes those trials), yet it should be *visible*,
+        not silent, when it happens mid-resume.  A line in the earlier
+        content-keyed format raises :class:`ReproError` instead of
+        being skipped, which would recompute every trial silently.
         """
         if not self.path.exists():
             return
-        seen: set[str] = set()
         skipped = 0
         with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
@@ -122,15 +113,21 @@ class ResultCache:
                     continue
                 try:
                     payload = json.loads(line)
-                    key = payload["key"]
+                    if isinstance(payload, dict) and "key" in payload:
+                        raise ReproError(
+                            f"{self.path} is a result cache in an older format "
+                            "(records keyed by content hash, not grid index); "
+                            "delete it, or rerun with `repro sweep --no-resume`, "
+                            "to recompute its trials"
+                        )
+                    index = payload["point"]
+                    if type(index) is not int:
+                        raise TypeError(f"grid index {index!r} is not an integer")
                     record = record_from_jsonable(payload["record"])
                 except (ValueError, KeyError, TypeError):
                     skipped += 1
                     continue
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield key, record
+                yield index, record
         if skipped:
             warnings.warn(
                 f"{self.path}: skipped {skipped} corrupt line(s) "
@@ -138,21 +135,9 @@ class ResultCache:
                 stacklevel=2,
             )
 
-    def iter_indexed(self) -> Iterator[tuple[int, TrialRecord]]:
-        """Stream cached ``(grid index, record)`` pairs one at a time.
-
-        Records whose key names no grid point are skipped.
-        """
-        index_of = {key: index for index, key in enumerate(self._keys)}
-        for key, record in self.iter_records():
-            index = index_of.get(key)
-            if index is not None:
-                yield index, record
-
     def append_indexed(self, pairs: Iterable[tuple[int, TrialRecord]]) -> None:
-        """Persist a batch of ``(grid index, record)`` pairs (one flush)."""
-        keys = self._keys
-        self.append_many((keys[index], record) for index, record in pairs)
+        """Persist a batch of ``(grid index, record)`` pairs: :meth:`append_many`."""
+        self.append_many(pairs)
 
     def reset(self) -> None:
         """Discard the on-disk contents (``--no-resume`` semantics)."""
@@ -190,8 +175,8 @@ class ResultCache:
             with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
                 handle.truncate(data.rfind(b"\n") + 1)
 
-    def append_many(self, pairs: Iterable[tuple[str, TrialRecord]]) -> None:
-        """Persist a batch of records with **one** flush at the end.
+    def append_many(self, pairs: Iterable[tuple[int, TrialRecord]]) -> None:
+        """Persist a batch of ``(grid index, record)`` pairs with **one** flush.
 
         The sweep fabric appends one completed result batch at a time
         through this method; see the module docstring for the exact
@@ -201,9 +186,10 @@ class ResultCache:
         """
         lines = [
             json.dumps(
-                {"key": key, "record": record_to_jsonable(record)}, sort_keys=True
+                {"point": index, "record": record_to_jsonable(record)},
+                sort_keys=True,
             ) + "\n"
-            for key, record in pairs
+            for index, record in pairs
         ]
         if not lines:
             return

@@ -28,17 +28,16 @@ keeping the output *bit-for-bit deterministic*:
 * results travel back as **columnar record batches**
   (:func:`repro.experiments.results_io.pack_record_batch`) — one
   ``bytes`` object per chunk instead of one pickled record per trial
-  — and cache writes land via
-  :meth:`~repro.experiments.cache.ResultCache.append_many`, one flush
-  per batch;
+  — and cache writes land one flush per batch;
 * :func:`run_sweep` reassembles records in grid order, so
   ``workers=1`` and ``workers=8`` produce byte-identical JSON lines;
   ``stream=True`` instead folds each arriving batch into per-group
   :class:`~repro.experiments.harness.StreamSummary` aggregates and
   drops the records, keeping resident memory O(batch) for grids too
   large to hold;
-* an optional content-addressed cache (:mod:`repro.experiments.cache`)
-  makes re-runs and interrupted sweeps resume instead of recompute.
+* an optional result cache (:mod:`repro.experiments.cache`), one per
+  spec hash holding each record under its grid index, makes re-runs
+  and interrupted sweeps resume instead of recompute.
 
 :func:`run_sweep` is the only way trials fan out.
 ``docs/performance.md`` documents the fabric's lifetimes and layouts.
@@ -502,22 +501,6 @@ class SweepSpec:
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ReproError(f"malformed sweep spec payload: {error}") from None
-
-    def point_key(self, point: SweepPoint) -> str:
-        """Content hash of one trial (what the cache is keyed by)."""
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "family": point.family,
-            "n": point.n,
-            "delta": point.delta_spec,
-            "algorithm": point.algorithm,
-            "seed": point.seed,
-            "preset": self.preset,
-            "max_rounds": self.max_rounds,
-        }
-        if point.scenario != "none":
-            payload["scenario"] = point.scenario
-        return content_hash(payload)
 
 
 @dataclass(frozen=True)
@@ -1088,20 +1071,41 @@ def open_cache(
 ) -> ResultCache | WarehouseCache:
     """Open ``spec``'s result cache under ``cache_dir``, indexed by grid point.
 
-    Both kinds read and write ``(grid index, record)`` pairs through
-    ``iter_indexed`` and ``append_indexed``: the JSONL cache maps each
-    grid index to the content key it stores, and a warehouse
-    (``warehouse=True``) keeps the index in its ``_point`` column.
+    Both kinds, named by the spec hash, read and write ``(grid index,
+    record)`` pairs through ``iter_indexed`` and ``append_indexed``:
+    the JSONL cache keeps the index in each line's ``"point"``, a
+    warehouse (``warehouse=True``) in its ``_point`` column.
     :func:`run_sweep` and the service broker open their caches here.
     """
-    if warehouse:
-        return WarehouseCache(
-            cache_dir, spec.spec_hash(), spec_payload=spec.describe()
-        )
-    return ResultCache(
-        cache_dir, spec.spec_hash(), spec_payload=spec.describe(),
-        keys=[spec.point_key(point) for point in spec.points()],
-    )
+    store = WarehouseCache if warehouse else ResultCache
+    return store(cache_dir, spec.spec_hash(), spec_payload=spec.describe())
+
+
+def _resume_pairs(
+    cache: ResultCache | WarehouseCache, points: Sequence[SweepPoint]
+) -> Iterator[tuple[int, TrialRecord]]:
+    """The ``(grid index, record)`` pairs :func:`run_sweep` and the broker resume.
+
+    Skips rows outside the grid and keeps the first row per index (a
+    repeat is a deterministic re-run).  A record whose algorithm, n or
+    seed is not its grid point's raises :class:`ReproError`.
+    """
+    seen: set[int] = set()
+    for index, record in cache.iter_indexed():
+        if not 0 <= index < len(points) or index in seen:
+            continue
+        point = points[index]
+        if (record.algorithm, record.n, record.seed) != (
+            point.algorithm, point.n, point.seed
+        ):
+            raise ReproError(
+                f"{cache.path}: grid point {index} is {point.algorithm} at "
+                f"n={point.n}, seed {point.seed}, but its stored record is "
+                f"{record.algorithm} at n={record.n}, seed {record.seed}; delete "
+                "it, or rerun with `repro sweep --no-resume`, to recompute the sweep"
+            )
+        seen.add(index)
+        yield index, record
 
 
 def run_sweep(
@@ -1127,9 +1131,9 @@ def run_sweep(
         the records are identical — parallelism only changes the wall
         clock.
     cache_dir:
-        When given, completed trials are streamed into a
-        content-addressed cache there and later runs of the same spec
-        reuse them (see :mod:`repro.experiments.cache`).
+        When given, completed trials are streamed into the spec's
+        result cache there (:func:`open_cache`, one record per grid
+        index) and later runs of the same spec reuse them.
     resume:
         With a cache: load cached trials first and run only the rest.
         ``False`` discards the cache file and recomputes everything.
@@ -1167,10 +1171,9 @@ def run_sweep(
     have: set[int] = set()
     if cache is not None:
         if resume:
-            for index, record in cache.iter_indexed():
-                if 0 <= index < total and index not in have:
-                    have.add(index)
-                    keep(index, record)
+            for index, record in _resume_pairs(cache, points):
+                have.add(index)
+                keep(index, record)
         else:
             cache.reset()
     cached_hits = len(have)

@@ -18,8 +18,8 @@ ships them — as typed columns, not JSON objects.  One directory holds:
     the next manifest commit flips the recorded type, so the manifest
     always references an intact file.  Sweeps written through
     :class:`WarehouseCache` add a ``_point.seg`` int64 column holding
-    each row's grid index — the warehouse twin of the JSONL cache's
-    content-hash keys.
+    each row's grid index — the identity the JSONL cache stores as
+    each line's ``"point"``.
 
 ``reports.seg``
     Per-agent reports, one zlib-compressed JSON frame per appended
@@ -665,9 +665,8 @@ class WarehouseCache:
     """Drop-in warehouse twin of :class:`~repro.experiments.cache.ResultCache`.
 
     Stores a sweep's records under ``<dir>/<spec_hash>.wh/`` with a
-    ``_point`` column of grid indices instead of content-hash keys:
-    resume streams ``(grid index, record)`` pairs back and the sweep
-    recomputes only the missing indices, exactly like the JSONL cache
+    ``_point`` column of grid indices: resume reads its rows like the
+    JSONL cache's and the sweep recomputes only the missing indices
     — same batched-append crash boundary, same ``reset`` semantics.
     """
 
@@ -697,17 +696,11 @@ class WarehouseCache:
         return self._writer
 
     def iter_indexed(self) -> Iterator[tuple[int, TrialRecord]]:
-        """Stream cached ``(grid index, record)`` pairs one at a time."""
+        """Stream every stored ``(grid index, record)`` row, repeats included."""
         if not is_warehouse(self._path):
             return
         warehouse = SweepWarehouse(self._path)
-        points = warehouse.column(_POINT)
-        seen: set[int] = set()
-        for point, record in zip(points, warehouse.iter_records()):
-            if point in seen:
-                continue
-            seen.add(point)
-            yield point, record
+        yield from zip(warehouse.column(_POINT), warehouse.iter_records())
 
     def append_indexed(self, pairs: Iterable[tuple[int, TrialRecord]]) -> None:
         """Persist a batch of ``(grid index, record)`` pairs (one commit)."""

@@ -72,6 +72,11 @@ class MultiAgentScheduler:
                 raise SchedulerError(f"start vertex {start} not in the graph")
         if names is None:
             names = [f"agent{i}" for i in range(len(programs))]
+        if len(names) != len(programs):
+            raise SchedulerError(
+                f"names needs one name per program: got {len(names)} "
+                f"name(s) for {len(programs)} programs"
+            )
         if len(set(names)) != len(names):
             raise SchedulerError("agent names must be distinct")
         if termination not in ("all", "pair"):

@@ -12,12 +12,13 @@ submitting clients and worker hosts over the framed socket protocol
    cache (:class:`~repro.experiments.cache.ResultCache`, or the
    columnar :class:`~repro.experiments.warehouse.WarehouseCache` when
    the broker runs with ``warehouse=True``) is opened first and every
-   already-cached trial is loaded — a broker restart therefore
-   resumes from the last durable commit point and never re-runs a
-   completed unit.
-2. **shard** — the still-pending grid points are grouped by instance
-   and cut into **work units** of at most ``unit_size`` trials.  A
-   unit is content-addressed: its id is the hash of
+   already-cached trial is loaded as ``run_sweep`` loads it — a
+   broker restart therefore resumes from the last durable commit
+   point and never re-runs a completed unit.
+2. **shard** — the sweep's chunker groups the still-pending grid
+   points by instance and cuts them into **work units** of at most
+   ``unit_size`` trials.  A unit is content-addressed: its id is the
+   hash of
    ``(spec_hash, grid indices)``, so the same pending work always
    produces the same unit ids and retries dedupe for free.
 3. **lease** — worker hosts pull units.  A leased unit carries a
@@ -60,7 +61,7 @@ from typing import Any, Iterable
 from repro.errors import ReproError, ServiceError, WireError
 from repro.experiments.cache import ResultCache, content_hash
 from repro.experiments.harness import TrialRecord
-from repro.experiments.parallel import SweepPoint, SweepSpec, open_cache
+from repro.experiments.parallel import SweepSpec, _chunk_tasks, _resume_pairs, open_cache
 from repro.experiments.warehouse import WarehouseCache
 from repro.service.protocol import recv_frame, send_frame, decode_records
 
@@ -152,17 +153,13 @@ class _Job:
         return len(self.records) == self.total
 
     def shard(self, unit_size: int) -> None:
-        """Cut the not-yet-cached points into content-addressed units."""
+        """Cut the not-yet-cached points into content-addressed units (sweep chunks)."""
         pending = [p for p in self.points if p.index not in self.records]
-        grouped: dict[tuple[str, int, str], list[SweepPoint]] = {}
-        for point in pending:
-            grouped.setdefault(point.graph_key(), []).append(point)
-        for points in grouped.values():
-            for start in range(0, len(points), unit_size):
-                indices = tuple(p.index for p in points[start:start + unit_size])
-                unit = WorkUnit(unit_id_for(self.spec_hash, indices), indices)
-                self.units[unit.unit_id] = unit
-                self.queue.append(unit.unit_id)
+        for task in _chunk_tasks(self.spec, pending, unit_size):
+            indices = tuple(trial[0] for trial in task.trials)
+            unit = WorkUnit(unit_id_for(self.spec_hash, indices), indices)
+            self.units[unit.unit_id] = unit
+            self.queue.append(unit.unit_id)
 
 
 class Broker:
@@ -585,9 +582,7 @@ class Broker:
         if job is not None:
             job.cache.close()  # failed job: re-register fresh
         job = _Job(spec, open_cache(spec, self.cache_dir, warehouse=self.warehouse))
-        for index, record in job.cache.iter_indexed():
-            if 0 <= index < job.total and index not in job.records:
-                job.records[index] = record
+        job.records.update(_resume_pairs(job.cache, job.points))
         job.shard(self.unit_size)
         self._jobs[spec_hash] = job
         self._work.notify_all()

@@ -45,3 +45,22 @@ def testing_constants():
 def tuned_constants():
     """The default benchmark preset."""
     return Constants.tuned()
+
+
+@pytest.fixture
+def refusing_family(monkeypatch):
+    """Register a sweep family whose generator refuses every instance.
+
+    A spec over it passes validation (the family has no domain check),
+    so its trials fail at run time, with ``GenerationError: no instance
+    here``, in whichever process builds the instance.  Returns the
+    family's name.
+    """
+    from repro.errors import GenerationError
+    from repro.experiments.parallel import GRAPH_FAMILIES
+
+    def refuse(n, delta, rng):
+        raise GenerationError("no instance here")
+
+    monkeypatch.setitem(GRAPH_FAMILIES, "refusing-test", refuse)
+    return "refusing-test"

@@ -79,13 +79,13 @@ class TestSweepCommand:
         assert main(["sweep", "--family", "nope"]) == 2
         assert "bad sweep spec" in capsys.readouterr().err
 
-    def test_run_time_failure_is_a_clean_error(self, capsys):
-        # A valid spec whose trials fail: under edge churn a theorem1
-        # agent moves along an edge that is gone.  The run-time failure
-        # must not escape as a traceback.
+    def test_run_time_failure_is_a_clean_error(self, capsys, refusing_family):
+        # A valid spec whose trials fail: the family's generator refuses
+        # every instance.  The run-time failure must not escape as a
+        # traceback.
         args = [
-            "sweep", "--family", "er-min-degree", "--n", "40",
-            "--algorithm", "theorem1", "--scenario", "edge-churn",
+            "sweep", "--family", refusing_family, "--n", "21", "--delta", "9",
+            "--algorithm", "trivial",
             "--preset", "testing", "--seeds", "3", "--workers", "1",
         ]
         assert main(args) == 1

@@ -425,35 +425,35 @@ class TestFabric:
         without_shm = run_sweep(spec, workers=3)
         assert with_shm.records == without_shm.records
 
-    def test_worker_failure_surfaces_and_pool_recovers(self, monkeypatch):
+    def test_worker_failure_surfaces_and_pool_recovers(
+        self, monkeypatch, refusing_family
+    ):
         from repro.experiments import parallel
 
-        # Under edge churn a theorem1 agent moves along an edge that is
-        # gone, so the trial raises in the worker (shm disabled so the
-        # parent never compiles the plan).
+        # The family's generator refuses every instance, and with shared
+        # plans off the parent never builds one: the trial raises in the
+        # worker.  The fabric restarts after the family is registered,
+        # so its forked workers know the family.
         monkeypatch.setattr(parallel, "shared_plans_available", lambda: False)
         shutdown_fabric()
         bad = SweepSpec(
-            name="bad", families=("er-min-degree",), ns=(40,),
-            algorithms=("theorem1",), scenarios=("edge-churn",),
-            seeds=(0, 1, 2, 3), preset="testing",
+            name="bad", families=(refusing_family,), ns=(21,), deltas=("9",),
+            algorithms=("trivial",), seeds=(0, 1, 2, 3), preset="testing",
         )
-        with pytest.raises(ReproError, match="non-neighbor"):
+        with pytest.raises(
+            ReproError, match=r"(?s)sweep worker failed:.*no instance here"
+        ):
             run_sweep(bad, workers=2)
         # The fabric tore itself down and the next sweep just works.
         good = run_sweep(small_spec(), workers=2)
         assert len(good.records) == 8
 
-    def test_parent_failure_with_shared_plans_is_clean(self, monkeypatch):
-        # A family whose generator refuses the point after the spec
-        # passed: the parent trips while it builds the plan to export.
-        def refuse(n, delta, rng):
-            raise GenerationError("no instance here")
-
-        monkeypatch.setitem(GRAPH_FAMILIES, "refusing-test", refuse)
+    def test_parent_failure_with_shared_plans_is_clean(self, refusing_family):
+        # The generator refuses the point after the spec passed: the
+        # parent trips while it builds the plan to export.
         clear_instance_cache()
         bad = SweepSpec(
-            name="bad", families=("refusing-test",), ns=(21,), deltas=("9",),
+            name="bad", families=(refusing_family,), ns=(21,), deltas=("9",),
             algorithms=("trivial",), seeds=(0, 1),
         )
         with pytest.raises(GenerationError, match="no instance here"):

@@ -248,7 +248,11 @@ class TestRecordLines:
         _assert_lines_unchanged(dense)
 
     def test_cache_file_bytes_are_pinned(self, tmp_path):
-        """The JSONL cache a small serial sweep writes, pinned by SHA-256."""
+        """The JSONL cache a small serial sweep writes, pinned by SHA-256.
+
+        Each cache line wraps the export line of its grid point, byte
+        for byte, with that point's grid index.
+        """
         spec = SweepSpec(
             name="record-lines",
             families=("er-min-degree",),
@@ -256,10 +260,20 @@ class TestRecordLines:
             algorithms=("theorem1", "theorem2", "trivial", "random-walk"),
             seeds=tuple(range(8)),
         )
-        run_sweep(spec, workers=1, cache_dir=tmp_path)
-        (path,) = tmp_path.glob("*.jsonl")
+        result = run_sweep(spec, workers=1, cache_dir=tmp_path / "cache")
+        (path,) = (tmp_path / "cache").glob("*.jsonl")
+        exported = result.write_jsonl(tmp_path / "export.jsonl").read_text(
+            encoding="utf-8"
+        ).splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["point"] for line in lines) == list(
+            range(len(exported))
+        )
+        for line in lines:
+            point = json.loads(line)["point"]
+            assert line == f'{{"point": {point}, "record": {exported[point]}}}'
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "addbc58f6b13e35bed14c8bc5bbf67f99263f58152270dd72661f9ed6bf41596"
+            "24866c300e1286777e6481101c93b9999b96193400f29109ffb9cc120cf63980"
         )
 
 

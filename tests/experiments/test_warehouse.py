@@ -279,15 +279,6 @@ class TestWarehouseCache:
         assert list(again.iter_indexed()) == list(enumerate(records))
         again.close()
 
-    def test_duplicate_indices_first_wins(self, tmp_path):
-        records = sample_records()
-        cache = WarehouseCache(tmp_path, "deadbeef")
-        cache.append_indexed([(0, records[0]), (1, records[1])])
-        cache.append_indexed([(1, records[2])])
-        pairs = dict(cache.iter_indexed())
-        cache.close()
-        assert pairs[1] == records[1]
-
     def test_reset(self, tmp_path):
         records = sample_records()
         cache = WarehouseCache(tmp_path, "deadbeef")

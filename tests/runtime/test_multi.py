@@ -44,6 +44,24 @@ class TestConstruction:
                 path_graph(4), [Idle(), Idle()], [0, 1], names=["x", "x"]
             )
 
+    @pytest.mark.parametrize(
+        "programs,names",
+        [(3, ["x"]), (2, ["x", "y", "z"])],
+        ids=["fewer-names", "more-names"],
+    )
+    def test_names_count_must_match_programs(self, programs, names):
+        with pytest.raises(
+            SchedulerError,
+            match=rf"^names needs one name per program: got {len(names)} "
+            rf"name\(s\) for {programs} programs$",
+        ):
+            MultiAgentScheduler(
+                path_graph(4),
+                [Idle() for _ in range(programs)],
+                list(range(programs)),
+                names=names,
+            )
+
     def test_bad_termination_mode(self):
         with pytest.raises(SchedulerError):
             MultiAgentScheduler(

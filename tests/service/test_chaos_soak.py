@@ -111,7 +111,7 @@ def _assert_cache_exact(label: str, cache_dir, warehouse: bool) -> None:
             for line in cache.path.read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
-        keys = [json.loads(line)["key"] for line in lines]
+        keys = [json.loads(line)["point"] for line in lines]
         assert len(keys) == total, (
             f"{label}: cache holds {len(keys)} line(s) for {total} grid "
             f"point(s) — a record was lost or duplicated"

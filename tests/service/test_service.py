@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import ReproError, ServiceError, WireError
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import SweepSpec, run_sweep
+from repro.experiments.parallel import SweepSpec, open_cache, run_sweep
 from repro.service import (
     Broker,
     broker_status,
@@ -173,7 +173,7 @@ class TestCacheSemantics:
             broker.stop()  # in-memory job state gone; cache survives
         cached = ResultCache(cache_dir, spec.spec_hash())
         try:
-            assert len(list(cached.iter_records())) == 4  # 2 units x 2 trials
+            assert len(list(cached.iter_indexed())) == 4  # 2 units x 2 trials
         finally:
             cached.close()
         # A fresh broker on the same directory resumes: 4 trials are
@@ -184,6 +184,23 @@ class TestCacheSemantics:
         assert result.cached == 4
         assert result.executed == 4
         assert result.records == run_sweep(spec, workers=1).records
+
+    @pytest.mark.parametrize("warehouse", [False, True], ids=["jsonl", "warehouse"])
+    def test_record_under_the_wrong_index_fails_the_submission(
+        self, tmp_path, warehouse
+    ):
+        # The broker resumes through run_sweep's helper, so a cached
+        # record that is not its grid point's trial fails the submission
+        # instead of being served as that point's record.
+        spec = small_spec(seeds=(0, 1))
+        records = run_sweep(spec, workers=1).records
+        cache = open_cache(spec, tmp_path / "cache", warehouse=warehouse)
+        cache.append_indexed([(0, records[1])])
+        cache.close()
+        with Broker(tmp_path / "cache", warehouse=warehouse) as broker:
+            start_worker_thread(broker.address, reconnect=2.0)
+            with pytest.raises(ServiceError, match="grid point 0 is trivial"):
+                submit_sweep(broker.address, spec)
 
     def test_concurrent_submissions_share_one_job(self, tmp_path):
         spec = small_spec()
@@ -272,22 +289,24 @@ class TestFaultPaths:
             result = submit_sweep(broker.address, spec)
         assert len(result.records) == 2
 
-    def test_deterministic_error_fails_job_fast(self, tmp_path):
-        # Under edge churn a theorem1 agent moves along an edge that is
-        # gone: every lease of that unit would fail identically, so the
-        # worker reports unit-failed and the broker fails the job
-        # instead of re-queueing five times.
+    def test_deterministic_error_fails_job_fast(self, tmp_path, refusing_family):
+        # The family's generator refuses every instance: every lease of
+        # that unit would fail identically, so the worker reports
+        # unit-failed and the broker fails the job instead of
+        # re-queueing five times.
         bad = SweepSpec(
-            name="bad", families=("er-min-degree",), ns=(40,),
-            algorithms=("theorem1",), scenarios=("edge-churn",),
-            seeds=(0, 1), preset="testing",
+            name="bad", families=(refusing_family,), ns=(21,), deltas=("9",),
+            algorithms=("trivial",), seeds=(0, 1), preset="testing",
         )
         with Broker(tmp_path / "cache") as broker:
             start_worker_thread(broker.address, reconnect=2.0)
-            with pytest.raises(ServiceError, match="ProtocolError"):
+            with pytest.raises(
+                ServiceError, match="GenerationError: no instance here"
+            ):
                 submit_sweep(broker.address, bad)
             status = broker_status(broker.address)["jobs"][bad.spec_hash()]
             assert status["failed"] is not None
+            assert status["attempts"] == 0  # never re-queued
 
     def test_failed_job_can_be_resubmitted_fresh(self, tmp_path):
         spec = small_spec(seeds=(0, 1))

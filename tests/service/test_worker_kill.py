@@ -24,9 +24,7 @@ import time
 
 import pytest
 
-from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import SweepSpec, run_sweep
-from repro.experiments.warehouse import WarehouseCache
+from repro.experiments.parallel import SweepSpec, open_cache, run_sweep
 from repro.service import Broker, broker_status, queue_sweep, submit_sweep
 from repro.service.worker import run_worker
 
@@ -122,24 +120,15 @@ def test_sigkilled_worker_is_invisible_in_the_output(tmp_path, warehouse):
 
     # And the broker's durable cache holds exactly one copy of each
     # trial — duplicates from the re-run were dropped before the merge.
-    if warehouse:
-        cache: WarehouseCache | ResultCache = WarehouseCache(
-            tmp_path / "cache", spec.spec_hash()
-        )
-        try:
-            stored = dict(cache.iter_indexed())
-        finally:
-            cache.close()
-        assert sorted(stored) == list(range(len(spec.points())))
-        assert [stored[i] for i in range(len(stored))] == list(serial.records)
-    else:
-        cache = ResultCache(tmp_path / "cache", spec.spec_hash())
-        try:
-            stored_records = [record for _key, record in cache.iter_records()]
-        finally:
-            cache.close()
-        assert len(stored_records) == len(spec.points())
-        assert sorted(r.seed for r in stored_records) == list(range(10))
+    # ``iter_indexed`` returns every stored row, repeats included.
+    cache = open_cache(spec, tmp_path / "cache", warehouse=warehouse)
+    try:
+        stored = list(cache.iter_indexed())
+    finally:
+        cache.close()
+    stored.sort(key=lambda row: row[0])
+    assert [index for index, _record in stored] == list(range(len(spec.points())))
+    assert [record for _index, record in stored] == list(serial.records)
 
 
 def test_broker_killed_and_restarted_resumes_without_rerunning(tmp_path):
