@@ -37,9 +37,7 @@ class AndersonWeberSearcherA(AgentProgram):
         neighbors = ctx.view.neighbors
         if len(neighbors) != len(ctx.view.closed_neighbors) - 1:
             raise ProtocolError("inconsistent neighborhood view")
-        local_map = LocalMap(ctx.start_vertex)
-        for u in neighbors:
-            local_map.add_direct(u)
+        local_map = LocalMap(ctx.start_vertex, neighbors)
         probe_set = tuple(sorted(ctx.view.closed_neighbors))
         if len(probe_set) != ctx.view.degree + 1:
             raise ProtocolError("complete-graph searcher needs N⁺(v₀) = V")

@@ -21,22 +21,36 @@ returned as ``T^a`` along with the accumulated length-≤2 routes.
 The optional ``degree_floor`` implements the Section 4.1 doubling
 estimation: visiting any vertex of degree below the current estimate
 aborts the run (the caller halves the estimate and restarts).
+
+Like ``Sample``, the algorithm is written once, as the visit coroutine
+:func:`construct_visits`: Sample's visits, the direct checks and the
+visit to a strictly chosen ``x_i`` are all yielded as routes, and each
+receives the ``(degree, N⁺)`` read at its end.  :func:`construct_run`
+plays it one round at a time inside an agent program
+(:func:`~repro.core.sample.visit_rounds`); the lockstep kernels
+(:mod:`repro.runtime.lockstep`) drive it from the execution plan.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Generator
+from typing import Callable, Generator, Sequence
 
 from repro._typing import VertexId
 from repro.core.constants import Constants
 from repro.core.knowledge import LocalMap
-from repro.core.sample import SampleOutcome, route_back, sample_run
+from repro.core.sample import SampleOutcome, Seen, sample_visits, visit_rounds
 from repro.errors import ReproError
 from repro.runtime.actions import Action
-from repro.runtime.agent import AgentContext, walk
+from repro.runtime.agent import AgentContext
 
-__all__ = ["ConstructOutcome", "construct_run", "ConstructOnlyProgram"]
+__all__ = [
+    "ConstructOutcome",
+    "construct_run",
+    "construct_visits",
+    "ConstructOnlyProgram",
+]
 
 
 @dataclass(frozen=True)
@@ -77,21 +91,51 @@ def construct_run(
 
     The agent must be at its start vertex when this generator begins;
     it is back at the start vertex when the generator returns,
-    regardless of completion or abort.
+    regardless of completion or abort.  The per-round adapter of
+    :func:`construct_visits`: it reads the home view, then plays the
+    coroutine with :func:`~repro.core.sample.visit_rounds`.
     """
-    home = ctx.start_vertex
-    start_round = ctx.view.round
-    observed_min = ctx.view.degree
+    view = ctx.view
+    visits = construct_visits(
+        ctx.start_vertex, view.degree, view.closed_neighbors, view.neighbors,
+        ctx.id_space, ctx.rng, delta, constants, lambda: ctx.view.round,
+        degree_floor,
+    )
+    return (yield from visit_rounds(ctx, ctx.start_vertex, visits))
 
-    home_closed = frozenset(ctx.view.closed_neighbors)
-    local_map = LocalMap(home)
-    for u in ctx.view.neighbors:
-        local_map.add_direct(u)
+
+def construct_visits(
+    home: VertexId,
+    home_degree: int,
+    home_closed: frozenset[VertexId],
+    home_neighbors: Sequence[VertexId],
+    id_space: int,
+    rng: random.Random,
+    delta: float,
+    constants: Constants,
+    clock: Callable[[], int],
+    degree_floor: int | None = None,
+) -> Generator[tuple[VertexId, ...], Seen, ConstructOutcome]:
+    """``Construct`` as a visit coroutine (Algorithm 3, written once).
+
+    ``home_degree``, ``home_closed`` and ``home_neighbors`` are what
+    the agent reads at its start vertex ``home``; ``id_space`` is its
+    ``n'`` and ``rng`` its random tape.  Each yielded route is one
+    out-and-back visit, answered with the ``(degree, N⁺)`` read at
+    its end.  ``clock()`` is the caller's round counter, read when the
+    run starts and when it returns, for the outcome's round fields.
+    """
+    start_round = clock()
+    observed_min = home_degree
+
+    home_closed = frozenset(home_closed)
+    local_map = LocalMap(home, home_neighbors)
 
     alpha = constants.alpha(delta)
     light_bound = constants.light_bound(delta)
-    check_count = constants.candidate_check_count(ctx.id_space)
-    iteration_cap = constants.construct_iteration_cap(ctx.id_space, delta)
+    check_count = constants.candidate_check_count(id_space)
+    iteration_cap = constants.construct_iteration_cap(id_space, delta)
+    randrange = rng.randrange
 
     selected: list[VertexId] = [home]
     ns: set[VertexId] = set(home_closed)
@@ -101,26 +145,26 @@ def construct_run(
 
     iterations = 0
     strict_runs = 0
-    sample_visits = 0
+    sample_visits_done = 0
     direct_checks = 0
 
-    def aborted() -> ConstructOutcome:
+    def outcome(completed: bool) -> ConstructOutcome:
         return ConstructOutcome(
-            completed=False,
-            target_set=None,
+            completed=completed,
+            target_set=tuple(sorted(ns)) if completed else None,
             local_map=local_map,
             selected=tuple(selected),
             iterations=iterations,
             strict_runs=strict_runs,
-            sample_visits=sample_visits,
+            sample_visits=sample_visits_done,
             direct_checks=direct_checks,
             start_round=start_round,
-            end_round=ctx.view.round,
+            end_round=clock(),
             observed_min_degree=observed_min,
         )
 
-    if degree_floor is not None and ctx.view.degree < degree_floor:
-        return aborted()
+    if degree_floor is not None and home_degree < degree_floor:
+        return outcome(False)
 
     while remaining:
         iterations += 1
@@ -131,14 +175,15 @@ def construct_run(
             )
 
         # --- Step 1: optimistic run on the newly added part Γ ---------
-        outcome: SampleOutcome = yield from sample_run(
-            ctx, gamma, alpha, local_map, home_closed, constants, degree_floor
+        sampled: SampleOutcome = yield from sample_visits(
+            gamma, alpha, local_map, home_closed, constants, id_space, rng,
+            home_degree, degree_floor,
         )
-        sample_visits += outcome.visits
-        observed_min = min(observed_min, outcome.observed_min_degree)
-        if outcome.guard_tripped:
-            return aborted()
-        heavy |= outcome.heavy
+        sample_visits_done += sampled.visits
+        observed_min = min(observed_min, sampled.observed_min_degree)
+        if sampled.guard_tripped:
+            return outcome(False)
+        heavy |= sampled.heavy
         remaining = set(home_closed) - heavy
 
         chosen: VertexId | None = None
@@ -148,19 +193,13 @@ def construct_run(
             # --- Step 2: direct checks of random candidates -----------
             candidates = sorted(remaining)
             for _ in range(check_count):
-                probe = candidates[ctx.rng.randrange(len(candidates))]
-                route = local_map.route(probe)
-                yield from walk(ctx, route)
+                probe = candidates[randrange(len(candidates))]
+                degree_here, probe_closed = yield local_map.route(probe)
                 direct_checks += 1
-                degree_here = ctx.view.degree
                 observed_min = min(observed_min, degree_here)
                 if degree_floor is not None and degree_here < degree_floor:
-                    yield from walk(ctx, route_back(route, home))
-                    return aborted()
-                probe_closed = ctx.view.closed_neighbors
-                weight = len(probe_closed & ns)
-                yield from walk(ctx, route_back(route, home))
-                if weight < light_bound:
+                    return outcome(False)
+                if len(probe_closed & ns) < light_bound:
                     chosen = probe
                     chosen_closed = probe_closed
                     break
@@ -168,36 +207,31 @@ def construct_run(
             if chosen is None:
                 # --- Strict decision: re-sample all of N⁺(S^a) --------
                 strict_runs += 1
-                outcome = yield from sample_run(
-                    ctx, sorted(ns), alpha, local_map, home_closed,
-                    constants, degree_floor,
+                sampled = yield from sample_visits(
+                    sorted(ns), alpha, local_map, home_closed, constants,
+                    id_space, rng, home_degree, degree_floor,
                 )
-                sample_visits += outcome.visits
-                observed_min = min(observed_min, outcome.observed_min_degree)
-                if outcome.guard_tripped:
-                    return aborted()
-                heavy |= outcome.heavy
+                sample_visits_done += sampled.visits
+                observed_min = min(observed_min, sampled.observed_min_degree)
+                if sampled.guard_tripped:
+                    return outcome(False)
+                heavy |= sampled.heavy
                 remaining = set(home_closed) - heavy
                 if remaining:
                     # "Choose any vertex" — prefer one not already in S
                     # (re-selecting an S member adds nothing; see the
                     # w.h.p. argument in Lemma 5).
                     fresh = sorted(remaining - set(selected)) or sorted(remaining)
-                    chosen = fresh[ctx.rng.randrange(len(fresh))]
+                    chosen = fresh[randrange(len(fresh))]
 
             if chosen is not None:
                 if chosen_closed is None:
                     # Selected without an in-person visit (strict path):
                     # visit it now to learn N⁺(x_i).
-                    route = local_map.route(chosen)
-                    yield from walk(ctx, route)
-                    degree_here = ctx.view.degree
+                    degree_here, chosen_closed = yield local_map.route(chosen)
                     observed_min = min(observed_min, degree_here)
                     if degree_floor is not None and degree_here < degree_floor:
-                        yield from walk(ctx, route_back(route, home))
-                        return aborted()
-                    chosen_closed = ctx.view.closed_neighbors
-                    yield from walk(ctx, route_back(route, home))
+                        return outcome(False)
 
                 selected.append(chosen)
                 new_vertices = sorted(chosen_closed - ns)
@@ -209,19 +243,7 @@ def construct_run(
             else:
                 gamma = []
 
-    return ConstructOutcome(
-        completed=True,
-        target_set=tuple(sorted(ns)),
-        local_map=local_map,
-        selected=tuple(selected),
-        iterations=iterations,
-        strict_runs=strict_runs,
-        sample_visits=sample_visits,
-        direct_checks=direct_checks,
-        start_round=start_round,
-        end_round=ctx.view.round,
-        observed_min_degree=observed_min,
-    )
+    return outcome(True)
 
 
 class ConstructOnlyProgram:

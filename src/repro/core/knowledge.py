@@ -13,6 +13,8 @@ member of ``S^a`` → member of ``N⁺(S^a)``).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro._typing import VertexId
 from repro.errors import ProtocolError
 
@@ -24,9 +26,14 @@ class LocalMap:
 
     __slots__ = ("home", "_routes")
 
-    def __init__(self, home: VertexId) -> None:
+    def __init__(self, home: VertexId, neighbors: Iterable[VertexId] = ()) -> None:
+        """A map knowing ``home`` and, one hop away, each of ``neighbors``."""
         self.home = home
         self._routes: dict[VertexId, tuple[VertexId, ...]] = {home: ()}
+        # ``zip(neighbors)`` yields each neighbor's one-hop route ``(u,)``.
+        neighbors = tuple(neighbors)
+        self._routes.update(zip(neighbors, zip(neighbors)))
+        self._routes[home] = ()
 
     def __contains__(self, vertex: VertexId) -> bool:
         return vertex in self._routes

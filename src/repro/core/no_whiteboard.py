@@ -30,8 +30,9 @@ vertices each join both sets independently with probability
 from __future__ import annotations
 
 import math
+import random
 from collections import defaultdict
-from typing import Any, Generator
+from typing import Any, Generator, Sequence
 
 from repro._typing import VertexId
 from repro.core.constants import Constants
@@ -53,6 +54,19 @@ def _blocks(members: list[VertexId], beta: int) -> dict[int, list[VertexId]]:
     for block in grouped.values():
         block.sort()
     return dict(grouped)
+
+
+def _draw_phi(
+    rng: random.Random,
+    candidates: Sequence[VertexId],
+    delta: float,
+    n_prime: int,
+    constants: Constants,
+) -> tuple[list[VertexId], dict[int, list[VertexId]]]:
+    """Keep each candidate with probability ``φ·ln n/√δ``; group by block."""
+    probability = constants.phi_probability(delta, n_prime)
+    phi = [u for u in candidates if rng.random() < probability]
+    return phi, _blocks(phi, constants.block_width(delta))
 
 
 class NoWhiteboardA(AgentProgram):
@@ -139,13 +153,11 @@ class NoWhiteboardA(AgentProgram):
             }
         self._stats.update(construct_stats)
 
-        probability = constants.phi_probability(delta, n_prime)
-        phi = [u for u in target_set if ctx.rng.random() < probability]
+        phi, blocks = _draw_phi(ctx.rng, target_set, delta, n_prime, constants)
         beta = constants.block_width(delta)
         dwell = constants.dwell_rounds(n_prime)
         phase_len = constants.phase_length(n_prime)
         num_phases = math.ceil(n_prime / beta)
-        blocks = _blocks(phi, beta)
 
         self._stats.update(
             target_set_size=len(target_set),
@@ -199,25 +211,13 @@ class NoWhiteboardB(AgentProgram):
         constants = self._constants
         delta = float(self._delta)
         n_prime = ctx.id_space
-        t_prime = constants.sync_barrier(n_prime, delta)
         home = ctx.start_vertex
 
-        probability = constants.phi_probability(delta, n_prime)
-        closed = sorted(ctx.view.closed_neighbors)
-        phi = [u for u in closed if ctx.rng.random() < probability]
-        beta = constants.block_width(delta)
+        t_prime, blocks, stats = self.opening(ctx.rng, ctx.view.closed_neighbors, n_prime)
+        self._stats.update(stats)
         dwell = constants.dwell_rounds(n_prime)
         phase_len = constants.phase_length(n_prime)
-        num_phases = math.ceil(n_prime / beta)
-        blocks = _blocks(phi, beta)
-
-        self._stats.update(
-            phi_size=len(phi),
-            max_block_size=max((len(b) for b in blocks.values()), default=0),
-            t_prime=t_prime,
-            sweep_overflows=0,
-            constants_preset=constants.preset,
-        )
+        num_phases = math.ceil(n_prime / constants.block_width(delta))
 
         yield WaitUntil(t_prime)
 
@@ -249,6 +249,28 @@ class NoWhiteboardB(AgentProgram):
                     yield WaitUntil(rep_end)
             yield WaitUntil(phase_end)
         self._stats["finished_round"] = ctx.view.round
+
+    def opening(
+        self, rng: random.Random, closed: frozenset[VertexId], n_prime: int
+    ) -> tuple[int, dict[int, list[VertexId]], dict[str, Any]]:
+        """Agent ``b``'s round-0 work: ``(t', Φ_b by block, report entries)``.
+
+        Draws Φ_b over ``N⁺(v₀ᵇ)`` (``closed``) from ``rng``.  Shared by
+        :meth:`run` and the lockstep kernel, which parks ``b`` at its
+        start until ``t'`` without running the program.
+        """
+        constants = self._constants
+        delta = float(self._delta)
+        phi, blocks = _draw_phi(rng, sorted(closed), delta, n_prime, constants)
+        t_prime = constants.sync_barrier(n_prime, delta)
+        stats = {
+            "phi_size": len(phi),
+            "max_block_size": max((len(b) for b in blocks.values()), default=0),
+            "t_prime": t_prime,
+            "sweep_overflows": 0,
+            "constants_preset": constants.preset,
+        }
+        return t_prime, blocks, stats
 
     def report(self) -> dict[str, Any]:
         return dict(self._stats)

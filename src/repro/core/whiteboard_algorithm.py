@@ -16,13 +16,13 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.core.constants import Constants
-from repro.core.construct import construct_run
+from repro.core.construct import ConstructOutcome, construct_run
 from repro.core.estimation import estimate_and_construct
 from repro.core.main_rendezvous import MarkerB, main_rendezvous_a_run
 from repro.runtime.actions import Action
 from repro.runtime.agent import AgentContext, AgentProgram
 
-__all__ = ["WhiteboardRendezvousA", "theorem1_programs"]
+__all__ = ["WhiteboardRendezvousA", "construct_stats", "theorem1_programs"]
 
 
 class WhiteboardRendezvousA(AgentProgram):
@@ -54,29 +54,39 @@ class WhiteboardRendezvousA(AgentProgram):
             delta_used = estimated.delta_estimate
             restarts = estimated.restarts
 
-        self._stats.update(
-            construct_rounds=outcome.end_round - outcome.start_round,
-            construct_iterations=outcome.iterations,
-            strict_runs=outcome.strict_runs,
-            sample_visits=outcome.sample_visits,
-            direct_checks=outcome.direct_checks,
-            target_set_size=len(outcome.target_set),
-            selected_size=len(outcome.selected),
-            delta_used=delta_used,
-            estimation_restarts=restarts,
-            constants_preset=constants.preset,
-        )
-        # Expose the constructed set for test-side verification of the
-        # dense condition (Lemma 8), as lists: reports must be JSON-native.
-        self._stats["target_set"] = list(outcome.target_set)
-        self._stats["selected"] = list(outcome.selected)
-
+        self._stats.update(construct_stats(outcome, delta_used, restarts, constants))
         yield from main_rendezvous_a_run(
             ctx, outcome.target_set, outcome.local_map, self._stats
         )
 
     def report(self) -> dict[str, Any]:
         return dict(self._stats)
+
+
+def construct_stats(
+    outcome: ConstructOutcome, delta_used: int, restarts: int, constants: Constants
+) -> dict[str, Any]:
+    """Agent ``a``'s report entries once ``Construct`` has completed.
+
+    Shared by :class:`WhiteboardRendezvousA` and the lockstep kernel,
+    which builds the same report without running the program.
+    """
+    return {
+        "construct_rounds": outcome.end_round - outcome.start_round,
+        "construct_iterations": outcome.iterations,
+        "strict_runs": outcome.strict_runs,
+        "sample_visits": outcome.sample_visits,
+        "direct_checks": outcome.direct_checks,
+        "target_set_size": len(outcome.target_set),
+        "selected_size": len(outcome.selected),
+        "delta_used": delta_used,
+        "estimation_restarts": restarts,
+        "constants_preset": constants.preset,
+        # The constructed set, for test-side verification of the dense
+        # condition (Lemma 8), as lists: reports must be JSON-native.
+        "target_set": list(outcome.target_set),
+        "selected": list(outcome.selected),
+    }
 
 
 def theorem1_programs(

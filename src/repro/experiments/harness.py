@@ -13,7 +13,8 @@ Two execution shapes, one executor:
   compile one :class:`~repro.runtime.plan.ExecutionPlan` for the
   instance, then hand the armed seeds to the lockstep kernels when the
   batch is eligible, or run them on a single engine re-armed per seed
-  (:meth:`~repro.runtime.engine.Engine.reset`).  The records do not
+  (:meth:`~repro.runtime.engine.Engine.reset`), as are the seeds a
+  kernel hands back.  The records do not
   depend on the route: ``tests/integration/test_scheduler_equivalence.py``
   asserts they equal the frozen per-seed engine path
   (:func:`repro.runtime.reference.reference_run_trials`) for every
@@ -247,7 +248,10 @@ def run_trials(
     runs on one :class:`~repro.runtime.engine.Engine` re-armed per seed
     (:meth:`~repro.runtime.engine.Engine.reset`), its seeds armed one
     at a time, so no finished trial's programs outlive its run; a batch
-    the kernels decline runs its already armed seeds there.
+    the kernels decline runs its already armed seeds there, and so do
+    the single seeds the Theorem 1 and 2 kernel hands back, in seed
+    order.  Results pair with seeds one to one: a route that returns a
+    result too few or too many raises instead of dropping a record.
 
     ``scenario`` selects the world-mutation axis; a batch with an
     *active* scenario never routes to lockstep (the kernels cannot
@@ -286,17 +290,27 @@ def run_trials(
     armed: Iterable[tuple] = chain([first], map(arm, seed_list[1:]))
     del first
 
+    whiteboards = ALGORITHMS[algorithm].uses_whiteboards
     results: Iterable[ExecutionResult] | None = None
     if lockstep_supported(algorithm, port_model, scenario=active):
         armed = list(armed)
-        results = run_lockstep_batch(plan, algorithm, armed)
+        kernel = run_lockstep_batch(plan, algorithm, armed)
+        if kernel is not None:
+            # The seeds the kernel hands back (``None``) run, already
+            # armed, on one engine in seed order; lockstep batches have
+            # no active scenario.
+            engine = _engine_results(
+                graph, plan,
+                [entry for entry, result in zip(armed, kernel) if result is None],
+                port_model, whiteboards, None,
+            )
+            results = (r if r is not None else next(engine) for r in kernel)
     if results is None:
         results = _engine_results(
-            graph, plan, armed, port_model,
-            ALGORITHMS[algorithm].uses_whiteboards, active,
+            graph, plan, armed, port_model, whiteboards, active,
         )
     records = []
-    for seed, result in zip(seed_list, results):
+    for seed, result in zip(seed_list, results, strict=True):
         if active is None:
             verify_result(graph, result, start_a=start_a, start_b=start_b)
         records.append(

@@ -395,9 +395,7 @@ class _SampleProbe(AgentProgram):
 
     def run(self, ctx):
         self.home_closed = frozenset(ctx.view.closed_neighbors)
-        local_map = LocalMap(ctx.start_vertex)
-        for u in ctx.view.neighbors:
-            local_map.add_direct(u)
+        local_map = LocalMap(ctx.start_vertex, ctx.view.neighbors)
         self.outcome = yield from sample_run(
             ctx, sorted(self.home_closed), self._alpha, local_map,
             self.home_closed, self._constants,

@@ -8,11 +8,11 @@ per-agent bookkeeping.  For the round-dominated baselines that loop *is*
 the trial — ``BENCH_engine.json``'s rr-400x8 random-walk workload spends
 >95% of its time inside it.
 
-This module executes a whole seed batch in **lockstep** over one plan
-instead.  It receives the batch *armed*: ``run_trials`` has already
-resolved every seed's programs, starts and budget, made the pair
-checks, and bound or compiled the plan — exactly as for the engine —
-so nothing here validates or sets up a trial:
+This module executes a whole seed batch on position *tapes* instead.
+It receives the batch *armed*: ``run_trials`` has already resolved
+every seed's programs, starts and budget, made the pair checks, and
+bound or compiled the plan — exactly as for the engine — so nothing
+here validates or sets up a trial:
 
 * **Struct-of-arrays state.**  One ``array('q')`` per role holds the S
   agents' dense positions (plus parallel move/round/budget columns);
@@ -35,16 +35,30 @@ so nothing here validates or sets up a trial:
   differentially against both the engine and the frozen oracles in
   :mod:`repro.runtime.reference`.
 
-Only algorithms whose per-round behavior is statically analyzable are
-vectorized: the lazy random walk (both port models) and the trivial
-probe (KT1, where its meeting round is a closed form of the shuffled
-probe order).  Everything else — and any batch that trips a
-non-vectorizable condition at runtime (unexpected program subclass,
-degree-0 vertices, self-loops) — returns ``None`` so the caller runs
-the same armed seeds on the engine with no behavior change; see
+Kernels exist where a trial's rounds can be played without the
+interpreter: the lazy random walk (both port models), the trivial probe
+(KT1, where its meeting round is a closed form of the shuffled probe
+order), and the paper's algorithms under KT1 — Theorem 1
+(``WhiteboardRendezvousA`` with δ given, ``MarkerB``) and Theorem 2
+(``NoWhiteboardA`` without an oracle set, ``NoWhiteboardB``).  Their
+kernel drives ``Construct``'s visit coroutine
+(:func:`repro.core.construct.construct_visits`, the same code the
+engine's programs run) once per visit into agent a's position tape,
+runs b as a tape, and plays Theorem 1's Main-Rendezvous with each
+whiteboard read resolved from b's write log.  A batch the kernels
+cannot take — no kernel for the algorithm and port model, an
+unexpected program subclass, degree-0 vertices or self-loops for the
+walk, Theorem 1 with δ estimated, Theorem 2 given an oracle set —
+returns ``None``, and a paper-algorithm seed the tapes do not
+model (a Theorem 2 seed that outlives ``Construct``, no meeting within
+the budget, ``Construct``'s iteration cap, starts that are not
+adjacent) comes back as ``None`` in its slot; the caller runs those
+armed seeds on the engine with no behavior change; see
 ``docs/performance.md``.  The walk kernels' inputs and the graph half
 of that verdict are built once per plan
-(:attr:`~repro.runtime.plan.ExecutionPlan.walk_setup`), so a batch
+(:attr:`~repro.runtime.plan.ExecutionPlan.walk_setup`), as is the
+Theorem 1 and 2 kernel's visit table
+(:attr:`~repro.runtime.plan.ExecutionPlan.visit_reads`), so a batch
 pays no set-up of its own.
 """
 
@@ -52,10 +66,12 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from itertools import chain, compress, count, islice, repeat
 from operator import eq
 
 from repro._typing import VertexId
+from repro.errors import ReproError
 from repro.graphs.ports import PortModel
 from repro.runtime.engine import ExecutionResult
 from repro.runtime.plan import ExecutionPlan
@@ -81,7 +97,8 @@ def lockstep_supported(
     This is the *static* half of eligibility — the dynamic checks
     (program types per batch; degree-0 vertices and self-loops once
     per plan) live in :func:`run_lockstep_batch`, which returns
-    ``None`` when any fails.
+    ``None`` when any fails, and the Theorem 1 and 2 kernel hands back
+    single seeds it does not model.
 
     ``scenario`` is the batch's *active* scenario (an already
     normalized :class:`~repro.scenarios.ScenarioSpec`, or ``None``).
@@ -94,8 +111,8 @@ def lockstep_supported(
         return False
     if algorithm == "random-walk":
         return True
-    if algorithm == "trivial":
-        # TrivialProbeA reads ``view.neighbors``, which KT0 forbids;
+    if algorithm in ("trivial", "theorem1", "theorem2"):
+        # These programs read neighbor identifiers, which KT0 forbids;
         # the serial path must raise that ProtocolError, not us.
         return port_model is PortModel.KT1
     return False
@@ -401,6 +418,298 @@ def _run_trivial_batch(
 
 
 # ---------------------------------------------------------------------------
+# The paper algorithms' kernel (KT1): Construct's visit coroutine on a tape
+# ---------------------------------------------------------------------------
+
+#: Rounds of agent a's tape between two meeting checks against Theorem
+#: 1's moving b: a seed plays at most this many rounds past its meeting.
+_CHECK_SPAN = 32
+
+
+class _MarkerTape:
+    """``MarkerB`` (Theorem 1's agent b) as a position tape and a write log.
+
+    Trip ``j`` draws ``randrange(|N⁺(v₀ᵇ)|)`` in round ``2j``, stands on
+    the drawn vertex after that round and is home after round
+    ``2j + 1``.  Its mark lands in round ``2j`` when the vertex is home
+    (a stay that writes) and in round ``2j + 1`` otherwise (the write
+    made as it moves home).
+    """
+
+    __slots__ = ("home", "closed", "size", "bits", "getrandbits", "tape",
+                 "targets", "first")
+
+    def __init__(self, rng: random.Random, closed: frozenset, home: VertexId) -> None:
+        self.home = home
+        self.closed = tuple(sorted(closed))
+        self.size = len(self.closed)
+        self.bits = self.size.bit_length()
+        self.getrandbits = rng.getrandbits
+        #: ``tape[r]``: b's vertex after round ``r``.
+        self.tape: list = []
+        #: ``targets[j]``: the vertex trip ``j`` marks.
+        self.targets: list = []
+        #: vertex -> first trip that marked it; kept once a reads.
+        self.first: dict | None = None
+
+    def extend(self, rounds: int) -> None:
+        """Draw whole trips until the tape covers rounds ``0 .. rounds-1``."""
+        missing = rounds - len(self.tape)
+        if missing <= 0:
+            return
+        closed, size, bits = self.closed, self.size, self.bits
+        getrandbits = self.getrandbits
+        # One randrange(size) per trip, inlined as in the walk kernels.
+        draws = [
+            closed[r if (r := getrandbits(bits)) < size
+                   else _rejected(getrandbits, bits, size)]
+            for _ in repeat(None, max(missing + 1 >> 1, _CHECK_SPAN))
+        ]
+        base = len(self.targets)
+        self.targets += draws
+        self.tape += chain.from_iterable(zip(draws, repeat(self.home)))
+        if self.first is not None:
+            self._log(draws, base)
+
+    def _log(self, draws: list, base: int) -> None:
+        # Built reversed, so each vertex keeps its earliest trip; the
+        # trips logged before win, and ``first`` stays one object.
+        newer = dict(zip(reversed(draws), range(base + len(draws) - 1, base - 1, -1)))
+        newer.update(self.first)
+        self.first.update(newer)
+
+    def marks(self) -> dict:
+        """The write log: vertex -> first trip that marked it, kept current."""
+        if self.first is None:
+            self.first = {}
+            self._log(self.targets, 0)
+        return self.first
+
+    def meeting(self, tape: list, lo: int, horizon: int) -> tuple[int | None, int]:
+        """``(t, hi)``: the first meeting round ``t ≤ horizon`` found after
+        round ``lo`` in a's tape (``None`` if none), and how far it looked."""
+        hi = min(len(tape), horizon)
+        if lo >= hi:
+            return None, max(lo, hi)
+        self.extend(hi)
+        j = next(compress(count(lo), map(eq, tape[lo:hi], self.tape[lo:hi])), None)
+        return (None if j is None else j + 1), hi
+
+    def moves(self, t: int) -> int:
+        """Edge traversals in rounds ``0 .. t-1``."""
+        return _prefix_moves(self.tape, self.home, t)
+
+    def writes(self, t: int) -> int:
+        """Marks written in rounds ``0 .. t-1``."""
+        trip, odd = divmod(t, 2)
+        return trip + (odd and self.targets[trip] == self.home)
+
+
+def _paper_trial(
+    plan: ExecutionPlan,
+    whiteboard: bool,
+    seed: int,
+    program_a,
+    program_b,
+    ai: int,
+    bi: int,
+    budget: int,
+) -> ExecutionResult | None:
+    """One Theorem 1 (``whiteboard``) or Theorem 2 seed, or ``None``.
+
+    Agent a's position tape is ``Construct``'s visit coroutine played
+    from the plan's tables: each route it yields becomes its out-and-
+    back positions and is answered with the ``(degree, N⁺)`` of its end
+    (:attr:`~repro.runtime.plan.ExecutionPlan.visit_reads`).  Then, for
+    Theorem 1, Main-Rendezvous, each whiteboard read resolved from b's
+    write log.  Theorem 1's b is a :class:`_MarkerTape`, compared with
+    a's tape every ``_CHECK_SPAN`` rounds; Theorem 2's b waits at its
+    start until ``t'``, so a meets it on its first step there.  The
+    first co-location is the meeting round ``t``, and every count and
+    report entry keeps only the events of fetch rounds before ``t``, as
+    the engine's loop does.
+
+    ``None`` hands the seed back to the engine: starts that are not
+    adjacent, no meeting within the budget (for Theorem 2, by ``t'``),
+    a Theorem 2 ``Construct`` that ends first (its phases are the
+    engine's), or a ``Construct`` that raises (its iteration cap).
+    """
+    # Function-local, as in run_lockstep_batch: the core layer imports
+    # the runtime package.
+    from repro.core.construct import construct_visits
+    from repro.core.whiteboard_algorithm import construct_stats
+
+    ids = plan.ids
+    closed_sets = plan.closed_sets
+    home_a = ids[ai]
+    home_b = ids[bi]
+    if home_b not in closed_sets[ai]:
+        return None
+    id_space = plan.graph.id_space
+    rng_b = random.Random(f"{seed}:b")
+    b: _MarkerTape | None = None
+    if whiteboard:
+        b = _MarkerTape(rng_b, closed_sets[bi], home_b)
+        horizon = budget
+    else:
+        t_prime, _, report_b = program_b.opening(rng_b, closed_sets[bi], id_space)
+        horizon = min(budget, t_prime)
+
+    # ``tape[r]``: a's vertex after round ``r``.  So ``len(tape)`` is
+    # the round a fetches next, the coroutine's clock, and a meeting at
+    # ``tape[j]`` is seen at the start of round ``j + 1``.
+    tape: list = []
+    extend = tape.extend
+    checked = 0  # rounds ``1 .. checked`` start with the agents apart
+    reads_of = plan.visit_reads
+    rng_a = random.Random(f"{seed}:a")
+    delta = program_a._delta
+    constants = program_a._constants
+    send = construct_visits(
+        home_a, *reads_of[home_a], plan.nbr_ids[ai], id_space, rng_a,
+        float(delta), constants, tape.__len__,
+    ).send
+    seen = None
+    t = None
+    while True:
+        try:
+            route = send(seen)
+        except StopIteration as stop:
+            outcome = stop.value
+            break
+        except ReproError:
+            # Construct's iteration cap: the engine raises it on its
+            # round, unless the agents meet first.
+            return None
+        hops = len(route)
+        if hops == 1:
+            v = route[0]
+            extend((v, home_a))
+        elif hops == 2:
+            x, v = route
+            extend((x, v, x, home_a))
+        else:
+            v = home_a
+        seen = reads_of[v]
+        if b is None:
+            if home_b in route:
+                t = tape.index(home_b, len(tape) - 2 * hops) + 1
+                if t > horizon:
+                    return None
+                break
+            if len(tape) >= horizon:
+                return None
+        elif len(tape) - checked >= _CHECK_SPAN:
+            t, checked = b.meeting(tape, checked, horizon)
+            if t is not None:
+                break
+            if checked >= horizon:
+                return None
+    if b is None:
+        if t is None:
+            return None
+        return _paper_result(
+            t, home_b, _prefix_moves(tape, home_a, t), 0, 0, 0, False, {}, report_b
+        )
+    if t is None:
+        t, checked = b.meeting(tape, checked, horizon)
+    if t is not None:
+        # Met during Construct: a's report is filled only at the fetch
+        # after its last hop, so it is still empty.
+        return _paper_result(
+            t, tape[t - 1], _prefix_moves(tape, home_a, t), b.moves(t), 0,
+            b.writes(t), False, {}, {"marks": (t - 1) // 2},
+        )
+    if checked >= horizon:
+        return None
+
+    # Main-Rendezvous, agent a (Algorithm 1), from the fetch after
+    # Construct's last hop.
+    report_a = construct_stats(outcome, int(delta), 0, constants)
+    target_set = outcome.target_set
+    route_of = outcome.local_map.route
+    getrandbits = rng_a.getrandbits
+    size = len(target_set)
+    bits = size.bit_length()
+    first = b.marks()
+    reads: list[int] = []
+    probes: list[int] = []
+    found = None
+    while True:
+        fetch = len(tape)
+        # ``ctx.rng.randrange(len(target_set))``, inlined.
+        pick = getrandbits(bits)
+        while pick >= size:
+            pick = getrandbits(bits)
+        route = route_of(target_set[pick])
+        hops = len(route)
+        if hops == 1:
+            v = route[0]
+            extend((v, home_a))
+        elif hops == 2:
+            x, v = route
+            extend((x, v, x, home_a))
+        else:
+            v = home_a
+        read = fetch + hops
+        reads.append(read)
+        probes.append(len(tape))
+        if read >= len(b.tape):
+            b.extend(read + 1)  # logs the new trips into ``first``
+        trip = first.get(v)
+        if trip is not None and 2 * trip + (v != home_b) < read:
+            # The mark is v₀ᵇ, a neighbor of home: a moves there and
+            # halts, and b is home again within two rounds.
+            found = len(tape)
+            extend((home_b, home_b))
+            t, checked = b.meeting(tape, checked, horizon)
+            break
+        if len(tape) - checked >= _CHECK_SPAN:
+            t, checked = b.meeting(tape, checked, horizon)
+            if t is not None:
+                break
+            if checked >= horizon:
+                return None
+    if t is None:
+        return None
+    report_a["probes"] = bisect_left(probes, t)
+    if found is not None and found < t:
+        report_a["mark_found_round"] = found
+    return _paper_result(
+        t, tape[t - 1], _prefix_moves(tape, home_a, t), b.moves(t),
+        bisect_left(reads, t), b.writes(t),
+        found is not None and found + 1 < t,
+        report_a, {"marks": (t - 1) // 2},
+    )
+
+
+def _paper_result(
+    t: int,
+    vertex: VertexId,
+    moves_a: int,
+    moves_b: int,
+    reads: int,
+    writes: int,
+    halted_a: bool,
+    report_a: dict,
+    report_b: dict,
+) -> ExecutionResult:
+    """A met pair's result exactly as the engine builds it (b never halts)."""
+    return ExecutionResult(
+        met=True,
+        rounds=t,
+        meeting_vertex=vertex,
+        moves={"a": moves_a, "b": moves_b},
+        whiteboard_reads=reads,
+        whiteboard_writes=writes,
+        halted={"a": halted_a, "b": False},
+        failure_reason=None,
+        reports={"a": report_a, "b": report_b},
+        trace=None,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Batch entry point
 # ---------------------------------------------------------------------------
 
@@ -409,8 +718,8 @@ def run_lockstep_batch(
     plan: ExecutionPlan,
     algorithm: str,
     armed: "list[tuple]",
-) -> list[ExecutionResult] | None:
-    """Execute armed seeds in lockstep, or ``None`` to fall back.
+) -> list[ExecutionResult | None] | None:
+    """Execute armed seeds on the kernels, or ``None`` to fall back.
 
     ``armed`` holds one ``(seed, program_a, program_b, start_a,
     start_b, budget)`` tuple per seed, as
@@ -421,9 +730,14 @@ def run_lockstep_batch(
     the tape construction each result equals the engine's for that
     seed.  A ``None`` return means "this batch is not vectorizable"
     (no kernel for the algorithm and port model, an unregistered
-    program subclass, a degree-0 vertex or a self-loop); the caller
-    runs the armed seeds on the engine, whose behavior on those
-    batches is the contract.
+    program subclass, Theorem 1 with δ estimated, Theorem 2 given an
+    oracle set, a degree-0 vertex or a self-loop); the caller runs the
+    armed seeds on the engine, whose behavior on those batches is the
+    contract.  Otherwise the list holds one entry per armed seed, in
+    order: its result, or ``None`` for a Theorem 1 or 2 seed the tapes
+    do not model (see :func:`_paper_trial`), which the caller runs,
+    already armed and unchanged, on the engine.  The kernels never
+    touch the programs, so such a seed runs from scratch.
     """
     if not lockstep_supported(algorithm, plan.port_model):
         return None
@@ -431,9 +745,16 @@ def run_lockstep_batch(
     # module-scope import would be circular.
     from repro.baselines.random_walk import RandomWalker
     from repro.baselines.trivial import TrivialProbeA, WaitingB
+    from repro.core.main_rendezvous import MarkerB
+    from repro.core.no_whiteboard import NoWhiteboardA, NoWhiteboardB
+    from repro.core.whiteboard_algorithm import WhiteboardRendezvousA
 
-    walk = algorithm == "random-walk"
-    kind_a, kind_b = (RandomWalker, RandomWalker) if walk else (TrivialProbeA, WaitingB)
+    kind_a, kind_b = {
+        "random-walk": (RandomWalker, RandomWalker),
+        "trivial": (TrivialProbeA, WaitingB),
+        "theorem1": (WhiteboardRendezvousA, MarkerB),
+        "theorem2": (NoWhiteboardA, NoWhiteboardB),
+    }[algorithm]
     index_of = plan.index_of
     trials: list[tuple] = []
     for seed, program_a, program_b, start_a, start_b, budget in armed:
@@ -442,6 +763,17 @@ def run_lockstep_batch(
         trials.append(
             (seed, program_a, program_b, index_of[start_a], index_of[start_b], budget)
         )
-    if walk:
+    if algorithm == "random-walk":
         return _run_walk_batch(plan, trials)
-    return _run_trivial_batch(plan, trials)
+    if algorithm == "trivial":
+        return _run_trivial_batch(plan, trials)
+    # Theorem 1 with δ estimated, and Theorem 2 given an oracle dense
+    # set, run other programs than the tapes model.
+    if algorithm == "theorem1" and any(t[1]._delta is None for t in trials):
+        return None
+    if algorithm == "theorem2" and any(
+        t[1]._oracle_target_set is not None for t in trials
+    ):
+        return None
+    whiteboard = algorithm == "theorem1"
+    return [_paper_trial(plan, whiteboard, *trial) for trial in trials]

@@ -28,7 +28,11 @@ over dense vertex indices ``0 .. n-1``:
   on irregular plans).  It is ``None`` when no walk can run in
   lockstep: a degree-0 vertex, or a table slot leading a vertex to
   itself.  That verdict is cached too, so the O(m) self-loop scan runs
-  once per plan.
+  once per plan;
+* ``visit_reads`` (KT1 plans; ``None`` on KT0 plans) — what the
+  Theorem 1 and 2 kernels answer a visit with: ``(degree, N⁺)`` of
+  each vertex, keyed by identifier, built lazily once per plan from
+  ``degrees`` and ``closed_sets``.
 
 **Plans compile zero-copy.**  Every :class:`StaticGraph` stores its
 adjacency as exactly these buffers, and every
@@ -133,6 +137,7 @@ class ExecutionPlan:
         "kt0_rows",
         "kt0_ports",
         "walk_setup",
+        "visit_reads",
         "_labeling",
     )
 
@@ -167,10 +172,17 @@ class ExecutionPlan:
 
     def __getattr__(self, name: str):
         # Reached only when a slot is unset: the lazy per-vertex rows
-        # and the lockstep walk set-up.  Materialize once, cache in the
-        # slot.
+        # and the lockstep kernels' tables.  Materialize once, cache in
+        # the slot.
         if name == "walk_setup":
             value = _walk_setup(self)
+        elif name == "visit_reads":
+            # ``None`` on KT0 plans, whose views hide N⁺.
+            closed = self.closed_sets
+            value = (
+                None if closed is None
+                else dict(zip(self.ids, zip(self.degrees, closed)))
+            )
         elif name == "nbr_ids":
             # The graph's own tuples, shared rather than rebuilt.
             nbr_map = self.graph.neighbor_map

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constants import Constants
-from repro.core.construct import ConstructOnlyProgram
+from repro.core.construct import ConstructOnlyProgram, construct_visits
 from repro.core.dense import dense_violations, is_dense_set
 from repro.graphs.generators import (
     complete_graph,
+    powerlaw_graph_with_floor,
     random_geometric_dense_graph,
     random_graph_with_min_degree,
 )
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.single import run_single_agent
 
 
@@ -157,3 +160,63 @@ class TestConstructOnlyProgram:
     def test_report_empty_before_run(self, testing_constants):
         program = ConstructOnlyProgram(10, testing_constants)
         assert program.report() == {}
+
+
+def drive_visits(graph, start, delta, constants, seed=0, degree_floor=None):
+    """``Construct``'s visit coroutine answered from an execution plan.
+
+    Each route costs two rounds per hop and is answered with the
+    ``(degree, N⁺)`` the plan keeps for its end, as the lockstep
+    kernels answer it.
+    """
+    reads = ExecutionPlan.compile(graph).visit_reads
+    rounds = 0
+    visits = construct_visits(
+        start, *reads[start], graph.neighbors(start), graph.id_space,
+        random.Random(f"{seed}:a"), delta, constants, lambda: rounds,
+        degree_floor,
+    )
+    seen = None
+    while True:
+        try:
+            route = visits.send(seen)
+        except StopIteration as stop:
+            return stop.value
+        rounds += 2 * len(route)
+        seen = reads[route[-1] if route else start]
+
+
+def _comparable(outcome):
+    """An outcome's fields, its local map as a plain route table."""
+    local_map = outcome.local_map
+    routes = {v: local_map.route(v) for v in local_map.known_vertices()}
+    return dataclasses.replace(outcome, local_map=None), routes
+
+
+class TestVisitCoroutine:
+    """Driving the coroutine from plan tables gives ``construct_run``'s outcome."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_outcome_matches_the_per_round_program(self, seed, testing_constants):
+        g = random_graph_with_min_degree(90, 14, random.Random(f"coroutine:{seed}"))
+        start = g.vertices[seed]
+        driven = drive_visits(g, start, g.min_degree, testing_constants, seed)
+        program = run_construct(g, start, g.min_degree, testing_constants, seed)
+        assert driven.completed
+        assert _comparable(driven) == _comparable(program)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_degree_floor_outcomes_match(self, seed, testing_constants):
+        g = powerlaw_graph_with_floor(120, 6, random.Random(f"floor:{seed}"))
+        start = max(g.vertices, key=g.degree)
+        aborted = 0
+        for floor in (1, g.min_degree + 4, g.degree(start) + 1):
+            driven = drive_visits(
+                g, start, g.min_degree, testing_constants, seed, floor
+            )
+            program = run_construct(
+                g, start, g.min_degree, testing_constants, seed, floor
+            )
+            assert _comparable(driven) == _comparable(program)
+            aborted += not driven.completed
+        assert aborted >= 1  # the floor above the start's degree trips at once

@@ -21,6 +21,15 @@ class TestLocalMap:
         assert lm.route(3) == (3,)
         assert lm.route_length(3) == 1
 
+    def test_neighbors_given_at_construction_match_add_direct(self):
+        given = LocalMap(0, iter([3, 0, 7]))  # any iterable; home stays home
+        added = LocalMap(0)
+        for u in (3, 0, 7):
+            added.add_direct(u)
+        assert given.known_vertices() == added.known_vertices() == {0, 3, 7}
+        for v in (0, 3, 7):
+            assert given.route(v) == added.route(v)
+
     def test_via_route(self):
         lm = LocalMap(0)
         lm.add_direct(1)

@@ -30,7 +30,8 @@ import pytest
 
 from repro.core.api import ALGORITHMS, prepare_rendezvous
 from repro.core.constants import Constants
-from repro.errors import ProtocolError
+from repro.core.no_whiteboard import NoWhiteboardA
+from repro.errors import ProtocolError, ReproError
 from repro.experiments import harness
 from repro.experiments.harness import run_trials
 from repro.experiments.results_io import record_to_jsonable
@@ -43,6 +44,7 @@ from repro.graphs.generators import (
     random_regular_graph,
 )
 from repro.graphs.graph import StaticGraph
+from repro.graphs.lowerbound import cliques_sharing_vertex
 from repro.graphs.ports import PortLabeling, PortModel
 from repro.runtime import plan as plan_module
 from repro.runtime.lockstep import (
@@ -322,21 +324,35 @@ class TestFallback:
     def test_static_eligibility(self):
         assert lockstep_supported("random-walk", PortModel.KT1)
         assert lockstep_supported("random-walk", PortModel.KT0)
-        assert lockstep_supported("trivial", PortModel.KT1)
-        assert not lockstep_supported("trivial", PortModel.KT0)
-        for algorithm in ("theorem1", "theorem2", "explore", "anderson-weber"):
+        for algorithm in ("trivial", "theorem1", "theorem2"):
+            assert lockstep_supported(algorithm, PortModel.KT1)
+            assert not lockstep_supported(algorithm, PortModel.KT0)
+        for algorithm in ("explore", "anderson-weber"):
             assert not lockstep_supported(algorithm, PortModel.KT1)
             assert not lockstep_supported(algorithm, PortModel.KT0)
 
     def test_unsupported_algorithm_returns_none(self):
         graph = cycle_graph(16)
         plan = ExecutionPlan.compile(graph)
+        armed = _armed(graph, "explore", [0, 1])
+        assert run_lockstep_batch(plan, "explore", armed) is None
         for algorithm in ("theorem1", "explore"):
             armed = _armed(graph, algorithm, [0, 1])
-            assert run_lockstep_batch(plan, algorithm, armed) is None
             # The program-type check: a walk batch armed with other
             # programs declines too.
             assert run_lockstep_batch(plan, "random-walk", armed) is None
+            assert run_lockstep_batch(plan, "theorem2", armed) is None
+
+    def test_short_kernel_result_list_raises(self, monkeypatch):
+        """A route that returns one result too few cannot drop a record."""
+
+        def short(plan, algorithm, armed):
+            return run_lockstep_batch(plan, algorithm, armed)[:-1]
+
+        monkeypatch.setattr(harness, "run_lockstep_batch", short)
+        graph = random_graph_with_min_degree(40, 8, random.Random("short"))
+        with pytest.raises(ValueError, match="zip"):
+            run_trials(graph, "random-walk", [0, 1, 2], max_rounds=50)
 
     def test_degree_zero_vertex_falls_back(self, monkeypatch):
         """An isolated vertex bails out of lockstep but not run_trials.
@@ -366,6 +382,230 @@ class TestFallback:
         batched = _classic(graph, "random-walk", [0, 5], max_rounds=200)
         serial = _per_seed_oracle(graph, "random-walk", [0, 5], max_rounds=200)
         assert _record_bytes(batched) == _record_bytes(serial)
+
+
+def _kernel_spy(monkeypatch) -> list:
+    """Wrap the kernels as ``run_trials`` calls them; collect their output.
+
+    Each entry is ``(armed, results)``: the armed seeds of one batch and
+    the kernel's list for it (``None`` for a declined batch).
+    """
+    batches: list = []
+
+    def spy(plan, algorithm, armed):
+        results = run_lockstep_batch(plan, algorithm, armed)
+        batches.append((armed, results))
+        return results
+
+    monkeypatch.setattr(harness, "run_lockstep_batch", spy)
+    return batches
+
+
+def _engine_result(graph, algorithm, seed, **kwargs):
+    """One seed on a fresh engine, armed as ``run_trials`` arms it."""
+    entry = _armed(graph, algorithm, [seed], **kwargs)[0]
+    plan = ExecutionPlan.compile(graph)
+    return next(harness._engine_results(
+        graph, plan, [entry], PortModel.KT1,
+        ALGORITHMS[algorithm].uses_whiteboards, None,
+    ))
+
+
+def _paper_graphs():
+    """The families the paper kernels are checked on, dilated IDs included."""
+    rng = random.Random("paper-kernel-graphs")
+    er = random_graph_with_min_degree(64, 14, rng)
+    return [
+        ("er-min-degree", er),
+        ("regular", random_regular_graph(56, 12, rng)),
+        ("complete", complete_graph(24)),
+        ("dilated", dilate_id_space(er, 7, random.Random("dilate"))),
+    ]
+
+
+#: Constants presets the paper kernels are checked under.
+_PAPER_PRESETS = {
+    "tuned": Constants.tuned,
+    "aggressive": Constants.aggressive,
+    "testing": Constants.testing,
+    "paper": Constants.paper,
+}
+
+
+def _phase(result) -> str:
+    """Where a met Theorem 1 pair met: in Construct, in Main-Rendezvous,
+    or after agent a halted on b's start."""
+    if not result.reports["a"]:
+        return "construct"
+    return "halted" if result.halted["a"] else "main-rendezvous"
+
+
+class TestPaperKernelDifferential:
+    """Theorem 1 and 2 on the lockstep route equal the engine, seed by seed.
+
+    Records are compared as bytes against the engine-reset loop and the
+    frozen oracle; each kernel result is compared with the engine's
+    field for field, fields the records drop included (``halted``,
+    per-agent moves, whiteboard reads), and its report dicts in the
+    programs' key order.
+    """
+
+    SEEDS = range(40)
+
+    @pytest.mark.parametrize("preset", sorted(_PAPER_PRESETS))
+    @pytest.mark.parametrize("algorithm", ["theorem1", "theorem2"])
+    def test_records_and_results_match_the_engine(
+        self, algorithm, preset, monkeypatch
+    ):
+        constants = _PAPER_PRESETS[preset]()
+        ran = 0
+        for _, graph in _paper_graphs():
+            batches = _kernel_spy(monkeypatch)
+            _assert_all_paths_identical(
+                graph, algorithm, self.SEEDS, constants=constants
+            )
+            ((armed, results),) = batches
+            for (seed, *_), result in list(zip(armed, results))[::4]:
+                if result is None:
+                    continue
+                ran += 1
+                expected = _engine_result(
+                    graph, algorithm, seed, constants=constants
+                )
+                assert result == expected
+                for name in ("a", "b"):
+                    assert list(result.reports[name]) == list(
+                        expected.reports[name]
+                    )
+        assert ran >= 10, "the kernel ran too few seeds"
+
+    def test_results_match_on_every_family_field_for_field(self, monkeypatch):
+        """Every kernel result of a Theorem 1 batch, against a fresh engine."""
+        constants = Constants.aggressive()
+        phases = set()
+        for name, graph in _paper_graphs():
+            batches = _kernel_spy(monkeypatch)
+            run_trials(graph, "theorem1", self.SEEDS, constants=constants)
+            ((armed, results),) = batches
+            for (seed, *_), result in zip(armed, results):
+                if result is None:
+                    continue
+                expected = _engine_result(
+                    graph, "theorem1", seed, constants=constants
+                )
+                phases.add(_phase(result))
+                assert result == expected, f"{name} seed {seed}"
+                for agent in ("a", "b"):
+                    assert list(result.reports[agent]) == list(
+                        expected.reports[agent]
+                    )
+        assert phases == {"construct", "main-rendezvous", "halted"}
+
+    @pytest.mark.parametrize("algorithm", ["theorem1", "theorem2"])
+    def test_small_budget_falls_back(self, algorithm, monkeypatch):
+        graph = _paper_graphs()[0][1]
+        batches = _kernel_spy(monkeypatch)
+        records = _assert_all_paths_identical(
+            graph, algorithm, self.SEEDS, max_rounds=24,
+            constants=Constants.tuned(),
+        )
+        ((_, results),) = batches[:1]
+        declined = [r is None for r in results]
+        assert any(declined) and not all(declined)
+        assert any(not r.met for r in records)
+        met = [r for r in records if r.met]
+        assert met and all(r.rounds <= 24 for r in met)
+
+    def test_meeting_at_the_budget_counts(self, monkeypatch):
+        graph = _paper_graphs()[0][1]
+        met = [
+            r for r in run_trials(graph, "theorem1", self.SEEDS) if r.met
+        ]
+        batches = _kernel_spy(monkeypatch)
+        for record in met[:6]:
+            routed = run_trials(
+                graph, "theorem1", [record.seed], max_rounds=record.rounds
+            )
+            assert _record_bytes(routed) == _record_bytes([record])
+            assert _record_bytes(routed) == _record_bytes(_per_seed_oracle(
+                graph, "theorem1", [record.seed], max_rounds=record.rounds
+            ))
+        assert all(results[0] is not None for _, results in batches)
+
+    @pytest.mark.parametrize("algorithm", ["theorem1", "theorem2"])
+    def test_distance_two_starts_fall_back(self, algorithm, monkeypatch):
+        graph, start_a, start_b = cliques_sharing_vertex(33)
+        batches = _kernel_spy(monkeypatch)
+        _assert_all_paths_identical(
+            graph, algorithm, range(8), start_a=start_a, start_b=start_b,
+            check_instance=False, max_rounds=20_000,
+        )
+        ((_, results),) = batches[:1]
+        assert results == [None] * 8
+
+    def test_theorem2_seeds_that_outlive_construct_fall_back(self, monkeypatch):
+        batches = _kernel_spy(monkeypatch)
+        for _, graph in _paper_graphs():
+            _assert_all_paths_identical(
+                graph, "theorem2", self.SEEDS, constants=Constants.aggressive()
+            )
+        outcomes = [r for _, results in batches for r in results]
+        assert None in outcomes, "no seed outlived Construct"
+        assert any(r is not None for r in outcomes)
+
+    def test_iteration_cap_falls_back_and_raises_identically(self):
+        class Capped(Constants):
+            def construct_iteration_cap(self, id_space, delta):
+                return 1
+
+        constants = Capped(**vars(Constants.aggressive()))
+        raised = []
+        for _, graph in _paper_graphs():
+            outcomes = []
+            for route in (run_trials, _classic):
+                try:
+                    outcomes.append(_record_bytes(
+                        route(graph, "theorem1", self.SEEDS, constants=constants)
+                    ))
+                except ReproError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            if isinstance(outcomes[0], str):
+                raised.append(outcomes[0])
+        assert raised, "no seed reached the cap before meeting"
+        assert all("iteration cap (1)" in text for text in raised)
+
+    def test_estimated_delta_and_oracle_sets_decline(self):
+        graph = _paper_graphs()[0][1]
+        plan = ExecutionPlan.compile(graph)
+        armed = _armed(graph, "theorem1", [0, 1], delta="estimate")
+        assert run_lockstep_batch(plan, "theorem1", armed) is None
+        records = _assert_all_paths_identical(
+            graph, "theorem1", [0, 1, 2], delta="estimate"
+        )
+        assert all(r.met for r in records)
+        seed, program_a, program_b, start_a, start_b, budget = _armed(
+            graph, "theorem2", [0]
+        )[0]
+        oracle = NoWhiteboardA(
+            program_a._delta, oracle_target_set=graph.closed_neighbors(start_a)
+        )
+        entry = (seed, oracle, program_b, start_a, start_b, budget)
+        assert run_lockstep_batch(plan, "theorem2", [entry]) is None
+
+    def test_plan_builds_its_visit_table_once(self):
+        graph = _paper_graphs()[0][1]
+        plan = ExecutionPlan.compile(graph)
+        with pytest.raises(AttributeError):  # nothing built at compile time
+            ExecutionPlan.visit_reads.__get__(plan, ExecutionPlan)
+        run_trials(graph, "theorem1", range(3), plan=plan)
+        table = plan.visit_reads
+        run_trials(graph, "theorem2", range(3), plan=plan)
+        assert plan.visit_reads is table
+        v = graph.vertices[5]
+        assert table[v] == (graph.degree(v), plan.closed_sets[5])
+        kt0 = ExecutionPlan.compile(graph, port_model=PortModel.KT0)
+        assert kt0.visit_reads is None
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:

@@ -80,9 +80,19 @@ class TestStaticEligibility:
     def test_no_scenario_keeps_historical_eligibility(self):
         assert lockstep_supported("random-walk", PortModel.KT1)
         assert lockstep_supported("random-walk", PortModel.KT1, None)
-        assert lockstep_supported("trivial", PortModel.KT1, None)
-        assert not lockstep_supported("trivial", PortModel.KT0, None)
-        assert not lockstep_supported("theorem1", PortModel.KT1, None)
+        for algorithm in ("trivial", "theorem1", "theorem2"):
+            assert lockstep_supported(algorithm, PortModel.KT1, None)
+            assert not lockstep_supported(algorithm, PortModel.KT0, None)
+        assert not lockstep_supported("explore", PortModel.KT1, None)
+
+    def test_active_scenario_declines_the_paper_algorithms(self):
+        for name, spec in SCENARIOS.items():
+            if spec.is_noop:
+                continue
+            for algorithm in ("theorem1", "theorem2"):
+                assert not lockstep_supported(algorithm, PortModel.KT1, spec), (
+                    f"{algorithm} under {name} must not be lockstep-eligible"
+                )
 
 
 class TestBatchRouting:
