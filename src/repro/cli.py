@@ -37,11 +37,12 @@ Commands
 ``work --connect HOST:PORT [--workers N]``
     Join a fleet as one worker host; ``--workers`` fans each unit out
     over a warm local fabric.
-``submit --connect HOST:PORT [grid options] [--out FILE]``
+``submit --connect HOST:PORT [grid options] [--no-resume] [--out FILE]``
     Queue a sweep on a running broker, stream progress, and print the
     merged summary — the socket twin of ``sweep``, byte-identical
     records, with the broker's cache giving "served from cache"
-    semantics across clients and restarts.
+    semantics across clients and restarts; ``--no-resume`` has the
+    broker discard the spec's cached trials first.
 ``status --connect HOST:PORT``
     Print a running broker's job table; a dead or hung broker is a
     one-line typed error and exit code 2, never a hang.
@@ -410,6 +411,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             address, spec,
             progress=progress, retry=args.retry,
             timeout=args.timeout if args.timeout > 0 else None,
+            resume=args.resume,
         )
     except ReproError as error:
         # ServiceError (failed job, dead broker) and WireError (framing)
@@ -675,6 +677,11 @@ def main(argv: list[str] | None = None) -> int:
     submit_parser.add_argument(
         "--out", default=None,
         help="write the merged records as JSON lines to this file",
+    )
+    submit_parser.add_argument(
+        "--resume", action=argparse.BooleanOptionalAction, default=True,
+        help="reuse the broker's cached trials of this spec (--no-resume "
+             "discards them and recomputes; refused while the spec's job runs)",
     )
     submit_parser.add_argument(
         "--retry", type=float, default=10.0,

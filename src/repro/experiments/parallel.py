@@ -1102,7 +1102,8 @@ def _resume_pairs(
                 f"{cache.path}: grid point {index} is {point.algorithm} at "
                 f"n={point.n}, seed {point.seed}, but its stored record is "
                 f"{record.algorithm} at n={record.n}, seed {record.seed}; delete "
-                "it, or rerun with `repro sweep --no-resume`, to recompute the sweep"
+                "it, or rerun with `--no-resume` (`repro sweep` or `repro submit`), "
+                "to recompute the sweep"
             )
         seen.add(index)
         yield index, record

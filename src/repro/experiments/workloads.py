@@ -29,7 +29,7 @@ from repro.core.dense import dense_violations, heavy_set, light_set
 from repro.core.knowledge import LocalMap
 from repro.core.main_rendezvous import MainRendezvousA, MarkerB
 from repro.core.gathering import gathering_programs
-from repro.core.no_whiteboard import NoWhiteboardA, NoWhiteboardB
+from repro.core.no_whiteboard import SWEEP, NoWhiteboardA, NoWhiteboardB, sweep_schedule
 from repro.extensions.multihop import multihop_programs
 from repro.runtime.multi import MultiAgentScheduler
 from repro.core.sample import sample_run
@@ -781,12 +781,15 @@ def run_ablation_threshold(quick: bool = True) -> list[Table]:
 def run_ablation_dwell(quick: bool = True) -> list[Table]:
     """Theorem 2 dwell slack: the deviation DESIGN.md #5 justifies.
 
-    Audits agent ``b``'s schedule in isolation (solo run, no partner —
-    in two-agent runs incidental meetings swamp the mechanism): when
-    the dwell/repetition length ``L`` shrinks below agent ``b``'s
+    Audits agent ``b``'s schedule in isolation (no partner — in
+    two-agent runs incidental meetings swamp the mechanism): when the
+    dwell/repetition length ``L`` shrinks below agent ``b``'s
     4-rounds-per-member sweep cost, repetitions truncate
     (``sweep_overflows``) and the coverage guarantee behind Theorem 2's
-    meeting argument breaks.
+    meeting argument breaks.  The counts are read off ``b``'s schedule
+    coroutine (:func:`~repro.core.no_whiteboard.sweep_schedule`), fed
+    the draws a solo run of its program makes: the same sweeps, without
+    playing their rounds.
     """
     n = 600
     trials = 3 if quick else 6
@@ -811,15 +814,16 @@ def run_ablation_dwell(quick: bool = True) -> list[Table]:
         max_cost = 0
         dwell = constants.dwell_rounds(graph.id_space)
         for seed in range(trials):
-            program = NoWhiteboardB(delta, constants)
-            phases = math.ceil(graph.id_space / constants.block_width(delta))
-            budget = 2 + (phases + 1) * constants.phase_length(graph.id_space)
-            run_single_agent(
-                program, graph, start_b, rounds=budget, seed=seed,
-                id_space=graph.id_space,
+            # A solo run's tape, "{seed}:a", and its round-0 view.
+            _, blocks, stats = NoWhiteboardB(delta, constants).opening(
+                random.Random(f"{seed}:a"), graph.closed_neighbor_set(start_b),
+                graph.id_space,
             )
-            stats = program.report()
-            overflows += stats["sweep_overflows"]
+            overflows += sum(
+                item[5] for item in sweep_schedule(
+                    blocks, start_b, float(delta), graph.id_space, constants, 0
+                ) if item[0] is SWEEP
+            )
             max_cost = max(max_cost, 4 * stats["max_block_size"])
         table.add_row(slack, dwell, max_cost, overflows)
     table.add_note("overflows appear once L falls below the densest block's sweep "

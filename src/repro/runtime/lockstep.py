@@ -45,18 +45,23 @@ kernel drives ``Construct``'s visit coroutine
 (:func:`repro.core.construct.construct_visits`, the same code the
 engine's programs run) once per visit into agent a's position tape,
 runs b as a tape, and plays Theorem 1's Main-Rendezvous with each
-whiteboard read resolved from b's write log.  A batch the kernels
-cannot take — no kernel for the algorithm and port model, an
-unexpected program subclass, degree-0 vertices or self-loops for the
-walk, Theorem 1 with δ estimated, Theorem 2 given an oracle set —
-returns ``None``, and a paper-algorithm seed the tapes do not
-model (a Theorem 2 seed that outlives ``Construct``, no meeting within
-the budget, ``Construct``'s iteration cap, starts that are not
-adjacent) comes back as ``None`` in its slot; the caller runs those
-armed seeds on the engine with no behavior change; see
-``docs/performance.md``.  The walk kernels' inputs and the graph half
-of that verdict are built once per plan
-(:attr:`~repro.runtime.plan.ExecutionPlan.walk_setup`), as is the
+whiteboard read resolved from b's write log.  Theorem 2's phases are
+read as a timeline: both agents' schedule coroutines
+(:func:`repro.core.no_whiteboard.slot_schedule` and
+:func:`~repro.core.no_whiteboard.sweep_schedule`, which the programs
+play per round) give each agent's position as a step function of the
+round, and the meeting comes from their breakpoints without a round
+being stepped or stored.  A batch the kernels cannot take — no kernel
+for the algorithm and port model, an unexpected program subclass,
+degree-0 vertices or self-loops for the walk, Theorem 1 with δ
+estimated, Theorem 2 given an oracle set — returns ``None``, and a
+paper-algorithm seed the kernel does not model (starts that are not
+adjacent, no meeting within the budget, ``Construct``'s iteration cap,
+a Theorem 2 ``Construct`` that runs past ``t'``) comes back as
+``None`` in its slot; the caller runs those armed seeds on the engine
+with no behavior change; see ``docs/performance.md``.  The walk
+kernels' inputs and the graph half of that verdict are built once per
+plan (:attr:`~repro.runtime.plan.ExecutionPlan.walk_setup`), as is the
 Theorem 1 and 2 kernel's visit table
 (:attr:`~repro.runtime.plan.ExecutionPlan.visit_reads`), so a batch
 pays no set-up of its own.
@@ -522,17 +527,20 @@ def _paper_trial(
     back positions and is answered with the ``(degree, N⁺)`` of its end
     (:attr:`~repro.runtime.plan.ExecutionPlan.visit_reads`).  Then, for
     Theorem 1, Main-Rendezvous, each whiteboard read resolved from b's
-    write log.  Theorem 1's b is a :class:`_MarkerTape`, compared with
-    a's tape every ``_CHECK_SPAN`` rounds; Theorem 2's b waits at its
-    start until ``t'``, so a meets it on its first step there.  The
-    first co-location is the meeting round ``t``, and every count and
-    report entry keeps only the events of fetch rounds before ``t``, as
-    the engine's loop does.
+    write log; for Theorem 2, both agents' phase schedules, read as a
+    timeline (:func:`_phase_trial`).  Theorem 1's b is a
+    :class:`_MarkerTape`, compared with a's tape every ``_CHECK_SPAN``
+    rounds; Theorem 2's b waits at its start until ``t'``, so during
+    ``Construct`` a meets it on its first step there.  The first
+    co-location is the meeting round ``t``, and every count and report
+    entry keeps only the events of fetch rounds before ``t``, as the
+    engine's loop does.
 
     ``None`` hands the seed back to the engine: starts that are not
-    adjacent, no meeting within the budget (for Theorem 2, by ``t'``),
-    a Theorem 2 ``Construct`` that ends first (its phases are the
-    engine's), or a ``Construct`` that raises (its iteration cap).
+    adjacent, no meeting within the budget, a ``Construct`` that
+    raises (its iteration cap), or a Theorem 2 ``Construct`` that runs
+    past ``t'`` (the program raises ``SynchronizationError`` unless
+    the agents meet first).
     """
     # Function-local, as in run_lockstep_batch: the core layer imports
     # the runtime package.
@@ -552,7 +560,9 @@ def _paper_trial(
         b = _MarkerTape(rng_b, closed_sets[bi], home_b)
         horizon = budget
     else:
-        t_prime, _, report_b = program_b.opening(rng_b, closed_sets[bi], id_space)
+        t_prime, blocks_b, report_b = program_b.opening(
+            rng_b, closed_sets[bi], id_space
+        )
         horizon = min(budget, t_prime)
 
     # ``tape[r]``: a's vertex after round ``r``.  So ``len(tape)`` is
@@ -597,7 +607,7 @@ def _paper_trial(
                 if t > horizon:
                     return None
                 break
-            if len(tape) >= horizon:
+            if len(tape) >= budget or len(tape) > t_prime:
                 return None
         elif len(tape) - checked >= _CHECK_SPAN:
             t, checked = b.meeting(tape, checked, horizon)
@@ -607,7 +617,10 @@ def _paper_trial(
                 return None
     if b is None:
         if t is None:
-            return None
+            return _phase_trial(
+                program_a, program_b, outcome, rng_a, blocks_b, report_b,
+                home_a, home_b, tape, budget, id_space,
+            )
         return _paper_result(
             t, home_b, _prefix_moves(tape, home_a, t), 0, 0, 0, False, {}, report_b
         )
@@ -683,6 +696,232 @@ def _paper_trial(
     )
 
 
+def _phase_trial(
+    program_a,
+    program_b,
+    outcome,
+    rng_a: random.Random,
+    blocks_b: dict,
+    report_b: dict,
+    home_a: VertexId,
+    home_b: VertexId,
+    tape: list,
+    budget: int,
+    id_space: int,
+) -> ExecutionResult | None:
+    """A Theorem 2 seed whose ``Construct`` ended apart from b, by
+    ``t'``: its phases read as a timeline, or ``None``.
+
+    ``tape`` is a's ``Construct``: a fetches next in round
+    ``len(tape)``, at home, and draws Φ_a from its random tape, as the
+    program does at that fetch.  Both agents' phase schedules
+    (:func:`~repro.core.no_whiteboard.slot_schedule`,
+    :func:`~repro.core.no_whiteboard.sweep_schedule`) then give each
+    agent's position as a step function of the round: home, except on
+    the away segments of a's trips and b's sweeps.  The first
+    co-location comes from those breakpoints.  The schedules are
+    deterministic, so a second reading up to it gives the moves,
+    overflow counts and ``finished_round`` entries from the items of
+    fetch rounds before it; no round and no item is stored.
+    """
+    from repro.core.no_whiteboard import (
+        construct_report,
+        slot_schedule,
+        sweep_schedule,
+    )
+
+    now = len(tape)
+    report_a = construct_report(outcome)
+    blocks_a, stats_a = program_a.probe_set(rng_a, outcome.target_set, id_space)
+    report_a.update(stats_a)
+
+    def trips():
+        return slot_schedule(
+            blocks_a, outcome.local_map.route, float(program_a._delta),
+            id_space, program_a._constants, now,
+        )
+
+    def sweeps():
+        return sweep_schedule(
+            blocks_b, home_b, float(program_b._delta), id_space,
+            program_b._constants, 0,
+        )
+
+    met = _first_meeting(
+        _trip_segments(trips()), _sweep_segments(sweeps(), home_a, home_b),
+        home_a, home_b, now, budget,
+    )
+    if met is None:
+        return None
+    t, vertex = met
+    moves_a, report_a["slot_overflows"], finished_a = _trip_counts(trips(), t)
+    moves_b, report_b["sweep_overflows"], finished_b = _sweep_counts(
+        sweeps(), home_b, t
+    )
+    # A program whose schedule ended halted at its last fetch, after
+    # writing that round into its report.
+    if finished_a is not None:
+        report_a["finished_round"] = finished_a
+    if finished_b is not None:
+        report_b["finished_round"] = finished_b
+    return _paper_result(
+        t, vertex, _prefix_moves(tape, home_a, now) + moves_a, moves_b, 0, 0,
+        finished_a is not None, report_a, report_b, finished_b is not None,
+    )
+
+
+#: The away segment past every schedule's end.
+_NEVER = (float("inf"), float("inf"), None)
+
+
+def _trip_segments(trips):
+    """Agent a's away segments ``(first, last, vertex)``, in round order.
+
+    a stands on ``vertex`` at the start of rounds ``first .. last`` and
+    at home otherwise.  A one-hop trip leaving in round ``leave`` stands
+    on its end from round ``leave + 1`` until its first hop back, in
+    round ``back``; a two-hop trip passes its middle vertex once each
+    way.
+    """
+    from repro.core.no_whiteboard import TRIP
+
+    for item in trips:
+        if item[0] is TRIP:
+            _, _, leave, route, _, back = item
+            if len(route) == 1:
+                yield leave + 1, back, route[0]
+            elif route:
+                middle, end = route
+                yield leave + 1, leave + 1, middle
+                yield leave + 2, back, end
+                yield back + 1, back + 1, middle
+    while True:
+        yield _NEVER
+
+
+def _sweep_segments(sweeps, home_a: VertexId, home_b: VertexId):
+    """Agent b's away segments, as :func:`_trip_segments` gives a's.
+
+    Sent a round ``after``, it yields the next segment that ends no
+    earlier or stands on ``home_a``; the ones it passes over cannot
+    hold a meeting, because a is home until ``after``.  A member visit
+    in round ``at`` stands on the member from ``at + 1`` to ``at + 3``.
+    """
+    from repro.core.no_whiteboard import SWEEP
+
+    after = yield
+    for item in sweeps:
+        if item[0] is SWEEP:
+            _, _, at, visited, end, _, _ = item
+            if end <= after and home_a not in visited:
+                continue
+            for u in visited:
+                if u == home_b:
+                    at += 3
+                    continue
+                if at + 3 >= after or u == home_a:
+                    after = yield at + 1, at + 3, u
+                at += 4
+    while True:
+        yield _NEVER
+
+
+def _first_meeting(trips, sweeps, home_a, home_b, now: int, budget: int):
+    """``(t, vertex)``: the first round ``t`` in ``now .. budget`` that
+    starts with both agents on ``vertex``, or ``None``.
+
+    Every round before ``now`` has been checked.  Each pass takes the
+    earliest unchecked stretch in which neither agent changes place:
+    one agent away and the other home (they meet if the away one
+    stands on the other's home), or both away (they meet if both stand
+    on one vertex).
+    """
+    next_trip = trips.__next__
+    send_sweep = sweeps.send
+    next(sweeps)
+    a_first, a_last, a_at = next_trip()
+    b_first, b_last, b_at = send_sweep(max(now, a_first))
+    while now <= budget:
+        if a_last < now:
+            a_first, a_last, a_at = next_trip()
+            continue
+        if b_last < now:
+            b_first, b_last, b_at = send_sweep(max(now, a_first))
+            continue
+        a_from = max(a_first, now)
+        b_from = max(b_first, now)
+        if a_from < b_from:
+            if a_at == home_b:
+                return (a_from, a_at) if a_from <= budget else None
+            now = min(a_last + 1, b_from)
+        elif b_from < a_from:
+            if b_at == home_a:
+                return (b_from, b_at) if b_from <= budget else None
+            now = min(b_last + 1, a_from)
+        else:
+            if a_at == b_at:  # also both past their schedules' ends
+                return (a_from, a_at) if a_from <= budget else None
+            now = min(a_last, b_last) + 1
+    return None
+
+
+def _trip_counts(trips, t: int) -> tuple[int, int, int | None]:
+    """Agent a's hops and counted slot overflows in rounds before ``t``,
+    and the round of its last fetch if that came before ``t``."""
+    from repro.core.no_whiteboard import WAIT
+
+    moves = overflows = 0
+    while True:
+        try:
+            item = next(trips)
+        except StopIteration as stop:
+            return moves, overflows, stop.value if stop.value < t else None
+        if item[0] is WAIT:
+            _, _, fetch, _, counted = item
+            if fetch >= t:
+                return moves, overflows, None
+            overflows += counted
+            continue
+        _, _, leave, route, _, back = item
+        if leave >= t:
+            return moves, overflows, None
+        hops = len(route)
+        moves += min(hops, t - leave) + min(hops, max(0, t - back))
+
+
+def _sweep_counts(sweeps, home: VertexId, t: int) -> tuple[int, int, int | None]:
+    """Agent b's hops and counted sweep overflows in rounds before ``t``,
+    and the round of its last fetch if that came before ``t``."""
+    from repro.core.no_whiteboard import WAIT
+
+    moves = overflows = 0
+    while True:
+        try:
+            item = next(sweeps)
+        except StopIteration as stop:
+            return moves, overflows, stop.value if stop.value < t else None
+        if item[0] is WAIT:
+            if item[2] >= t:
+                return moves, overflows, None
+            continue
+        _, _, at, visited, end, overflow, _ = item
+        if at >= t:
+            return moves, overflows, None
+        if end < t:
+            moves += 2 * (len(visited) - (home in visited))
+            overflows += overflow
+            continue
+        for u in visited:
+            if at >= t:
+                break
+            if u == home:
+                at += 3
+            else:
+                moves += 1 if at + 3 >= t else 2
+                at += 4
+        return moves, overflows, None
+
+
 def _paper_result(
     t: int,
     vertex: VertexId,
@@ -693,8 +932,9 @@ def _paper_result(
     halted_a: bool,
     report_a: dict,
     report_b: dict,
+    halted_b: bool = False,
 ) -> ExecutionResult:
-    """A met pair's result exactly as the engine builds it (b never halts)."""
+    """A met pair's result exactly as the engine builds it."""
     return ExecutionResult(
         met=True,
         rounds=t,
@@ -702,7 +942,7 @@ def _paper_result(
         moves={"a": moves_a, "b": moves_b},
         whiteboard_reads=reads,
         whiteboard_writes=writes,
-        halted={"a": halted_a, "b": False},
+        halted={"a": halted_a, "b": halted_b},
         failure_reason=None,
         reports={"a": report_a, "b": report_b},
         trace=None,
@@ -734,10 +974,13 @@ def run_lockstep_batch(
     oracle set, a degree-0 vertex or a self-loop); the caller runs the
     armed seeds on the engine, whose behavior on those batches is the
     contract.  Otherwise the list holds one entry per armed seed, in
-    order: its result, or ``None`` for a Theorem 1 or 2 seed the tapes
-    do not model (see :func:`_paper_trial`), which the caller runs,
-    already armed and unchanged, on the engine.  The kernels never
-    touch the programs, so such a seed runs from scratch.
+    order: its result, or ``None`` for a Theorem 1 or 2 seed the kernel
+    does not model — starts that are not adjacent, no meeting within
+    the budget, ``Construct``'s iteration cap, or a Theorem 2
+    ``Construct`` that runs past ``t'`` (see :func:`_paper_trial`) —
+    which the caller runs, already armed and unchanged, on the engine.
+    The kernels never touch the programs, so such a seed runs from
+    scratch.
     """
     if not lockstep_supported(algorithm, plan.port_model):
         return None

@@ -213,6 +213,9 @@ class Broker:
         self._work = threading.Condition(self._lock)
         #: Job progressed (merge, failure) — wakes submit watchers.
         self._watch = threading.Condition(self._lock)
+        #: Set by :meth:`stop` — wakes the lease monitor and
+        #: :meth:`serve_forever` at once instead of after their interval.
+        self._stopping = threading.Event()
         self._jobs: dict[str, _Job] = {}
         self._merge_queue: Queue[tuple[_Job, str, list[int], list[TrialRecord]] | None] = Queue()
         self._threads: list[threading.Thread] = []
@@ -250,6 +253,7 @@ class Broker:
         self._listener = socket.create_server(self._bind)
         self._running = True
         self._clean_shutdown = False
+        self._stopping.clear()
         for name, target in (
             ("accept", self._accept_loop),
             ("merge", self._merge_loop),
@@ -276,6 +280,7 @@ class Broker:
             self._work.notify_all()
             self._watch.notify_all()
             connections = list(self._connections)
+        self._stopping.set()
         if self._listener is not None:
             # shutdown() before close(): closing a listening socket does
             # not interrupt a blocked accept() on Linux, so without it
@@ -321,8 +326,7 @@ class Broker:
         if not self._running:
             self.start()
         try:
-            while self._running:
-                time.sleep(0.2)
+            self._stopping.wait()
         except KeyboardInterrupt:  # pragma: no cover - interactive use
             pass
         finally:
@@ -531,7 +535,12 @@ class Broker:
         self._work.notify_all()
 
     def _lease_monitor(self) -> None:
-        """Re-queue units whose lease expired without a result."""
+        """Re-queue units whose lease expired without a result.
+
+        Rescans every ``interval`` seconds, and returns as soon as
+        :meth:`stop` sets ``_stopping``, so a stop never waits out the
+        interval.
+        """
         interval = max(0.2, min(2.0, self.lease_timeout / 4.0))
         while True:
             with self._lock:
@@ -542,7 +551,8 @@ class Broker:
                     for unit in job.units.values():
                         if unit.state == _LEASED and unit.deadline <= now:
                             self._requeue_unit_locked(job, unit, "lease expired")
-            time.sleep(interval)
+            if self._stopping.wait(interval):
+                return
 
     # -- the single-writer merge loop -----------------------------------
 
@@ -574,15 +584,34 @@ class Broker:
 
     # -- client side ----------------------------------------------------
 
-    def _register_job_locked(self, spec: SweepSpec) -> _Job:
+    def _register_job_locked(self, spec: SweepSpec, resume: bool = True) -> _Job:
+        """The job for ``spec``: the live one, or a new one over its store.
+
+        A new job resumes the records its store holds, or with
+        ``resume=False`` resets the store first, as ``run_sweep`` does.
+        A store cannot be reset under a live job.
+        """
         spec_hash = spec.spec_hash()
         job = self._jobs.get(spec_hash)
         if job is not None and job.failed is None:
-            return job  # duplicate submission: attach, don't duplicate
+            if resume:
+                return job  # duplicate submission: attach, don't duplicate
+            if not job.finished():
+                raise ServiceError(
+                    f"a job for spec {spec_hash} is still running; its store "
+                    "cannot be reset until it finishes"
+                )
         if job is not None:
-            job.cache.close()  # failed job: re-register fresh
+            job.cache.close()  # failed or replaced job: re-register fresh
         job = _Job(spec, open_cache(spec, self.cache_dir, warehouse=self.warehouse))
-        job.records.update(_resume_pairs(job.cache, job.points))
+        try:
+            if resume:
+                job.records.update(_resume_pairs(job.cache, job.points))
+            else:
+                job.cache.reset()
+        except BaseException:
+            job.cache.close()
+            raise
         job.shard(self.unit_size)
         self._jobs[spec_hash] = job
         self._work.notify_all()
@@ -592,7 +621,7 @@ class Broker:
         """Register (or attach to) a job; stream progress until done."""
         spec = SweepSpec.from_payload(header.get("spec") or {})
         with self._lock:
-            job = self._register_job_locked(spec)
+            job = self._register_job_locked(spec, bool(header.get("resume", True)))
             already = len(job.records)
         self._send(conn, {
             "type": "accepted",

@@ -566,6 +566,8 @@ class ChaosProxy:
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._running = False
+        #: Set by :meth:`stop`; :meth:`serve_forever` waits on it.
+        self._stopping = threading.Event()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -581,6 +583,7 @@ class ChaosProxy:
             raise ChaosError("chaos proxy already started")
         self._listener = socket.create_server(self._bind)
         self._running = True
+        self._stopping.clear()
         accept = threading.Thread(
             target=self._accept_loop, name="repro-chaos-accept", daemon=True
         )
@@ -592,6 +595,7 @@ class ChaosProxy:
         if not self._running:
             return
         self._running = False
+        self._stopping.set()
         if self._listener is not None:
             # shutdown() first: close() alone does not wake a thread
             # already blocked in accept() on Linux.
@@ -626,8 +630,7 @@ class ChaosProxy:
         if not self._running:
             self.start()
         try:
-            while self._running:
-                time.sleep(0.2)
+            self._stopping.wait()
         except KeyboardInterrupt:  # pragma: no cover - interactive use
             pass
         finally:

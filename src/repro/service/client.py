@@ -35,6 +35,7 @@ def submit_sweep(
     progress: Callable[[int, int], None] | None = None,
     retry: float = 10.0,
     timeout: float | None = 60.0,
+    resume: bool = True,
 ) -> SweepResult:
     """Queue ``spec`` on the broker at ``address`` and wait for the merge.
 
@@ -50,12 +51,19 @@ def submit_sweep(
     it goes silent past ``timeout``, or when the connection itself
     dies (:class:`WireError`) — a sweep submission either returns
     merged records or raises a typed error, never hangs.
+
+    ``resume=False`` has the broker discard the spec's stored records
+    and recompute the grid, as ``run_sweep(resume=False)`` does; the
+    broker refuses it while a job for the spec is still running.
     """
     sock = connect_with_retry(address, retry)
     try:
         if timeout is not None:
             sock.settimeout(timeout)
-        send_message(sock, "submit", spec=spec.describe(), wait=True, records=True)
+        send_message(
+            sock, "submit", spec=spec.describe(), wait=True, records=True,
+            resume=resume,
+        )
         recv_message(sock, "accepted")
         while True:
             try:

@@ -18,6 +18,7 @@ from repro.experiments.parallel import SweepSpec
 from repro.experiments.workloads import (
     EXPERIMENTS,
     _met_groups,
+    run_ablation_dwell,
     run_experiment,
     run_theorem2_oracle,
     two_hop_oracle,
@@ -113,3 +114,24 @@ class TestSweepClaims:
     def test_run_experiment_drops_the_instance_memo(self):
         run_experiment("T2-FULL")
         assert parallel._instance_for.cache_info().currsize == 0
+
+
+#: ABL-DWELL's quick table, as the solo runs of agent b's program print it.
+ABL_DWELL_QUICK = """\
+### ABL-DWELL — agent b sweep truncation vs dwell slack (n = 600)
+
+| dwell slack | dwell L | max block sweep cost | total sweep overflows |
+|---|---|---|---|
+| 0.250 | 72 | 84 | 1,800 |
+| 0.500 | 144 | 84 | 0 |
+| 1.000 | 288 | 84 | 0 |
+| 1.500 | 432 | 84 | 0 |
+
+*overflows appear once L falls below the densest block's sweep cost; \
+the shipped slack of 1.5 keeps a 50% margin*"""
+
+
+class TestAblationDwell:
+    def test_quick_table_is_pinned(self):
+        (table,) = run_ablation_dwell(quick=True)
+        assert table.to_markdown() == ABL_DWELL_QUICK

@@ -20,6 +20,7 @@ plus call-for-call RNG-tape pinning against the serial draw sequence
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import multiprocessing
@@ -31,9 +32,10 @@ import pytest
 from repro.core.api import ALGORITHMS, prepare_rendezvous
 from repro.core.constants import Constants
 from repro.core.no_whiteboard import NoWhiteboardA
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, SynchronizationError
 from repro.experiments import harness
 from repro.experiments.harness import run_trials
+from repro.experiments.parallel import build_graph
 from repro.experiments.results_io import record_to_jsonable
 from repro.graphs.generators import (
     complete_graph,
@@ -46,6 +48,7 @@ from repro.graphs.generators import (
 from repro.graphs.graph import StaticGraph
 from repro.graphs.lowerbound import cliques_sharing_vertex
 from repro.graphs.ports import PortLabeling, PortModel
+from repro.runtime import lockstep
 from repro.runtime import plan as plan_module
 from repro.runtime.lockstep import (
     lockstep_supported,
@@ -53,7 +56,11 @@ from repro.runtime.lockstep import (
     walk_choice_tape,
 )
 from repro.runtime.plan import ExecutionPlan
+from repro.runtime.actions import Move, Stay, WaitUntil
+from repro.runtime.agent import AgentProgram
 from repro.runtime.reference import ReferenceSyncScheduler, reference_run_trials
+from repro.runtime.scheduler import SyncScheduler
+from repro.runtime.single import run_single_agent
 
 
 def _record_bytes(records) -> bytes:
@@ -543,15 +550,17 @@ class TestPaperKernelDifferential:
         ((_, results),) = batches[:1]
         assert results == [None] * 8
 
-    def test_theorem2_seeds_that_outlive_construct_fall_back(self, monkeypatch):
+    def test_theorem2_seeds_that_outlive_construct_stay_on_the_kernel(
+        self, monkeypatch
+    ):
         batches = _kernel_spy(monkeypatch)
         for _, graph in _paper_graphs():
             _assert_all_paths_identical(
                 graph, "theorem2", self.SEEDS, constants=Constants.aggressive()
             )
         outcomes = [r for _, results in batches for r in results]
-        assert None in outcomes, "no seed outlived Construct"
-        assert any(r is not None for r in outcomes)
+        assert None not in outcomes
+        assert any(r.reports["a"] for r in outcomes), "no seed outlived Construct"
 
     def test_iteration_cap_falls_back_and_raises_identically(self):
         class Capped(Constants):
@@ -606,6 +615,369 @@ class TestPaperKernelDifferential:
         assert table[v] == (graph.degree(v), plan.closed_sets[5])
         kt0 = ExecutionPlan.compile(graph, port_model=PortModel.KT0)
         assert kt0.visit_reads is None
+
+
+def _sparse(preset: str, **overrides) -> Constants:
+    """A preset whose ``Construct`` samples little, so that it seldom
+    steps onto b and most seeds meet in the phases."""
+    return _PAPER_PRESETS[preset]().with_overrides(
+        sample_multiplier=0.05, **overrides
+    )
+
+
+def _meeting_kinds(graph, seed, result, **kwargs) -> set[str]:
+    """How a Theorem 2 pair met after ``Construct``, read from an engine trace.
+
+    ``out-1``: a's hop from home; ``out-2``: the second hop of a
+    two-hop trip; ``dwell``: b's hop onto the vertex a dwells on;
+    ``v0a``: b's hop onto a's home; ``late``: in phase 2 or later; and
+    each agent's halt and overflows.
+    """
+    _, program_a, program_b, start_a, start_b, budget = prepare_rendezvous(
+        graph, "theorem2", seed=seed, **kwargs
+    )
+    trace = SyncScheduler(
+        graph, program_a, program_b, start_a, start_b, seed=seed,
+        whiteboards=False, max_rounds=budget, record_trace=True,
+        trace_limit=10**7,
+    ).run().trace
+    rounds = [entry[0] for entry in trace]
+
+    def at(r: int, agent: int):
+        """The agent's vertex at the start of round ``r``."""
+        i = bisect.bisect_left(rounds, r) - 1
+        return trace[i][1 + agent] if i >= 0 else (start_a, start_b)[agent]
+
+    t, vertex = result.rounds, result.meeting_vertex
+    report_a, report_b = result.reports["a"], result.reports["b"]
+    kinds = set()
+    if at(t - 1, 0) != vertex:
+        if at(t - 1, 0) == start_a:
+            kinds.add("out-1")
+        elif at(t - 2, 0) == start_a:
+            kinds.add("out-2")
+    elif at(t - 1, 1) != vertex:
+        kinds.add("v0a" if vertex == start_a else "dwell")
+    if (t - report_a["t_prime"]) // report_a["phase_length"] >= 2:
+        kinds.add("late")
+    if report_a["slot_overflows"]:
+        kinds.add("slot-overflow")
+    if report_b["sweep_overflows"]:
+        kinds.add("sweep-overflow")
+    kinds.update(f"{agent}-halted" for agent in "ab" if result.halted[agent])
+    return kinds
+
+
+class TestPhaseTimeline:
+    """Theorem 2 seeds that outlive ``Construct``: the phase schedules
+    read as a timeline equal the engine, seed by seed.
+
+    ``dwell_slack=0.02`` shrinks L to 4 rounds: sweeps and slots
+    overflow, waits fall due late, and some seeds never meet.
+    """
+
+    SEEDS = range(24)
+
+    @pytest.mark.parametrize("preset", ["aggressive", "testing"])
+    def test_every_kind_of_meeting_matches_the_engine(self, preset, monkeypatch):
+        kinds: set[str] = set()
+        for slack in (1.5, 0.02):
+            constants = _sparse(preset, dwell_slack=slack)
+            for _, graph in _paper_graphs():
+                batches = _kernel_spy(monkeypatch)
+                _assert_all_paths_identical(
+                    graph, "theorem2", self.SEEDS, constants=constants
+                )
+                ((armed, results),) = batches
+                for (seed, *_), result in zip(armed, results):
+                    expected = _engine_result(
+                        graph, "theorem2", seed, constants=constants
+                    )
+                    if result is None:
+                        assert not expected.met  # its budget ran out
+                        continue
+                    assert result == expected
+                    for agent in ("a", "b"):
+                        assert list(result.reports[agent]) == list(
+                            expected.reports[agent]
+                        )
+                    if result.reports["a"]:
+                        kinds |= _meeting_kinds(
+                            graph, seed, result, constants=constants
+                        )
+        assert kinds >= {
+            "out-1", "out-2", "dwell", "v0a", "late",
+            "slot-overflow", "sweep-overflow",
+        }
+
+    @pytest.mark.parametrize("preset", ["aggressive", "testing", "tuned"])
+    def test_meeting_after_b_has_halted(self, preset, monkeypatch):
+        """b's schedule ends first when a's slots overrun: a meets it at home."""
+        graph = complete_graph(24)
+        constants = _sparse(preset, dwell_slack=0.02)
+        batches = _kernel_spy(monkeypatch)
+        (record,) = _assert_all_paths_identical(
+            graph, "theorem2", [29], constants=constants
+        )
+        ((_, (result,)),) = batches
+        assert record.met and result.halted == {"a": False, "b": True}
+        assert result.reports["b"]["finished_round"] < result.rounds
+        assert result == _engine_result(graph, "theorem2", 29, constants=constants)
+
+    def test_meeting_exactly_at_the_budget(self, monkeypatch):
+        graph = _paper_graphs()[2][1]
+        constants = _sparse("aggressive")
+        late = [
+            r for r in run_trials(graph, "theorem2", self.SEEDS, constants=constants)
+            if r.met and r.rounds > r.reports["a"].get("t_prime", r.rounds)
+        ]
+        assert len(late) >= 4
+        batches = _kernel_spy(monkeypatch)
+        for record in late[:4]:
+            for budget, met in ((record.rounds, True), (record.rounds - 1, False)):
+                (routed,) = _assert_all_paths_identical(
+                    graph, "theorem2", [record.seed], constants=constants,
+                    max_rounds=budget,
+                )
+                assert routed.met is met
+        kernel = [results[0] for _, results in batches]
+        assert [r is None for r in kernel] == [False, True] * 4
+
+    def test_benchmark_instances_hand_back_no_seed(self, monkeypatch):
+        """service-fleet's theorem2 grid runs wholly on the kernel: every
+        seed meets within the budget, after a Construct that ends by t'."""
+        handed_back = 0
+        for n in (400, 800):
+            graph = build_graph("er-min-degree", n, "n^0.75")
+            plan = ExecutionPlan.compile(graph)
+            batches = _kernel_spy(monkeypatch)
+            for first in range(0, 512, 8):
+                run_trials(
+                    graph, "theorem2", range(first, first + 8), plan=plan,
+                    constants=Constants.tuned(),
+                )
+            assert len(batches) == 64
+            handed_back += sum(r is None for _, results in batches for r in results)
+        assert handed_back == 0
+
+    def test_construct_past_the_barrier_raises_identically(self):
+        """A ``Construct`` that ends after t' raises on both routes."""
+        constants = Constants.aggressive().with_overrides(sync_multiplier=1e-3)
+        raised = []
+        for _, graph in _paper_graphs():
+            for seed in self.SEEDS:
+                outcomes = []
+                for route in (run_trials, _classic):
+                    try:
+                        outcomes.append(_record_bytes(
+                            route(graph, "theorem2", [seed], constants=constants)
+                        ))
+                    except SynchronizationError as error:
+                        outcomes.append(str(error))
+                assert outcomes[0] == outcomes[1]
+                if isinstance(outcomes[0], str):
+                    raised.append(outcomes[0])
+        assert raised, "no Construct ended after the barrier unmet"
+        assert all("after the barrier" in text for text in raised)
+
+
+class _Fetches(AgentProgram):
+    """Runs ``inner`` and keeps the ``(round, vertex)`` of every fetch."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.fetches: list[tuple] = []
+
+    def run(self, ctx):
+        for action in self.inner.run(ctx):
+            self.fetches.append((ctx.view.round, ctx.view.vertex))
+            yield action
+
+
+def _assert_same_step_function(fetches, segments, home):
+    """The away segments describe where the agent stood at each fetch,
+    and they change only where the fetched positions change."""
+    rounds = [r for r, _ in fetches]
+
+    def fetched(r):  # the vertex of the last fetch at or before round r
+        i = bisect.bisect_right(rounds, r) - 1
+        return fetches[i][1] if i >= 0 else home
+
+    def segmented(r):
+        for first, last, vertex in segments:
+            if first <= r <= last:
+                return vertex
+        return home
+
+    assert all(segmented(r) == v for r, v in fetches)
+    for first, last, vertex in segments:
+        assert fetched(first) == fetched(last) == vertex
+        assert fetched(first - 1) != vertex != fetched(last + 1)
+
+
+class TestTimelineReaders:
+    """The kernel's readings of the phase schedules, against solo runs of
+    the programs that play the same schedules."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_graph_with_min_degree(48, 12, random.Random("readers"))
+
+    @pytest.mark.parametrize("slack", [1.5, 0.02])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_trip_segments_are_the_rounds_a_stands_away(self, graph, seed, slack):
+        from types import SimpleNamespace
+
+        from repro.core.no_whiteboard import slot_schedule
+        from repro.experiments.workloads import two_hop_oracle
+
+        constants = Constants.aggressive().with_overrides(
+            sync_multiplier=1e-3, dwell_slack=slack
+        )
+        start = graph.vertices[seed]
+        members, via = two_hop_oracle(graph, start)
+        program = NoWhiteboardA(
+            12, constants, oracle_target_set=members, oracle_routes_via=via
+        )
+        recorded = _Fetches(program)
+        run_single_agent(
+            recorded, graph, start, rounds=10**9, seed=seed,
+            id_space=graph.id_space,
+        )
+        blocks, _ = program.probe_set(
+            random.Random(f"{seed}:a"), tuple(sorted(members)), graph.id_space
+        )
+        view = SimpleNamespace(neighbors=graph.neighbors(start))
+        routes = program._oracle_map(SimpleNamespace(start_vertex=start, view=view))
+        def trips():
+            return slot_schedule(
+                blocks, routes.route, 12.0, graph.id_space, constants, 0
+            )
+
+        reader = lockstep._trip_segments(trips())
+        segments = list(iter(reader.__next__, lockstep._NEVER))
+        assert any(first == last for first, last, _ in segments)  # 2 hops
+        _assert_same_step_function(recorded.fetches, segments, start)
+        finished = lockstep._trip_counts(trips(), 10**9)[2]
+        assert finished == program.report()["finished_round"]
+
+    @pytest.mark.parametrize("slack", [1.5, 0.1])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sweep_segments_are_the_rounds_b_stands_away(self, graph, seed, slack):
+        from repro.core.no_whiteboard import NoWhiteboardB, sweep_schedule
+
+        constants = Constants.aggressive().with_overrides(
+            sync_multiplier=1e-3, dwell_slack=slack
+        )
+        start = graph.vertices[seed]
+        program = NoWhiteboardB(12, constants)
+        recorded = _Fetches(program)
+        run_single_agent(
+            recorded, graph, start, rounds=10**9, seed=seed,
+            id_space=graph.id_space,
+        )
+        _, blocks, _ = program.opening(
+            random.Random(f"{seed}:a"), graph.closed_neighbor_set(start),
+            graph.id_space,
+        )
+        def sweeps():
+            return sweep_schedule(blocks, start, 12.0, graph.id_space, constants, 0)
+
+        # Sent round 0 every time, the reader passes nothing over.
+        reader = lockstep._sweep_segments(sweeps(), None, start)
+        next(reader)
+        segments = list(iter(lambda: reader.send(0), lockstep._NEVER))
+        assert segments
+        _assert_same_step_function(recorded.fetches, segments, start)
+        _, overflows, finished = lockstep._sweep_counts(sweeps(), start, 10**9)
+        report = program.report()
+        assert (overflows, finished) == (
+            report["sweep_overflows"], report["finished_round"]
+        )
+
+    def test_counts_keep_only_fetch_rounds_before_t(self):
+        from repro.core.no_whiteboard import SWEEP, TRIP, WAIT
+
+        def trips():
+            yield TRIP, 10, 10, (7, 8), 18, 18  # hops in 10, 11, 18, 19
+            yield WAIT, 40, 20, 40, 3  # 3 overflows counted in round 20
+            return 40  # the last fetch
+
+        assert lockstep._trip_counts(trips(), 11) == (1, 0, None)
+        assert lockstep._trip_counts(trips(), 19) == (3, 0, None)
+        assert lockstep._trip_counts(trips(), 20) == (4, 0, None)
+        assert lockstep._trip_counts(trips(), 40) == (4, 3, None)
+        assert lockstep._trip_counts(trips(), 41) == (4, 3, 40)
+
+        def sweeps():
+            # Home 5 stays in 10-12, member 6 hops in 13 and 16, the
+            # overflow is counted in round 17.
+            yield SWEEP, 9, 10, (5, 6), 17, 1, 30
+            yield WAIT, 40, 30, 40, 0
+            return 40
+
+        assert lockstep._sweep_counts(sweeps(), 5, 13) == (0, 0, None)
+        assert lockstep._sweep_counts(sweeps(), 5, 14) == (1, 0, None)
+        assert lockstep._sweep_counts(sweeps(), 5, 17) == (2, 0, None)
+        assert lockstep._sweep_counts(sweeps(), 5, 18) == (2, 1, None)
+        assert lockstep._sweep_counts(sweeps(), 5, 40) == (2, 1, None)
+        assert lockstep._sweep_counts(sweeps(), 5, 41) == (2, 1, 40)
+
+
+class _Script(AgentProgram):
+    """Yields fixed actions and reports the round of every fetch."""
+
+    def __init__(self, actions) -> None:
+        self._actions = actions
+        self.fetches: list[int] = []
+
+    def run(self, ctx):
+        for action in self._actions:
+            self.fetches.append(ctx.view.round)
+            yield action
+        while True:
+            self.fetches.append(ctx.view.round)
+            yield Stay()
+
+    def report(self):
+        return {"fetches": list(self.fetches)}
+
+
+class TestEngineRulesTheTimelineReadsFrom:
+    """The engine rules the Theorem 2 timeline (``_phase_trial``) models."""
+
+    @staticmethod
+    def _run(actions_a, actions_b=(), max_rounds=50):
+        graph = complete_graph(6)
+        a, b = _Script(actions_a), _Script(actions_b)
+        result = SyncScheduler(
+            graph, a, b, 0, 1, whiteboards=False, max_rounds=max_rounds
+        ).run()
+        return result, a.fetches
+
+    def test_a_wait_fetched_in_round_k_wakes_at_max_r_and_k_plus_one(self):
+        _, fetches = self._run(
+            [WaitUntil(0), WaitUntil(5), WaitUntil(5), WaitUntil(3)],
+            max_rounds=12,
+        )
+        # Due waits (0 at round 0, 5 at round 5, 3 at round 6) still
+        # take their round.
+        assert fetches[:5] == [0, 1, 5, 6, 7]
+
+    def test_a_move_onto_the_vertex_the_agent_stands_on_is_a_stay(self):
+        result, fetches = self._run([Move(0), Move(0), Move(2)], max_rounds=5)
+        assert result.moves["a"] == 1
+        assert fetches[:4] == [0, 1, 2, 3]
+
+    def test_co_location_is_checked_before_the_budget(self):
+        result, _ = self._run([WaitUntil(4), Move(1)], max_rounds=5)
+        assert result.met and result.rounds == 5
+
+    def test_reports_keep_only_fetch_rounds_before_the_meeting(self):
+        result, _ = self._run([WaitUntil(3), Move(1)], [WaitUntil(2)])
+        assert result.met and result.rounds == 4
+        assert result.reports["a"]["fetches"] == [0, 3]
+        assert result.reports["b"]["fetches"] == [0, 2, 3]
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -201,6 +202,22 @@ class TestCacheSemantics:
             start_worker_thread(broker.address, reconnect=2.0)
             with pytest.raises(ServiceError, match="grid point 0 is trivial"):
                 submit_sweep(broker.address, spec)
+            # --no-resume replaces the refused store through the service.
+            fresh = submit_sweep(broker.address, spec, resume=False)
+            again = submit_sweep(broker.address, spec)
+        assert list(fresh.records) == list(records)
+        assert fresh.executed == len(records) and fresh.cached == 0
+        assert again.records == fresh.records and again.executed == 0
+
+    def test_no_resume_is_refused_while_the_job_runs(self, tmp_path):
+        spec = small_spec()
+        with Broker(tmp_path / "cache") as broker:
+            queue_sweep(broker.address, spec)  # no worker: it stays live
+            with pytest.raises(ServiceError, match="still running"):
+                submit_sweep(broker.address, spec, resume=False)
+            start_worker_thread(broker.address, reconnect=2.0)
+            result = submit_sweep(broker.address, spec)
+        assert result.records == run_sweep(spec, workers=1).records
 
     def test_concurrent_submissions_share_one_job(self, tmp_path):
         spec = small_spec()
@@ -353,6 +370,16 @@ class TestFaultPaths:
 
 class TestShutdownHygiene:
     """Satellite: the broker knows (and says) whether it stopped cleanly."""
+
+    def test_stop_returns_at_once(self, tmp_path):
+        """No thread waits out its poll interval: the lease monitor of a
+        default broker sleeps up to 2 s between scans."""
+        broker = Broker(tmp_path / "cache")
+        broker.start()
+        began = time.monotonic()
+        broker.stop()
+        assert time.monotonic() - began < 0.5
+        assert broker.is_clean_shutdown is True
 
     def test_is_clean_shutdown_lifecycle(self, tmp_path):
         broker = Broker(tmp_path / "cache")
