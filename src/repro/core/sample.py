@@ -21,16 +21,19 @@ same asymptotics as the paper's unit-cost visits — and a visit to the
 home vertex itself costs none.
 
 The counts are kept per distinct observed closed neighborhood.  Each
-visit keeps the frozenset ``N⁺(v)`` it reads; after the last visit a
-``Counter`` tallies them, and each set's tally is added to every
-``u ∈ N⁺(v) ∩ N⁺(v₀ᵃ)``.  This is exact: ``u``'s counter is the number
-of visits whose observed set holds ``u`` however the visits are
-grouped, and the random draws, the walks and the degree guard (which
-returns before any tally is read) do not depend on the counts.  It is
-cheap because a run visits each member of Γ several times, and a repeat
-visit costs one probe on the cached hash of the frozenset the execution
-plan keeps per vertex.  A view that builds a fresh set per read, or a
-neighborhood changed by edge churn, only adds keys.
+visit keeps the frozenset ``N⁺(v)`` it reads; after the last visit
+:func:`tally_heavy` groups them by set and adds each set's tally to
+every ``u ∈ N⁺(v)`` that is still *live*: a member of ``N⁺(v₀ᵃ)`` whose
+count has not reached the threshold.  This is exact.  ``u``'s counter
+is the number of visits whose observed set holds ``u``, however the
+visits are grouped; a count never falls, so a member that reached the
+threshold is heavy whatever later sets add; and the random draws, the
+walks and the degree guard (which returns before any tally is read) do
+not depend on the counts.  It is cheap because a run visits each
+member of Γ several times, a repeat visit costs one probe on the
+cached hash of the frozenset the execution plan keeps per vertex, and
+each later set meets a smaller live set.  A view that builds a fresh
+set per read, or a neighborhood changed by edge churn, only adds keys.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "Seen",
     "sample_run",
     "sample_visits",
+    "tally_heavy",
     "visit_rounds",
     "route_back",
 ]
@@ -199,12 +203,34 @@ def sample_visits(
             )
         observed.append(closed)
 
-    counts: Counter[VertexId] = Counter()
-    for closed, tally in Counter(observed).items():
-        for u in closed & home_closed:
-            counts[u] += tally
-    heavy = frozenset(u for u, c in counts.items() if c >= threshold)
     return SampleOutcome(
-        heavy=heavy, guard_tripped=False, visits=total,
-        observed_min_degree=observed_min,
+        heavy=tally_heavy(observed, home_closed, threshold),
+        guard_tripped=False, visits=total, observed_min_degree=observed_min,
     )
+
+
+def tally_heavy(
+    observed: Sequence[frozenset[VertexId]],
+    home_closed: frozenset[VertexId],
+    threshold: int,
+) -> frozenset[VertexId]:
+    """The members of ``home_closed`` that at least ``threshold`` sets hold.
+
+    ``observed`` lists the ``N⁺`` read on each visit, repeats included.
+    The counts live in a plain ``dict`` keyed by ``home_closed`` (a
+    ``Counter`` subscript misses the exact-dict fast path), and a member
+    leaves the live set as soon as its count reaches ``threshold``, so
+    each later set is intersected with fewer candidates.
+    """
+    counts = dict.fromkeys(home_closed, 0)
+    live = set(home_closed)
+    heavy = []
+    for closed, tally in Counter(observed).items():
+        for u in closed & live:
+            count = counts[u] + tally
+            if count < threshold:
+                counts[u] = count
+            else:
+                heavy.append(u)
+                live.remove(u)
+    return frozenset(heavy)

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import collections
 import logging
+import math
+import reprlib
 import socket
 import threading
 import time
@@ -63,7 +65,13 @@ from repro.experiments.cache import ResultCache, content_hash
 from repro.experiments.harness import TrialRecord
 from repro.experiments.parallel import SweepSpec, _chunk_tasks, _resume_pairs, open_cache
 from repro.experiments.warehouse import WarehouseCache
-from repro.service.protocol import recv_frame, send_frame, decode_records
+from repro.service.protocol import (
+    decode_records,
+    header_indices,
+    header_name,
+    recv_frame,
+    send_frame,
+)
 
 __all__ = [
     "WorkUnit",
@@ -130,6 +138,21 @@ def _positive_seconds(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
         raise ServiceError(f"{name} must be a number of seconds > 0, got {value!r}")
     return float(value)
+
+
+def _lease_wait(header: dict[str, Any]) -> float:
+    """A lease's ``wait`` (default 1 s): finite seconds >= 0, not a bool."""
+    value = header.get("wait", 1.0)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an int past the float range
+            seconds = math.inf
+        if 0.0 <= seconds < math.inf:
+            return seconds
+    raise WireError(
+        f"lease wait must be a finite number of seconds >= 0, got {reprlib.repr(value)}"
+    )
 
 
 class _Job:
@@ -435,9 +458,12 @@ class Broker:
     def _handle_lease(
         self, conn: socket.socket, conn_id: str, header: dict[str, Any]
     ) -> None:
-        """Hand out one queued unit, blocking briefly when none is ready."""
-        patience = float(header.get("wait", 1.0))
-        deadline = time.monotonic() + max(0.0, patience)
+        """Hand out one queued unit, blocking briefly when none is ready.
+
+        ``wait: 0`` answers at once: a host asks that way for the unit
+        it runs next while its current unit runs.
+        """
+        deadline = time.monotonic() + _lease_wait(header)
         leased: tuple[_Job, WorkUnit] | None = None
         with self._lock:
             while self._running:
@@ -447,7 +473,7 @@ class Broker:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                self._work.wait(remaining)
+                self._work.wait(min(remaining, threading.TIMEOUT_MAX))
         if leased is None:
             self._send(conn, {"type": "idle"})
             return
@@ -480,16 +506,17 @@ class Broker:
         header: dict[str, Any], payload: bytes,
     ) -> None:
         """Accept one completed unit; duplicates are acked and dropped."""
+        job_hash, unit_id = header_name(header, "job"), header_name(header, "unit")
+        indices = header_indices(header)
         records = decode_records(payload)
-        indices = [int(i) for i in header.get("indices", [])]
         if len(indices) != len(records):
             raise WireError(
                 f"result carried {len(records)} record(s) for "
                 f"{len(indices)} grid index(es)"
             )
         with self._lock:
-            job = self._jobs.get(header.get("job", ""))
-            unit = job.units.get(header.get("unit", "")) if job is not None else None
+            job = self._jobs.get(job_hash)
+            unit = job.units.get(unit_id) if job is not None else None
             if job is None or unit is None or unit.state == _MERGED:
                 # Unknown job (broker restarted) or a re-queued unit
                 # that another worker already finished: the records
@@ -507,8 +534,9 @@ class Broker:
 
     def _handle_unit_failed(self, conn: socket.socket, header: dict[str, Any]) -> None:
         """A deterministic trial error: fail the job fast, keep the cache."""
+        job_hash = header_name(header, "job")
         with self._lock:
-            job = self._jobs.get(header.get("job", ""))
+            job = self._jobs.get(job_hash)
             if job is not None and job.failed is None:
                 job.failed = str(header.get("message", "worker reported a failure"))
                 self._watch.notify_all()

@@ -48,6 +48,7 @@ adversaries.  Point brokers and workers only at hosts you control.
 from __future__ import annotations
 
 import json
+import reprlib
 import socket
 import struct
 import time
@@ -66,6 +67,8 @@ __all__ = [
     "recv_frame",
     "send_message",
     "recv_message",
+    "header_name",
+    "header_indices",
     "encode_records",
     "decode_records",
     "parse_address",
@@ -291,6 +294,33 @@ def recv_message(
             f"expected {' or '.join(expect)!r} frame, got {header['type']!r}"
         )
     return header, payload
+
+
+def header_name(header: dict[str, Any], key: str) -> str:
+    """The string field ``key`` of a frame header, or :class:`WireError`.
+
+    Job hashes and unit ids key the peers' tables, so a missing or
+    non-string value is a garbage header, never a lookup.
+    """
+    value = header.get(key)
+    if not isinstance(value, str):
+        raise WireError(
+            f"{header['type']} frame needs a string {key!r}, got {reprlib.repr(value)}"
+        )
+    return value
+
+
+def header_indices(header: dict[str, Any]) -> list[int]:
+    """A frame's ``indices``: a list of plain ints, or :class:`WireError`."""
+    value = header.get("indices")
+    if not isinstance(value, list) or any(
+        isinstance(i, bool) or not isinstance(i, int) for i in value
+    ):
+        raise WireError(
+            f"{header['type']} frame needs a list of grid indices, "
+            f"got {reprlib.repr(value)}"
+        )
+    return value
 
 
 # ----------------------------------------------------------------------

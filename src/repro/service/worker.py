@@ -18,7 +18,13 @@ completed records back as columnar batches:
 * results are encoded by :func:`repro.service.protocol.encode_records`
   — the fabric's columnar batch codec — and each unit is reported in
   one frame, so a host that dies mid-unit simply never reports and
-  the broker re-queues the lease.
+  the broker re-queues the lease;
+* leases are pipelined one unit ahead: as soon as a unit arrives the
+  host asks for the next one without blocking (``wait: 0``), and it
+  reports a result without waiting for the ack.  Replies are read in
+  the order the requests went out, so the next unit and the last
+  ack are already in the socket buffer when the current unit ends,
+  and the host never sits idle on a broker round trip between units.
 
 Deterministic trial errors (:class:`~repro.errors.ReproError`) are
 reported as unit failures — re-running them would only fail again —
@@ -28,6 +34,7 @@ restart does not strand its fleet.
 
 from __future__ import annotations
 
+import collections
 import random
 import socket
 import time
@@ -40,6 +47,8 @@ from repro.experiments.parallel import SweepPoint, SweepSpec, _run_points, resol
 from repro.service.backoff import DEFAULT_POLICY, BackoffPolicy
 from repro.service.protocol import (
     encode_records,
+    header_indices,
+    header_name,
     recv_message,
     send_message,
 )
@@ -53,9 +62,15 @@ _LEASE_PATIENCE = 1.0
 #: Spec payloads memoized per job hash (a host rarely serves more).
 _SPEC_MEMO_CAP = 8
 
+#: The reply types a lease may draw.
+_LEASE_REPLY = ("unit", "idle")
+
 #: Seconds a worker waits on any single broker reply before treating
-#: the connection as dead and redialing.  The broker answers a lease
-#: within ``_LEASE_PATIENCE`` and acks a result immediately, so a
+#: the connection as dead and redialing.  The clock runs only while
+#: the host reads, never while it runs a unit.  The broker answers a
+#: blocking lease within ``_LEASE_PATIENCE``, and a look-ahead lease
+#: (``wait: 0``) and a result's ack at once; each sits in the socket
+#: buffer by the time the host reads it in request order.  So a
 #: silence this long means the link is blackholed (a silently dropped
 #: route, a chaos ``drop`` rule) even though the socket looks open.
 DEFAULT_OP_DEADLINE = 30.0
@@ -167,6 +182,68 @@ class _SpecMemo:
         return entry
 
 
+class _Link:
+    """One broker connection and the replies it still owes.
+
+    Requests go out at once; the broker answers them in order, so
+    ``owed`` lists, per unanswered request, the frame types its reply
+    may take.  At most one lease is owed at a time.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.owed: collections.deque[tuple[str, ...]] = collections.deque()
+
+    def request(
+        self, expect: tuple[str, ...], type_: str, payload: bytes = b"", **fields: Any
+    ) -> None:
+        send_message(self.sock, type_, payload, **fields)
+        self.owed.append(expect)
+
+    def leasing(self) -> bool:
+        return _LEASE_REPLY in self.owed
+
+    def next_lease(self) -> dict[str, Any]:
+        """Read the owed replies up to and including the lease's."""
+        while True:
+            expect = self.owed.popleft()
+            header, _payload = recv_message(self.sock, *expect)
+            if expect == _LEASE_REPLY:
+                return header
+
+    def settle(self) -> None:
+        """Read every reply still owed (the acks of reported units)."""
+        while self.owed:
+            recv_message(self.sock, *self.owed.popleft())
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
+def _unit_of(
+    header: dict[str, Any], memo: _SpecMemo
+) -> tuple[str, str, SweepSpec, list[SweepPoint], list[int]]:
+    """``(job, unit, spec, points, indices)`` of a ``unit`` frame.
+
+    A missing or malformed field is a :class:`WireError`, so the host
+    redials and the broker re-queues the unit, as for a torn frame.
+    """
+    job, unit = header_name(header, "job"), header_name(header, "unit")
+    if "spec" not in header:
+        raise WireError(f"unit {unit} carried no spec")
+    spec, points = memo.resolve(job, header["spec"])
+    indices = header_indices(header)
+    if any(not 0 <= i < len(points) for i in indices):
+        # Corrupted in flight; a redial re-leases it intact.
+        raise WireError(
+            f"unit {unit} names indices outside the {len(points)}-point grid"
+        )
+    return job, unit, spec, points, indices
+
+
 def _execute_unit(
     spec: SweepSpec, points: list[SweepPoint], indices: list[int], workers: int
 ) -> list[TrialRecord]:
@@ -194,6 +271,15 @@ def run_worker(
 ) -> int:
     """Serve one worker host until the broker goes away; returns units done.
 
+    Leases run one unit ahead.  When a unit arrives the host at once
+    asks for the next with a non-blocking lease, so the broker answers
+    while the unit runs; it then reports the unit's result without
+    reading the previous ack.  Replies are read in request order, and
+    by then they are in the socket buffer.  Only when the look-ahead
+    drew ``idle`` does the host block on a lease (up to 1 s
+    broker-side, then it asks again).  A look-ahead unit's lease clock
+    starts while the unit before it runs.
+
     Parameters
     ----------
     address:
@@ -205,8 +291,11 @@ def run_worker(
         count raises :class:`~repro.errors.ReproError` before the
         broker is dialled.
     max_units:
-        Stop after this many completed units (tests, drain-and-exit
-        deployments); ``None`` serves forever.
+        Stop after reporting this many units (tests, drain-and-exit
+        deployments); ``None`` serves forever.  The host never leases
+        a unit past the last one it will run, and it reads every ack
+        it owes before it returns, so each reported unit has reached
+        the broker and none of its leases re-queues.
     reconnect:
         Seconds to keep redialing after a connection drops before
         giving up — also the initial connection budget.
@@ -225,78 +314,72 @@ def run_worker(
     workers = resolve_workers(workers)
     memo = _SpecMemo()
     completed = 0
-    sock: socket.socket | None = None
+    link: _Link | None = None
+
+    def dial() -> _Link:
+        return _Link(_dial(
+            address, reconnect, workers, policy=backoff, op_deadline=op_deadline,
+        ))
+
     try:
         while max_units is None or completed < max_units:
-            if sock is None:
+            if link is None:
                 # The first dial propagates ServiceError — a broker that
                 # never existed is the caller's problem; later redials
                 # (below) give up gracefully with the completed count.
-                sock = _dial(
-                    address, reconnect, workers,
-                    policy=backoff, op_deadline=op_deadline,
-                )
+                link = dial()
             try:
-                send_message(sock, "lease", wait=_LEASE_PATIENCE)
-                header, _payload = recv_message(sock, "unit", "idle")
+                if not link.leasing():
+                    link.request(_LEASE_REPLY, "lease", wait=_LEASE_PATIENCE)
+                header = link.next_lease()
                 if header["type"] == "idle":
                     continue
-                spec, points = memo.resolve(header["job"], header["spec"])
-                indices = [int(i) for i in header["indices"]]
-                if any(not 0 <= i < len(points) for i in indices):
-                    # Corrupted in flight; a redial re-leases it intact.
-                    raise WireError(
-                        f"unit {header['unit']} names indices outside the "
-                        f"{len(points)}-point grid"
-                    )
+                try:
+                    job, unit, spec, points, indices = _unit_of(header, memo)
+                except WireError:
+                    link.settle()  # the link is sound: take the acks it owes
+                    raise
+                if max_units is None or completed + 1 < max_units:
+                    link.request(_LEASE_REPLY, "lease", wait=0)
                 try:
                     records = _execute_unit(spec, points, indices, workers)
                 except ReproError as error:
                     # Deterministic failure: re-running cannot help, so
                     # tell the broker to fail the job with the cause.
-                    send_message(
-                        sock, "unit-failed",
-                        job=header["job"], unit=header["unit"],
+                    link.request(
+                        ("ack",), "unit-failed", job=job, unit=unit,
                         message=f"{type(error).__name__}: {error}",
                     )
-                    recv_message(sock, "ack")
                     continue
                 except Exception:
-                    send_message(
-                        sock, "unit-failed",
-                        job=header["job"], unit=header["unit"],
+                    link.request(
+                        ("ack",), "unit-failed", job=job, unit=unit,
                         message=traceback.format_exc(),
                     )
-                    recv_message(sock, "ack")
                     continue
-                send_message(
-                    sock, "result", encode_records(records),
-                    job=header["job"], unit=header["unit"], indices=indices,
+                link.request(
+                    ("ack",), "result", encode_records(records),
+                    job=job, unit=unit, indices=indices,
                 )
-                recv_message(sock, "ack")
                 completed += 1
                 if on_unit is not None:
-                    on_unit(header["unit"], len(indices))
+                    on_unit(unit, len(indices))
             except WireError:
                 # Broker gone mid-exchange: drop the socket and redial
-                # within the reconnect budget.  Anything we were about
-                # to report re-queues broker-side.
+                # within the reconnect budget.  Anything we leased or
+                # were about to report re-queues broker-side.
+                link.close()
+                link = None
                 try:
-                    sock.close()
-                except OSError:
-                    pass
-                sock = None
-                try:
-                    sock = _dial(
-                        address, reconnect, workers,
-                        policy=backoff, op_deadline=op_deadline,
-                    )
+                    link = dial()
                 except ServiceError:
                     break
-    finally:
-        if sock is not None:
+        if link is not None:
             try:
-                sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+                link.settle()
+            except WireError:
+                pass  # a result the broker never took re-queues there
+    finally:
+        if link is not None:
+            link.close()
     return completed

@@ -5,15 +5,18 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import sample as sample_module
 from repro.core.constants import Constants
 from repro.core.dense import heavy_set, light_set
 from repro.core.knowledge import LocalMap
-from repro.core.sample import SampleOutcome, route_back, sample_run
+from repro.core.sample import SampleOutcome, route_back, sample_run, sample_visits, tally_heavy
 from repro.graphs.generators import random_graph_with_min_degree, star_graph
 from repro.graphs.graph import StaticGraph
 from repro.runtime.agent import AgentProgram, walk
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.single import run_single_agent
 
 
@@ -314,3 +317,72 @@ class TestFoldEqualsPerVisitCount:
             center, 64, seed, alpha, with_repeats(list(leaves)),
         )
         assert fold == reference
+
+
+def counter_tally(observed, home_closed, threshold):
+    """Sample's closing tally as a ``Counter`` loop over all of ``N⁺(v₀ᵃ)``.
+
+    The reference ``tally_heavy``'s plain-dict, early-exit tally must
+    give the same heavy set.
+    """
+    counts = Counter()
+    for closed, tally in Counter(observed).items():
+        for u in closed & home_closed:
+            counts[u] += tally
+    return frozenset(u for u, c in counts.items() if c >= threshold)
+
+
+def drive_from_plan(visits, reads, home):
+    """Play a visit coroutine on a plan's ``(degree, N⁺)`` reads."""
+    try:
+        route = next(visits)
+        while True:
+            route = visits.send(reads[route[-1] if route else home])
+    except StopIteration as stop:
+        return stop.value
+
+
+class TestEarlyExitTallyEqualsCounterLoop:
+    """The live-set tally gives the ``Counter`` loop's heavy set."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        family=st.lists(
+            st.frozensets(st.integers(0, 15), max_size=8), min_size=1, max_size=12
+        ),
+        repeats=st.lists(st.integers(0, 11), max_size=16),
+        home_closed=st.frozensets(st.integers(8, 23), min_size=1, max_size=12),
+    )
+    def test_families_with_repeats(self, family, repeats, home_closed):
+        # Members 8..15 are shared, so H only partly overlaps the sets.
+        observed = family + [family[i % len(family)] for i in repeats]
+        counts = Counter(u for closed in observed for u in closed & home_closed)
+        # 1, every count that occurs, and one above every count.
+        for threshold in {1, *counts.values(), max(counts.values(), default=0) + 1}:
+            assert tally_heavy(observed, home_closed, threshold) == counter_tally(
+                observed, home_closed, threshold
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sample_visits_on_plan_reads(self, monkeypatch, seed):
+        graph = random_graph_with_min_degree(80, 16, random.Random(11))
+        plan = ExecutionPlan.compile(graph)
+        reads = plan.visit_reads
+        home = graph.vertices[seed]
+        degree, home_closed = reads[home]
+        local_map = two_hop_map(graph, home)
+        constants = Constants.testing()
+        alpha = constants.alpha(graph.min_degree)
+        gamma = sorted(home_closed)
+
+        def outcome():
+            return drive_from_plan(sample_visits(
+                gamma, alpha, local_map, home_closed, constants, graph.id_space,
+                random.Random(seed), degree,
+            ), reads, home)
+
+        fast = outcome()
+        monkeypatch.setattr(sample_module, "tally_heavy", counter_tally)
+        reference = outcome()
+        assert fast == reference
+        assert fast.heavy  # the comparison is not between empty sets
