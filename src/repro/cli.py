@@ -437,10 +437,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
             address, retry=args.retry, timeout=args.timeout
         )
     except ServiceError as error:
-        # Dead address, hung broker, torn reply: one typed line, exit 2.
+        # Dead address, hung broker, torn or malformed reply: one typed
+        # line, exit 2.
         print(f"status: {error}", file=sys.stderr)
         return 2
-    jobs = status.get("jobs", {})
+    jobs = status["jobs"]
     print(
         f"broker {args.connect}: {len(jobs)} job(s)"
         + (", warehouse cache" if status.get("warehouse") else "")

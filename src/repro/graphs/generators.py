@@ -10,8 +10,11 @@ minimum degree (and, where relevant, maximum degree) we can dial:
   graph is the Anderson–Weber [6] setting).
 * :func:`random_graph_with_min_degree` — Erdős–Rényi with a repair pass
   that guarantees ``δ_G >= min_degree``; the main Theorem 1/2 workload.
-* :func:`random_regular_graph` — configuration-model regular graphs
-  (``δ = Δ``), isolating the δ-dependence of the bounds.
+* :func:`random_regular_graph` — regular graphs (``δ = Δ``), isolating
+  the δ-dependence of the bounds: a simple configuration-model pairing
+  where one turns up (degree up to about 6), and otherwise a circulant
+  lattice perturbed by ``4n`` double-edge swaps, most of whose edges
+  stay circulant edges (DESIGN.md deviation #6).
 * :func:`random_geometric_dense_graph` — dense proximity graphs, the
   "robot swarm" motivation workload.
 * :func:`powerlaw_graph_with_floor` — skewed degrees with a minimum
@@ -251,48 +254,121 @@ def _repair_min_degree_flat(
 
 
 def random_regular_graph(n: int, degree: int, rng: random.Random, max_attempts: int = 200) -> StaticGraph:
-    """A uniform-ish ``degree``-regular graph via the configuration model.
+    """A ``degree``-regular graph: a simple random pairing, or a perturbed circulant.
 
-    Pairs stubs uniformly at random and rejects pairings that create
-    self-loops or parallel edges, retrying up to ``max_attempts`` times.
-    Rejection succeeds quickly for ``degree = o(√n)``; for denser
-    regular graphs we fall back to a repaired pairing (swap edges to
-    remove collisions), which preserves regularity.
+    Each of up to ``max_attempts`` configuration-model attempts shuffles
+    the ``n · degree`` stubs and pairs neighbors in the shuffled list; the
+    first pairing with no self-loop and no repeated pair is returned, and
+    it is a uniform random simple ``degree``-regular graph.  An attempt
+    succeeds with probability about ``exp(-(degree² - 1) / 4)``
+    (Bollobás 1980), so 200 attempts nearly always find one for
+    ``degree <= 4``, about 40% of the time at 5, 3% at 6, and practically
+    never from 7 on.  Then the graph is the fallback: the circulant
+    lattice (each vertex joined to its ``degree // 2`` nearest vertices on
+    each side, plus the antipode for odd ``degree``) perturbed by ``4n``
+    double-edge swaps.  It is exactly ``degree``-regular but far from
+    uniform: at the paper grid's ``δ = n^0.75`` most of its edges are
+    still circulant edges (84% at n = 200, 89% at n = 400), where a
+    uniform graph would keep ``degree / (n - 1)`` of them (DESIGN.md
+    deviation #6).
+
+    Every attempt draws exactly what ``rng.shuffle`` of the stub list
+    draws, and a failed attempt stops pairing at its first collision
+    (:func:`_pairing_attempt`), so the fallback's swaps see the same
+    stream as after ``max_attempts`` full shuffles.
     """
     check_regular_domain(n, degree)
     name = f"regular(n={n},d={degree})"
 
+    builder = GraphBuilder(n, name=name)
+    buffer = builder.edges
     for _ in range(max_attempts):
-        # Rebuilt (not reused) per attempt: the retry must shuffle the
-        # ordered stub list, exactly as the frozen reference does.
-        stubs = [v for v in range(n) for _ in range(degree)]
-        rng.shuffle(stubs)
-        builder = GraphBuilder(n, name=name)
-        buffer = builder.edges
-        append = buffer.keys.append
-        seen: set[int] = set()
-        seen_add = seen.add
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            key = u * n + v
-            if u == v or key in seen:
-                ok = False
-                break
-            seen_add(key)
-            seen_add(v * n + u)
-            append(key)
-            append(v * n + u)
-        if ok:
+        if _pairing_attempt(n, degree, rng, buffer.keys.append):
             return builder.build(
                 dedup=False, degrees=array("q", [degree]) * n
             )
+        buffer.clear()
 
     # Dense fallback: deterministic circulant graph perturbed by double
     # edge swaps.  Still exactly `degree`-regular, connected, and seeded.
     adjacency = _circulant(n, degree)
     _double_edge_swaps(adjacency, rng, swaps=4 * n)
     return from_adjacency_sets(adjacency, name=name)
+
+
+def _pairing_attempt(n: int, degree: int, rng: random.Random, append) -> bool:
+    """One configuration-model attempt; ``True`` if its pairing is simple.
+
+    The attempt is ``rng.shuffle(stubs)`` of the ordered stub list
+    ``[0] * degree + [1] * degree + …``, whose positions ``2k`` and
+    ``2k + 1`` then form an edge, played without building the list.
+    CPython's shuffle is a reverse Fisher–Yates pass: step ``i``, from
+    the last position down to 1, draws ``j`` below ``i + 1`` (inlined
+    here as ``Random._randbelow`` draws it: ``getrandbits(k)`` with
+    ``k = (i + 1).bit_length()`` until the value falls below ``i + 1``)
+    and swaps positions ``i`` and ``j``; no later step touches position
+    ``i``.  Position ``p`` holds stub ``p // degree`` until a swap moves
+    it, and moved positions live in the small dict ``moved``.  So pair
+    ``(2k, 2k + 1)`` is final after step ``2k`` (pair 0 after step 1)
+    and is checked there, from the end of the list.
+
+    Whether a pairing has a self-loop or a repeated pair does not depend
+    on the order its pairs are checked in, so this fails exactly when a
+    front-to-back check of the shuffled list would.  At the first
+    collision the remaining steps only draw (:func:`_draw_shuffle_rest`),
+    leaving ``rng`` where ``rng.shuffle`` would.  A simple pairing emits
+    both arcs of each edge through ``append``, in an order the CSR
+    build's sort makes irrelevant.
+    """
+    getrandbits = rng.getrandbits
+    moved: dict[int, int] = {}
+    take = moved.pop
+    seen: set[int] = set()
+    seen_add = seen.add
+    upper = 0
+    for i in range(n * degree - 1, 0, -1):
+        bound = i + 1
+        k = bound.bit_length()
+        j = getrandbits(k)
+        while j >= bound:
+            j = getrandbits(k)
+        here = take(i, i // degree)
+        if j != i:
+            here, moved[j] = take(j, j // degree), here
+        if i & 1:
+            upper = here  # position 2k + 1; its partner is final next step
+            if i > 1:
+                continue
+            here = take(0, 0)  # step 1 was the last: position 0 is final
+        key = here * n + upper
+        if here == upper or key in seen:
+            _draw_shuffle_rest(getrandbits, i)
+            return False
+        mirror = upper * n + here
+        seen_add(key)
+        seen_add(mirror)
+        append(key)
+        append(mirror)
+    return True
+
+
+def _draw_shuffle_rest(getrandbits, top: int) -> None:
+    """Make the draws of a shuffle's steps ``top - 1`` down to 1, and nothing else.
+
+    Step ``i`` draws below ``i + 1``, so the bounds run from ``top``
+    down to 2.  They are taken in runs of one bit width ``k``, with the
+    rejection loop as bare as it gets.  This loop is most of a dense
+    ``regular`` build; a bulk ``getrandbits(32 · m)`` word scan
+    measured slower (docs/performance.md § The instance pipeline).
+    """
+    bound = top
+    while bound > 1:
+        k = bound.bit_length()
+        low = 1 << (k - 1)
+        for b in range(bound, low - 1, -1):
+            while getrandbits(k) >= b:
+                pass
+        bound = low - 1
 
 
 def _circulant(n: int, degree: int) -> dict[VertexId, set[VertexId]]:

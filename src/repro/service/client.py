@@ -20,6 +20,9 @@ from repro.errors import ServiceError, WireError
 from repro.experiments.parallel import SweepResult, SweepSpec
 from repro.service.protocol import (
     decode_records,
+    header_count,
+    header_seconds,
+    header_table,
     recv_message,
     send_message,
 )
@@ -50,7 +53,9 @@ def submit_sweep(
     :class:`ServiceError` when the broker reports a failed job, when
     it goes silent past ``timeout``, or when the connection itself
     dies (:class:`WireError`) — a sweep submission either returns
-    merged records or raises a typed error, never hangs.
+    merged records or raises a typed error, never hangs.  A reply whose
+    counts are not ints ``>= 0``, or whose ``elapsed`` is not a finite
+    number, is a :class:`WireError` too.
 
     ``resume=False`` has the broker discard the spec's stored records
     and recompute the grid, as ``run_sweep(resume=False)`` does; the
@@ -75,25 +80,31 @@ def submit_sweep(
                         f"for {timeout:.0f}s mid-sweep"
                     ) from None
                 raise
+            total = header_count(header, "total")
             if header["type"] == "progress":
+                done = header_count(header, "done")
                 if progress is not None:
-                    progress(int(header["done"]), int(header["total"]))
+                    progress(done, total)
                 continue
+            executed = header_count(header, "executed")
+            cached = header_count(header, "cached")
+            workers = header_count(header, "workers")
+            elapsed = header_seconds(header, "elapsed")
             records = decode_records(payload)
-            if len(records) != int(header["total"]):
+            if len(records) != total:
                 raise WireError(
                     f"broker sent {len(records)} record(s) for a "
-                    f"{header['total']}-trial grid"
+                    f"{total}-trial grid"
                 )
             if progress is not None:
-                progress(int(header["total"]), int(header["total"]))
+                progress(total, total)
             return SweepResult(
                 spec=spec,
                 records=tuple(records),
-                executed=int(header["executed"]),
-                cached=int(header["cached"]),
-                workers=int(header["workers"]),
-                elapsed=float(header["elapsed"]),
+                executed=executed,
+                cached=cached,
+                workers=workers,
+                elapsed=elapsed,
             )
     finally:
         sock.close()
@@ -134,13 +145,16 @@ def broker_status(
     and a hung broker — one that accepts the connection but never
     answers the status request within ``timeout`` seconds — surfaces
     as ``"not answering"`` instead of a raw ``socket.timeout`` or an
-    unbounded wait.  ``repro status`` maps this to exit code 2.
+    unbounded wait, and a torn reply, or one whose ``jobs`` is not a
+    table of job objects, as ``"gave no usable status reply"``.
+    ``repro status`` maps this to exit code 2.
     """
     sock = connect_with_retry(address, retry)
     try:
         sock.settimeout(timeout)
         send_message(sock, "status")
         header, _payload = recv_message(sock, "status-reply")
+        header_table(header, "jobs")
         return header
     except WireError as error:
         if getattr(error, "timed_out", False):
@@ -149,8 +163,8 @@ def broker_status(
                 f"(no status reply within {timeout:.0f}s)"
             ) from None
         raise ServiceError(
-            f"broker at {address[0]}:{address[1]} dropped the status "
-            f"request: {error}"
+            f"broker at {address[0]}:{address[1]} gave no usable status "
+            f"reply: {error}"
         ) from None
     finally:
         sock.close()

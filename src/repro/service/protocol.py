@@ -48,6 +48,7 @@ adversaries.  Point brokers and workers only at hosts you control.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 import socket
 import struct
@@ -69,6 +70,9 @@ __all__ = [
     "recv_message",
     "header_name",
     "header_indices",
+    "header_count",
+    "header_seconds",
+    "header_table",
     "encode_records",
     "decode_records",
     "parse_address",
@@ -318,6 +322,45 @@ def header_indices(header: dict[str, Any]) -> list[int]:
     ):
         raise WireError(
             f"{header['type']} frame needs a list of grid indices, "
+            f"got {reprlib.repr(value)}"
+        )
+    return value
+
+
+def header_count(header: dict[str, Any], key: str) -> int:
+    """The count field ``key`` of a frame header: an int ``>= 0``, or :class:`WireError`."""
+    value = header.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise WireError(
+            f"{header['type']} frame needs a count {key!r} (an int >= 0), "
+            f"got {reprlib.repr(value)}"
+        )
+    return value
+
+
+def header_seconds(header: dict[str, Any], key: str) -> float:
+    """The duration field ``key`` of a frame header: a finite number, or :class:`WireError`."""
+    value = header.get(key)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise WireError(
+            f"{header['type']} frame needs a finite number {key!r}, "
+            f"got {reprlib.repr(value)}"
+        )
+    return float(value)
+
+
+def header_table(header: dict[str, Any], key: str) -> dict[str, dict[str, Any]]:
+    """The field ``key`` of a frame header: a dict of dicts, or :class:`WireError`."""
+    value = header.get(key)
+    if not isinstance(value, dict) or not all(
+        isinstance(row, dict) for row in value.values()
+    ):
+        raise WireError(
+            f"{header['type']} frame needs a table of objects {key!r}, "
             f"got {reprlib.repr(value)}"
         )
     return value

@@ -6,15 +6,27 @@ randomness flows through explicit seeds so the suite is deterministic.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core.constants import Constants
 from repro.graphs.generators import (
     complete_graph,
     random_graph_with_min_degree,
 )
+
+# A deeper, still derandomized run of the properties that leave their
+# example count to the profile: HYPOTHESIS_PROFILE=deep gives them ten
+# times Hypothesis's default.  Properties that set ``max_examples``
+# themselves keep it.
+settings.register_profile(
+    "deep", max_examples=10 * settings.default.max_examples, derandomize=True
+)
+if os.environ.get("HYPOTHESIS_PROFILE") == "deep":
+    settings.load_profile("deep")
 
 
 @pytest.fixture(scope="session")
