@@ -124,7 +124,7 @@ class ResultCache:
                     if type(index) is not int:
                         raise TypeError(f"grid index {index!r} is not an integer")
                     record = record_from_jsonable(payload["record"])
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError, RecursionError):
                     skipped += 1
                     continue
                 yield index, record

@@ -40,6 +40,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from statistics import fmean, median
 from typing import Any, Iterable, Iterator
 
 from repro._typing import VertexId
@@ -74,6 +75,7 @@ _INT_COLUMNS = (
 )
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
+_NAN = float("nan")
 _JSON_SCALARS = frozenset({bool, int, float, str, type(None)})
 
 
@@ -355,11 +357,12 @@ def _engine_results(
 class StreamSummary:
     """Record-dropping aggregate of one group of streamed trials.
 
-    Every sweep table, streamed or held, and ``repro report`` over a
-    JSONL export fold each :class:`TrialRecord` into one of these.
-    ``repro report`` over a warehouse builds the same aggregates from
-    the columns (:mod:`repro.experiments.query`), so both report paths
-    render through one table builder.
+    Every sweep table, streamed or held, folds each :class:`TrialRecord`
+    into one of these, and ``repro report`` over a JSONL export folds
+    each line's met flag and rounds.  ``repro report`` over a warehouse
+    builds the same aggregates from the columns
+    (:mod:`repro.experiments.query`), so both report paths render
+    through one table builder.
     The streaming paths then drop the record, so resident memory stays
     O(batch) in the record stream: per successful trial the aggregate
     keeps one integer, its rounds, in a compact ``array('q')`` column.
@@ -382,8 +385,12 @@ class StreamSummary:
         """Fold one record."""
         if self.delta is None:
             self.delta = record.delta
-        if record.met:
-            self.rounds.append(record.rounds)
+        self.fold(record.met, record.rounds)
+
+    def fold(self, met: Any, rounds: int) -> None:
+        """Fold one trial by its met flag's truth value and its rounds."""
+        if met:
+            self.rounds.append(rounds)
             self.met += 1
         self.total += 1
 
@@ -392,6 +399,19 @@ class StreamSummary:
         if not self.met:
             return None
         return summarize(self.rounds)
+
+    def center(self) -> tuple[float, float]:
+        """The ``(mean, median)`` of :meth:`summary`, without its deviation.
+
+        The same floats, computed the same way over the rounds as
+        floats; ``(nan, nan)`` when no trial met.  Tables print only
+        these two, and the exact-fraction deviation costs more than
+        both together.
+        """
+        if not self.met:
+            return _NAN, _NAN
+        data = array("d", self.rounds)
+        return fmean(data), median(data)
 
 
 def aggregate_rounds(records: list[TrialRecord]) -> Summary:

@@ -577,12 +577,9 @@ def _summary_table(
     )
     pooled: list[int] = []
     for (family, n, delta_spec, algorithm, scenario), group in groups.items():
-        summary = group.summary()
         table.add_row(
             family, n, delta_spec, group.delta, algorithm, scenario,
-            f"{group.met}/{group.total}",
-            summary.mean if summary else float("nan"),
-            summary.median if summary else float("nan"),
+            f"{group.met}/{group.total}", *group.center(),
         )
         pooled.extend(group.rounds)
     if pooled:

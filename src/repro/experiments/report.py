@@ -6,12 +6,16 @@ and optionally persists them under ``results/`` for EXPERIMENTS.md.
 
 :func:`summarize_records` folds any stream of
 :class:`~repro.experiments.harness.TrialRecord` objects into one
-grouped summary table without materializing the stream — the engine
-behind ``repro report FILE.jsonl``, which replays sweep exports of any
-size in O(1) memory via
-:func:`~repro.experiments.results_io.iter_records_jsonl`.
-:func:`summarize_warehouse` builds the same per-group summaries from a
-warehouse's columns, and both render through one table builder.
+grouped summary table without materializing the stream.
+``repro report FILE.jsonl`` (:func:`summarize_jsonl`) replays sweep
+exports of any size in O(1) memory through the same group fold: it
+reads each line's record object as a plain dict, with the line rules
+of :func:`~repro.experiments.results_io.iter_records_jsonl`, and
+builds no record.  :func:`summarize_warehouse` builds the same
+per-group summaries from a warehouse's columns, and all three render
+through one table builder, which computes only what it prints: each
+group's mean and median (:meth:`StreamSummary.center
+<repro.experiments.harness.StreamSummary.center>`).
 """
 
 from __future__ import annotations
@@ -124,16 +128,35 @@ def _summary_table(
         ],
     )
     for (algorithm, graph_name, n, delta, scenario), group in groups.items():
-        summary = group.summary()
         table.add_row(
             algorithm, graph_name, n, delta, scenario or "none",
-            f"{group.met}/{group.total}",
-            summary.mean if summary else float("nan"),
-            summary.median if summary else float("nan"),
+            f"{group.met}/{group.total}", *group.center(),
         )
     total = sum(group.total for group in groups.values())
     table.add_note(f"{total} records in {len(groups)} group(s)")
     return table
+
+
+def _fold(
+    rows: "Iterable[tuple[tuple[Any, ...], Any, Any]]",
+) -> "dict[tuple[Any, ...], StreamSummary]":
+    """Fold ``(group key, met, rounds)`` rows into one summary per group.
+
+    The group fold of both record sources.  The rounds of a met row go
+    into the group's ``array('q')``, so a rounds value that is not an
+    int64 raises ``TypeError`` or ``OverflowError`` there.  Groups keep
+    first-seen order, which for sweep exports is canonical grid order.
+    """
+    from repro.experiments.harness import StreamSummary
+
+    groups: dict[tuple[Any, ...], StreamSummary] = {}
+    for key, met, rounds in rows:
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = StreamSummary()
+            group.delta = key[3]
+        group.fold(met, rounds)
+    return groups
 
 
 def summarize_records(
@@ -149,33 +172,37 @@ def summarize_records(
     Rows appear in first-seen order,
     which for sweep exports is canonical grid order.
     """
-    from repro.experiments.harness import StreamSummary
-
-    groups: dict[tuple[str, str, int, int, str | None], StreamSummary] = {}
-    for record in records:  # _GROUP_KEYS spelled out: faster than attrgetter
-        key = (record.algorithm, record.graph_name, record.n, record.delta, record.scenario)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = StreamSummary()
-        group.add(record)
-    return _summary_table(title, groups)
+    return _summary_table(title, _fold(
+        ((r.algorithm, r.graph_name, r.n, r.delta, r.scenario), r.met, r.rounds)
+        for r in records  # _GROUP_KEYS spelled out: faster than attrgetter
+    ))
 
 
 def summarize_jsonl(path: str | Path, title: str | None = None) -> Table:
     """Summarize a JSON-lines record export without loading it whole.
 
-    Streams through
-    :func:`~repro.experiments.results_io.iter_records_jsonl`, so peak
-    memory is one record plus the group aggregates regardless of file
-    size.  This record-by-record fold is the *differential oracle* for
-    the fused warehouse path: :func:`summarize_warehouse` must produce
-    a byte-identical table for the same records.
+    Each line's record object folds straight into its group, as a
+    plain dict: no :class:`~repro.experiments.harness.TrialRecord` is
+    built, and a line is accepted, skipped (a torn final line, with a
+    warning) or refused exactly as
+    :func:`~repro.experiments.results_io.iter_records_jsonl` does, so
+    the table is the one :func:`summarize_records` makes of those
+    records.  Peak memory is one line plus the group aggregates
+    regardless of file size.  This fold is the *differential oracle*
+    for the fused warehouse path: :func:`summarize_warehouse` must
+    produce a byte-identical table for the same records.
     """
+    from repro.experiments.results_io import _record_payloads
+
     if title is None:
         title = f"RECORDS {Path(path).name}"
-    from repro.experiments.results_io import iter_records_jsonl
-
-    return summarize_records(iter_records_jsonl(path), title=title)
+    return _summary_table(title, _fold(
+        (
+            (p["algorithm"], p["graph_name"], p["n"], p["delta"], p.get("scenario")),
+            p["met"], p["rounds"],
+        )
+        for p in _record_payloads(path)
+    ))
 
 
 def summarize_warehouse(path: str | Path, title: str | None = None) -> Table:
@@ -225,7 +252,7 @@ def summarize_path(path: str | Path, title: str | None = None) -> Table:
         raise WarehouseError(f"{target} is empty — no records to summarize")
     try:
         return summarize_jsonl(target, title=title)
-    except (ValueError, TypeError, KeyError) as error:
+    except (ValueError, TypeError, OverflowError) as error:
         raise WarehouseError(
             f"{target} is not a JSON-lines record export: {error}"
         ) from None

@@ -7,11 +7,15 @@ made), so it round-trips through JSON lines unchanged, per-agent
 reports included; CSV export flattens the scalar fields for
 spreadsheet work.
 
-Two access shapes for JSON lines: :func:`read_records_jsonl`
-materializes the whole list (small files, tests), and
-:func:`iter_records_jsonl` streams one record at a time so consumers
-— the ``repro report`` command, streaming aggregation — stay O(1) in
-the file size.
+Every JSON-lines reader goes through one line reader,
+:func:`_record_payloads`, which yields each line's record object as
+a plain dict and holds the torn-final-line and bad-middle-line rules.
+A line is a record's exactly when :class:`TrialRecord` would accept
+its object as keyword arguments, so the readers built on it agree:
+:func:`iter_records_jsonl` streams one record at a time,
+:func:`read_records_jsonl` materializes the whole list (small files,
+tests), and ``repro report`` folds the dicts into its groups without
+building a record (:func:`~repro.experiments.report.summarize_jsonl`).
 
 The **columnar batch codec** (:func:`pack_record_batch` /
 :func:`unpack_record_batch`) is the wire format of the sweep fabric
@@ -32,7 +36,7 @@ import json
 import struct
 import warnings
 from array import array
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -50,6 +54,13 @@ __all__ = [
 ]
 
 _FIELDS = tuple(field.name for field in fields(TrialRecord))
+_FIELD_SET = frozenset(_FIELDS)
+#: The fields a record line must name: those without a default.
+_REQUIRED = frozenset(
+    field.name for field in fields(TrialRecord)
+    if field.default is MISSING and field.default_factory is MISSING
+)
+_decode = json.JSONDecoder().raw_decode
 _CSV_FIELDS = [
     "algorithm", "graph_name", "n", "id_space", "delta", "max_degree",
     "seed", "met", "rounds", "total_moves", "whiteboard_writes", "scenario",
@@ -84,19 +95,35 @@ def write_records_jsonl(records: Iterable[TrialRecord], path: str | Path) -> Pat
     return target
 
 
-def iter_records_jsonl(path: str | Path) -> Iterator[TrialRecord]:
-    """Stream records written by :func:`write_records_jsonl` one at a time.
+def _not_a_record(line: str, payload: Any, end: int) -> Exception:
+    """Why a decoded line is not a record line, as the error to raise."""
+    if end != len(line):  # json.loads's error, at the first non-blank character after the value
+        return json.JSONDecodeError("Extra data", line, len(line) - len(line[end:].lstrip(" \t\n\r")))
+    if type(payload) is not dict:
+        return TypeError(f"a record line holds a JSON object, not {type(payload).__name__}")
+    unknown = payload.keys() - _FIELD_SET
+    if unknown:
+        return TypeError(f"unknown record field(s) {sorted(unknown)}")
+    return TypeError(f"missing record field(s) {sorted(_REQUIRED - payload.keys())}")
 
-    The generator holds exactly one decoded record at a time, so
-    consumers that fold records into summaries (``repro report``, the
-    streaming sweep aggregation) stay O(1) in the file size.  Blank
-    lines are skipped.
 
-    A torn **final** line — the signature of a writer killed mid-append
-    — is skipped with a :class:`UserWarning` so crash-resume can read
-    everything that was durably written.  Corruption anywhere *before*
-    the final line is not a crash artifact (appends only tear the tail)
-    and still raises, exactly like :func:`read_records_jsonl`.
+def _record_payloads(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Stream the record objects of a JSON-lines export as plain dicts.
+
+    A line is accepted exactly when ``TrialRecord(**payload)`` would
+    accept its object: one JSON value, as ``json.loads`` reads it,
+    that is an object whose keys are all record fields and include
+    every field without a default.  Field values are not checked
+    here.  Blank lines are skipped, and one dict is held at a time, so
+    consumers stay O(1) in the file size.
+
+    A bad **final** line — the signature of a writer killed
+    mid-append — is skipped with a :class:`UserWarning`, so
+    crash-resume can read everything that was durably written.  A bad
+    line *before* the final one is not a crash artifact (appends only
+    tear the tail) and raises, once the next line shows it was not the
+    last: ``ValueError`` when it is not one JSON value, ``TypeError``
+    when it is not a record's object.
     """
     source = Path(path)
     with source.open("r", encoding="utf-8") as handle:
@@ -107,19 +134,42 @@ def iter_records_jsonl(path: str | Path) -> Iterator[TrialRecord]:
                 continue
             if pending is not None:
                 raise pending[1]
+            # Defer every error: only a *trailing* bad line is tolerated.
             try:
-                record = record_from_jsonable(json.loads(line))
-            except (ValueError, TypeError, KeyError) as error:
-                # Defer: only a *trailing* bad line is tolerated.
+                payload, end = _decode(line)
+            except RecursionError as error:
+                pending = (line, ValueError(f"JSON nested too deeply to decode: {error}"))
+                continue
+            except ValueError as error:
                 pending = (line, error)
                 continue
-            yield record
+            if (
+                end == len(line)
+                and type(payload) is dict
+                and payload.keys() <= _FIELD_SET
+                # Every field named (an export line) names the required ones.
+                and (len(payload) == len(_FIELDS) or payload.keys() >= _REQUIRED)
+            ):
+                yield payload
+            else:
+                pending = (line, _not_a_record(line, payload, end))
         if pending is not None:
             warnings.warn(
                 f"{source}: skipped truncated final line "
                 f"({len(pending[0])} bytes) — interrupted writer",
                 stacklevel=2,
             )
+
+
+def iter_records_jsonl(path: str | Path) -> Iterator[TrialRecord]:
+    """Stream records written by :func:`write_records_jsonl` one at a time.
+
+    :func:`record_from_jsonable` over :func:`_record_payloads`,
+    whose rules for blank, torn and bad lines it keeps: the generator
+    holds exactly one decoded record at a time.
+    """
+    for payload in _record_payloads(path):
+        yield record_from_jsonable(payload)
 
 
 def read_records_jsonl(path: str | Path) -> list[TrialRecord]:

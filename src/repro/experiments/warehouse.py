@@ -130,7 +130,7 @@ def _read_manifest(directory: Path) -> dict[str, Any]:
     path = directory / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         raise WarehouseError(f"{path}: unreadable manifest: {error}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != WAREHOUSE_FORMAT:
         raise WarehouseError(f"{directory} is not a results warehouse")

@@ -257,7 +257,7 @@ class FaultSchedule:
     def from_json(cls, text: str) -> "FaultSchedule":
         try:
             payload = json.loads(text)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise ChaosError(f"fault schedule is not valid JSON: {error}") from None
         return cls.from_payload(payload)
 

@@ -258,7 +258,7 @@ def recv_frame(
             )
         try:
             header = json.loads(raw_header.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as error:
+        except (UnicodeDecodeError, ValueError, RecursionError) as error:
             raise WireError(f"garbage frame header: {error}") from None
         if not isinstance(header, dict) or not isinstance(header.get("type"), str):
             raise WireError(

@@ -164,6 +164,23 @@ class TestCorruptLineWarning:
                 (0, record)
             ]
 
+    def test_resume_skips_a_line_nested_too_deep(self, capsys, tmp_path):
+        # Valid JSON the decoder cannot descend into raises RecursionError,
+        # which aborted the sweep; it is a corrupt line like any other.
+        args = [
+            "sweep", "--name", "deep", "--family", "complete", "--n", "16",
+            "--delta", "4", "--algorithm", "trivial", "--seeds", "3",
+            "--preset", "testing", "--workers", "1", "--cache-dir", str(tmp_path),
+        ]
+        assert main(args) == 0
+        (path,) = tmp_path.glob("*.jsonl")
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("[" * 100_000 + "]" * 100_000 + "\n")
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="skipped 1 corrupt line"):
+            assert main([*args, "--resume"]) == 0
+        assert "0 trials executed, 3 served from cache" in capsys.readouterr().out
+
     def test_iter_indexed_clean_file_is_silent(self, tmp_path):
         record = one_record()
         with ResultCache(tmp_path, "clean") as cache:

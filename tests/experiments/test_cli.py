@@ -163,6 +163,40 @@ class TestReportCommand:
         assert main(["report", str(garbage)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def _export(self, tmp_path):
+        out_file = tmp_path / "records.jsonl"
+        assert main([
+            "sweep", "--name", "report-test", "--family", "complete", "--n", "32",
+            "--algorithm", "trivial", "--seeds", "3", "--workers", "1",
+            "--out", str(out_file),
+        ]) == 0
+        return out_file
+
+    def test_report_line_nested_too_deep_is_a_bad_line(self, capsys, tmp_path):
+        # Valid JSON the decoder cannot descend into raised RecursionError.
+        export = self._export(tmp_path)
+        lines = export.read_text().splitlines(keepends=True)
+        deep = "[" * 100_000 + "]" * 100_000 + "\n"
+        capsys.readouterr()
+        export.write_text("".join(lines) + deep)  # the final line: skipped
+        with pytest.warns(UserWarning, match="truncated final line"):
+            assert main(["report", str(export)]) == 0
+        assert "3 records in 1 group(s)" in capsys.readouterr().out
+        export.write_text(lines[0] + deep + "".join(lines[1:]))  # mid-file
+        assert main(["report", str(export)]) == 2
+        err = capsys.readouterr().err
+        assert "is not a JSON-lines record export" in err and "too deep" in err
+
+    def test_report_rounds_beyond_int64_is_a_clean_error(self, capsys, tmp_path):
+        export = self._export(tmp_path)
+        record = json.loads(export.read_text().splitlines()[0])
+        assert record["met"]
+        record["rounds"] = 99999999999999999999
+        export.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(export)]) == 2
+        assert "is not a JSON-lines record export" in capsys.readouterr().err
+
 
 class TestProfileSetupFlag:
     def test_profile_setup_prints_breakdown(self, capsys):
@@ -244,6 +278,16 @@ class TestWarehouseCli:
         assert main(["report", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "manifest.json" in err
+
+    def test_manifest_nested_too_deep_is_a_typed_error(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        assert main([*self._grid, "--cache-dir", str(cache), "--warehouse"]) == 0
+        manifest = self._warehouse_dir(cache) / "manifest.json"
+        manifest.write_text("[" * 100_000 + "]" * 100_000)
+        capsys.readouterr()
+        assert main(["report", str(manifest.parent)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "unreadable manifest" in err
 
     def test_malformed_warehouse_is_a_typed_error(self, capsys, tmp_path):
         # A dictionary column without its value list must end in a typed

@@ -85,6 +85,10 @@ class TestScheduleParsing:
         with pytest.raises(ChaosError, match="unknown fault schedule key"):
             FaultSchedule.from_payload({"faults": [], "extra": 1})
 
+    def test_json_nested_too_deep_is_a_chaos_error(self):
+        with pytest.raises(ChaosError, match="not valid JSON"):
+            FaultSchedule.from_json("[" * 100_000 + "]" * 100_000)
+
     def test_from_file_and_missing_file(self, tmp_path):
         path = tmp_path / "sched.json"
         sched = schedule({"kind": "delay", "ms": 5}, seed=3)

@@ -135,6 +135,15 @@ class TestFraming:
         with pytest.raises(WireError, match="garbage"):
             recv_frame(b)
 
+    def test_header_nested_too_deep_is_wire_error(self, pair):
+        # Valid JSON the decoder cannot descend into raises
+        # RecursionError; callers catch only WireError.
+        a, b = pair
+        raw = b"[" * 100_000 + b"]" * 100_000
+        a.sendall(prologue(MAGIC, len(raw), 0, raw) + raw)
+        with pytest.raises(WireError, match="garbage"):
+            recv_frame(b)
+
     def test_header_must_be_object_with_type(self, pair):
         a, b = pair
         for raw in (b"[1,2]", b'{"no_type":1}', b'{"type":7}'):
