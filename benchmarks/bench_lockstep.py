@@ -1,13 +1,13 @@
 """Benchmark for the lockstep trial engine: batched trials/s.
 
-PR 5 made instance *setup* fast; this gate protects the layer that
-makes the *trials themselves* fast — the lockstep executor
-(:mod:`repro.runtime.lockstep`): a struct-of-arrays batch runner that
-advances every seed of a ``run_trials`` call in lockstep over one
-compiled :class:`~repro.runtime.plan.ExecutionPlan`, replacing the
-per-round interpreter loop with per-chunk choice-tape kernels while
-drawing the **same random numbers in the same order** as the serial
-engine.
+Fast instance *setup* is gated elsewhere; this gate protects the
+layer that makes the *trials themselves* fast — the lockstep executor
+(:mod:`repro.runtime.lockstep`), which plays every seed of a
+``run_trials`` call over one compiled
+:class:`~repro.runtime.plan.ExecutionPlan`, replacing the per-round
+interpreter loop with one plain loop per walk seed that draws the
+**same random numbers in the same order** as the serial engine and
+stops at the meeting.
 
 Both paths replay identical multi-seed random-walk workloads:
 

@@ -35,7 +35,12 @@ from pathlib import Path
 from typing import Any, IO, Iterable, Iterator
 
 from repro.errors import ReproError
-from repro.experiments.harness import TrialRecord
+from repro.experiments.harness import (
+    _INT64_MAX,
+    _INT64_MIN,
+    _INT_COLUMNS,
+    TrialRecord,
+)
 from repro.experiments.results_io import record_from_jsonable, record_to_jsonable
 
 __all__ = ["CACHE_FORMAT_VERSION", "content_hash", "ResultCache"]
@@ -96,7 +101,8 @@ class ResultCache:
 
         Resident memory is one record, and repeated indices all come
         back.  Blank lines are skipped; corrupt lines (an interrupted
-        writer) are skipped too, with one :class:`UserWarning` naming
+        writer, or an int field outside int64, which no sweep table
+        could fold) are skipped too, with one :class:`UserWarning` naming
         the file — a truncated tail after a crash is expected (the
         sweep recomputes those trials), yet it should be *visible*,
         not silent, when it happens mid-resume.  A line in the earlier
@@ -124,6 +130,12 @@ class ResultCache:
                     if type(index) is not int:
                         raise TypeError(f"grid index {index!r} is not an integer")
                     record = record_from_jsonable(payload["record"])
+                    for name in _INT_COLUMNS:
+                        value = getattr(record, name)
+                        if type(value) is not int or not (
+                            _INT64_MIN <= value <= _INT64_MAX
+                        ):
+                            raise ValueError(f"{name}={value!r} is not an int64")
                 except (ValueError, KeyError, TypeError, RecursionError):
                     skipped += 1
                     continue

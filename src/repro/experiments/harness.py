@@ -244,8 +244,8 @@ def run_trials(
 
     Eligible batches (see
     :func:`repro.runtime.lockstep.lockstep_supported`) hand their armed
-    seeds to the lockstep kernels — the same records from
-    struct-of-arrays tapes at a fraction of the cost
+    seeds to the lockstep kernels — the same records from plain loops
+    and closed forms at a fraction of the cost
     (``docs/performance.md`` § Lockstep execution).  Every other batch
     runs on one :class:`~repro.runtime.engine.Engine` re-armed per seed
     (:meth:`~repro.runtime.engine.Engine.reset`), its seeds armed one

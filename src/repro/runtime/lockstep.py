@@ -8,31 +8,27 @@ per-agent bookkeeping.  For the round-dominated baselines that loop *is*
 the trial — ``BENCH_engine.json``'s rr-400x8 random-walk workload spends
 >95% of its time inside it.
 
-This module executes a whole seed batch on position *tapes* instead.
-It receives the batch *armed*: ``run_trials`` has already resolved
-every seed's programs, starts and budget, made the pair checks, and
-bound or compiled the plan — exactly as for the engine — so nothing
-here validates or sets up a trial:
+This module executes a whole seed batch on kernels instead.  It
+receives the batch *armed*: ``run_trials`` has already resolved every
+seed's programs, starts and budget, made the pair checks, and bound or
+compiled the plan — exactly as for the engine — so nothing here
+validates or sets up a trial:
 
-* **Struct-of-arrays state.**  One ``array('q')`` per role holds the S
-  agents' dense positions (plus parallel move/round/budget columns);
-  live seeds advance together in growing round *chunks* and retire from
-  the live set the moment they meet or exhaust their budget.
-* **Tape-drawn rounds.**  Each seed's per-round choices are pre-drawn
-  into per-seed position tapes by a tight kernel over the plan's flat
-  int64 buffers (CSR adjacency for KT1, the flattened hidden port table
-  for KT0).  Meeting detection, meeting rounds, and move counts are then
-  recovered from the tapes with C-level bulk operations
-  (``map``/``eq``/``compress``/``sum`` over ``array('q')``), never by
-  re-entering Python per round.
-* **Byte-identical RNG streams.**  The tape kernel replays the exact
+* **One scalar loop per walk seed.**  The lazy random walk plays both
+  walkers round by round over the plan's flat tables (CSR adjacency
+  for KT1, the flattened hidden port table for KT0), with no action
+  object, view or dispatch between the draws, and stops at the
+  meeting or the budget.
+* **Byte-identical RNG streams.**  The walk loop makes the exact
   ``random.Random(f"{seed}:{name}")`` call sequence the serial
   :class:`~repro.runtime.engine.Engine` makes — one ``random()`` per
   round plus, on non-lazy rounds, CPython's ``randrange`` rejection
-  loop (``getrandbits(k)`` until the draw falls below the degree) — so
-  every observable field of every :class:`ExecutionResult` is identical
-  to the serial path.  ``tests/runtime/test_lockstep.py`` proves it
-  differentially against both the engine and the frozen oracles in
+  loop (``getrandbits(k)`` until the draw falls below the degree) —
+  and draws no round past the meeting, so every observable field of
+  every :class:`ExecutionResult` is identical to the serial path and
+  each generator ends where the engine leaves it.
+  ``tests/runtime/test_lockstep.py`` proves it differentially against
+  both the engine and the frozen oracles in
   :mod:`repro.runtime.reference`.
 
 Kernels exist where a trial's rounds can be played without the
@@ -60,7 +56,7 @@ adjacent, no meeting within the budget, ``Construct``'s iteration cap,
 a Theorem 2 ``Construct`` that runs past ``t'``) comes back as
 ``None`` in its slot; the caller runs those armed seeds on the engine
 with no behavior change; see ``docs/performance.md``.  The walk
-kernels' inputs and the graph half of that verdict are built once per
+loop's tables and the graph half of that verdict are built once per
 plan (:attr:`~repro.runtime.plan.ExecutionPlan.walk_setup`), as is the
 Theorem 1 and 2 kernel's visit table
 (:attr:`~repro.runtime.plan.ExecutionPlan.visit_reads`), so a batch
@@ -70,9 +66,8 @@ pays no set-up of its own.
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_left
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from operator import eq
 
 from repro._typing import VertexId
@@ -84,14 +79,7 @@ from repro.runtime.plan import ExecutionPlan
 __all__ = [
     "lockstep_supported",
     "run_lockstep_batch",
-    "walk_choice_tape",
 ]
-
-#: Chunk growth bounds: start small so short trials draw short tapes,
-#: grow by 1.25x up to the cap so long trials amortize per-chunk
-#: overhead while bounding the tape rounds drawn past a meeting.
-_CHUNK_START = 128
-_CHUNK_CAP = 4096
 
 
 def lockstep_supported(
@@ -124,105 +112,8 @@ def lockstep_supported(
 
 
 # ---------------------------------------------------------------------------
-# The random-walk tape kernel
+# The random-walk loop
 # ---------------------------------------------------------------------------
-
-
-def _rejected(getrandbits, k: int, d: int) -> int:
-    """The tail of CPython's ``Random._randbelow`` rejection loop.
-
-    Called only after a first ``getrandbits(k)`` draw came back
-    ``>= d``; keeps drawing exactly as the ``while`` body does.
-    """
-    r = getrandbits(k)
-    while r >= d:
-        r = getrandbits(k)
-    return r
-
-
-def walk_choice_tape(
-    rng: random.Random,
-    pos: int,
-    span: int,
-    offsets: "list | array",
-    table: "list | array",
-    degrees: "list | array",
-    bits: "list | array",
-    laziness: float,
-) -> tuple[list[int], int]:
-    """Advance one lazy walker ``span`` rounds; return its position tape.
-
-    ``tape[j]`` is the walker's dense index after round ``j``'s movement
-    (the engine's beginning-of-round ``j + 1`` position); the second
-    return value is the number of moved (non-lazy) rounds, counted
-    in-kernel so no separate move pass is needed on the common path.
-    The draw sequence is exactly the serial :class:`RandomWalker`
-    round: one ``rng.random()`` laziness draw, then — on non-lazy
-    rounds — the inlined body of CPython's ``Random.randrange(degree)``
-    (``getrandbits(degree.bit_length())`` rejection-sampled), indexing
-    the flat neighbor table.  ``bits`` caches per-vertex bit lengths,
-    and the tape is built by one list comprehension so the per-round
-    cost is a handful of index operations around the two RNG calls.
-    The ``(moves := moves + 1) and`` guard is pure bookkeeping — it
-    makes no RNG call, so the stream is untouched.
-    """
-    rand = rng.random
-    getrandbits = rng.getrandbits
-    moves = 0
-    tape = [
-        pos if rand() < laziness else
-        (moves := moves + 1) and (pos := table[offsets[pos] + (
-            r if (r := getrandbits(bits[pos])) < degrees[pos]
-            else _rejected(getrandbits, bits[pos], degrees[pos])
-        )])
-        for _ in repeat(None, span)
-    ]
-    return tape, moves
-
-
-def _uniform_walk_tape(
-    rng: random.Random,
-    pos: int,
-    span: int,
-    table: "list | array",
-    d: int,
-    k: int,
-    laziness: float,
-) -> tuple[list[int], int]:
-    """:func:`walk_choice_tape` specialized to degree-regular plans.
-
-    With every vertex at degree ``d`` the rejection width ``k`` and the
-    CSR row base ``pos * d`` are loop constants, shaving the per-round
-    ``degrees``/``bits``/``offsets`` lookups off the identical draw
-    sequence.  The gate workloads (regular and complete graphs) all
-    take this kernel.
-    """
-    rand = rng.random
-    getrandbits = rng.getrandbits
-    moves = 0
-    tape = [
-        pos if rand() < laziness else
-        (moves := moves + 1) and (pos := table[pos * d + (
-            r if (r := getrandbits(k)) < d
-            else _rejected(getrandbits, k, d)
-        )])
-        for _ in repeat(None, span)
-    ]
-    return tape, moves
-
-
-def _prefix_moves(tape: list[int], start: int, length: int) -> int:
-    """Edge traversals in ``tape[:length]`` (positions after each round).
-
-    On a self-loop-free table a round moved iff the position changed,
-    so the move count is ``length`` minus the stay count — one C-level
-    pass comparing the tape against itself shifted by one round.
-    """
-    if length == len(tape):
-        stays = sum(map(eq, tape, chain((start,), tape)))
-    else:
-        stays = sum(map(eq, islice(tape, length), chain((start,), tape)))
-    return length - stays
 
 
 def _run_walk_batch(
@@ -233,96 +124,72 @@ def _run_walk_batch(
     if setup is None:
         # A degree-0 vertex or a self-loop: the serial path runs it.
         return None
-    table, offsets, degrees, bits, uniform, width = setup
     ids = plan.ids
+    results = []
+    for seed, program_a, program_b, a, b, budget in trials:
+        rounds, a, b, moves_a, moves_b = _walk_trial(
+            setup,
+            random.Random(f"{seed}:a"), random.Random(f"{seed}:b"),
+            program_a._laziness, program_b._laziness, a, b, budget,
+        )
+        met = a == b
+        results.append(
+            _walk_result(met, rounds, ids[a] if met else None, moves_a, moves_b)
+        )
+    return results
 
-    total = len(trials)
-    results: list[ExecutionResult | None] = [None] * total
-    pos_a = array("q", bytes(8 * total))
-    pos_b = array("q", bytes(8 * total))
-    moves_a = array("q", bytes(8 * total))
-    moves_b = array("q", bytes(8 * total))
-    rounds_done = array("q", bytes(8 * total))
-    budgets = array("q", bytes(8 * total))
-    rngs_a: list[random.Random] = []
-    rngs_b: list[random.Random] = []
-    laziness_a = []
-    laziness_b = []
-    live = []
-    for s, (seed, program_a, program_b, ai, bi, budget) in enumerate(trials):
-        pos_a[s] = ai
-        pos_b[s] = bi
-        budgets[s] = budget
-        rngs_a.append(random.Random(f"{seed}:a"))
-        rngs_b.append(random.Random(f"{seed}:b"))
-        laziness_a.append(program_a._laziness)
-        laziness_b.append(program_b._laziness)
-        if budget <= 0:
-            # Budget check fires at the top of round 0: no fetch, no
-            # draw, zero steps reported.
-            results[s] = _walk_result(False, 0, None, 0, 0)
-        else:
-            live.append(s)
 
-    chunk = _CHUNK_START
-    while live:
-        still = []
-        for s in live:
-            done = rounds_done[s]
-            span = min(chunk, budgets[s] - done)
-            start_a = pos_a[s]
-            start_b = pos_b[s]
-            if uniform:
-                tape_a, chunk_moves_a = _uniform_walk_tape(
-                    rngs_a[s], start_a, span, table, uniform, width,
-                    laziness_a[s],
-                )
-                tape_b, chunk_moves_b = _uniform_walk_tape(
-                    rngs_b[s], start_b, span, table, uniform, width,
-                    laziness_b[s],
-                )
-            else:
-                tape_a, chunk_moves_a = walk_choice_tape(
-                    rngs_a[s], start_a, span, offsets, table, degrees,
-                    bits, laziness_a[s],
-                )
-                tape_b, chunk_moves_b = walk_choice_tape(
-                    rngs_b[s], start_b, span, offsets, table, degrees,
-                    bits, laziness_b[s],
-                )
-            # Meetings happen at most once per trial, so the common
-            # chunk has none: test with a short-circuiting ``any``
-            # (cheapest full pass) and locate the round only on a hit.
-            if any(map(eq, tape_a, tape_b)):
-                met_at = next(compress(count(), map(eq, tape_a, tape_b)))
-                # Co-location after round done+met_at is observed at the
-                # top of the next round (meeting precedes the budget
-                # check, so meeting exactly at the budget still counts).
-                rounds = done + met_at + 1
-                results[s] = _walk_result(
-                    True,
-                    rounds,
-                    ids[tape_a[met_at]],
-                    moves_a[s] + _prefix_moves(tape_a, start_a, met_at + 1),
-                    moves_b[s] + _prefix_moves(tape_b, start_b, met_at + 1),
-                )
-                continue
-            moves_a[s] += chunk_moves_a
-            moves_b[s] += chunk_moves_b
-            done += span
-            if done >= budgets[s]:
-                results[s] = _walk_result(
-                    False, budgets[s], None, moves_a[s], moves_b[s]
-                )
-                continue
-            pos_a[s] = tape_a[-1]
-            pos_b[s] = tape_b[-1]
-            rounds_done[s] = done
-            still.append(s)
-        live = still
-        if chunk < _CHUNK_CAP:
-            chunk += chunk >> 2
-    return results  # type: ignore[return-value]
+def _walk_trial(
+    setup: tuple,
+    rng_a: random.Random,
+    rng_b: random.Random,
+    laziness_a: float,
+    laziness_b: float,
+    a: int,
+    b: int,
+    budget: int,
+) -> tuple[int, int, int, int, int]:
+    """Play two lazy walkers from dense starts ``a != b``, round by round.
+
+    Returns ``(rounds, a, b, moves_a, moves_b)``: the rounds played,
+    both positions after them, and each walker's moves.  The loop
+    stops at the meeting, so the pair met iff ``a == b``; otherwise
+    ``rounds`` is the budget (0 for a budget of 0 or less).  A meeting
+    after round ``budget``'s moves still counts, since the engine
+    checks co-location before the budget.
+
+    Each round makes exactly the calls the serial
+    :class:`~repro.baselines.random_walk.RandomWalker` makes on its
+    generator: one ``random()`` laziness draw, then, on a non-lazy
+    round, CPython's ``randrange(degree)`` rejection loop inlined
+    (``getrandbits(degree.bit_length())`` until the draw falls below
+    the degree).  No round past the meeting is drawn, so both
+    generators end where the engine leaves them.  ``setup`` is
+    :attr:`~repro.runtime.plan.ExecutionPlan.walk_setup`; its table has
+    no self-loop, so every non-lazy round is a move.
+    """
+    table, offsets, degrees, bits = setup
+    random_a = rng_a.random
+    random_b = rng_b.random
+    getrandbits_a = rng_a.getrandbits
+    getrandbits_b = rng_b.getrandbits
+    rounds = moves_a = moves_b = 0
+    for rounds in range(1, budget + 1):
+        if random_a() >= laziness_a:
+            r = getrandbits_a(bits[a])
+            while r >= degrees[a]:
+                r = getrandbits_a(bits[a])
+            a = table[offsets[a] + r]
+            moves_a += 1
+        if random_b() >= laziness_b:
+            r = getrandbits_b(bits[b])
+            while r >= degrees[b]:
+                r = getrandbits_b(bits[b])
+            b = table[offsets[b] + r]
+            moves_b += 1
+        if a == b:
+            break
+    return rounds, a, b, moves_a, moves_b
 
 
 def _walk_result(
@@ -464,12 +331,13 @@ class _MarkerTape:
             return
         closed, size, bits = self.closed, self.size, self.bits
         getrandbits = self.getrandbits
-        # One randrange(size) per trip, inlined as in the walk kernels.
-        draws = [
-            closed[r if (r := getrandbits(bits)) < size
-                   else _rejected(getrandbits, bits, size)]
-            for _ in repeat(None, max(missing + 1 >> 1, _CHECK_SPAN))
-        ]
+        draws = []
+        for _ in repeat(None, max(missing + 1 >> 1, _CHECK_SPAN)):
+            # One randrange(size) per trip, inlined as in the walk loop.
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            draws.append(closed[r])
         base = len(self.targets)
         self.targets += draws
         self.tape += chain.from_iterable(zip(draws, repeat(self.home)))
@@ -501,8 +369,12 @@ class _MarkerTape:
         return (None if j is None else j + 1), hi
 
     def moves(self, t: int) -> int:
-        """Edge traversals in rounds ``0 .. t-1``."""
-        return _prefix_moves(self.tape, self.home, t)
+        """Edge traversals in rounds ``0 .. t-1``: a trip that marks home
+        stays, any other moves out and back."""
+        trip, odd = divmod(t, 2)
+        targets, home = self.targets, self.home
+        away = trip - targets[:trip].count(home)
+        return 2 * away + (odd and targets[trip] != home)
 
     def writes(self, t: int) -> int:
         """Marks written in rounds ``0 .. t-1``."""
@@ -567,7 +439,9 @@ def _paper_trial(
 
     # ``tape[r]``: a's vertex after round ``r``.  So ``len(tape)`` is
     # the round a fetches next, the coroutine's clock, and a meeting at
-    # ``tape[j]`` is seen at the start of round ``j + 1``.
+    # ``tape[j]`` is seen at the start of round ``j + 1``.  Each visit
+    # goes out and back along a shortest route, so every round of the
+    # tape is a move but the stay after a halts on b's start.
     tape: list = []
     extend = tape.extend
     checked = 0  # rounds ``1 .. checked`` start with the agents apart
@@ -622,7 +496,7 @@ def _paper_trial(
                 home_a, home_b, tape, budget, id_space,
             )
         return _paper_result(
-            t, home_b, _prefix_moves(tape, home_a, t), 0, 0, 0, False, {}, report_b
+            t, home_b, t, 0, 0, 0, False, {}, report_b
         )
     if t is None:
         t, checked = b.meeting(tape, checked, horizon)
@@ -630,7 +504,7 @@ def _paper_trial(
         # Met during Construct: a's report is filled only at the fetch
         # after its last hop, so it is still empty.
         return _paper_result(
-            t, tape[t - 1], _prefix_moves(tape, home_a, t), b.moves(t), 0,
+            t, tape[t - 1], t, b.moves(t), 0,
             b.writes(t), False, {}, {"marks": (t - 1) // 2},
         )
     if checked >= horizon:
@@ -688,11 +562,10 @@ def _paper_trial(
     report_a["probes"] = bisect_left(probes, t)
     if found is not None and found < t:
         report_a["mark_found_round"] = found
+    halted = found is not None and found + 1 < t
     return _paper_result(
-        t, tape[t - 1], _prefix_moves(tape, home_a, t), b.moves(t),
-        bisect_left(reads, t), b.writes(t),
-        found is not None and found + 1 < t,
-        report_a, {"marks": (t - 1) // 2},
+        t, tape[t - 1], t - halted, b.moves(t), bisect_left(reads, t),
+        b.writes(t), halted, report_a, {"marks": (t - 1) // 2},
     )
 
 
@@ -765,7 +638,7 @@ def _phase_trial(
     if finished_b is not None:
         report_b["finished_round"] = finished_b
     return _paper_result(
-        t, vertex, _prefix_moves(tape, home_a, now) + moves_a, moves_b, 0, 0,
+        t, vertex, now + moves_a, moves_b, 0, 0,
         finished_a is not None, report_a, report_b, finished_b is not None,
     )
 
@@ -967,8 +840,7 @@ def run_lockstep_batch(
     resolved by :func:`~repro.core.api.prepare_rendezvous`, starts
     checked, and ``plan`` bound or compiled for the batch.  What is
     left here is the program-type check and the kernel dispatch; by
-    the tape construction each result equals the engine's for that
-    seed.  A ``None`` return means "this batch is not vectorizable"
+    construction each result equals the engine's for that seed.  A ``None`` return means "this batch is not vectorizable"
     (no kernel for the algorithm and port model, an unregistered
     program subclass, Theorem 1 with δ estimated, Theorem 2 given an
     oracle set, a degree-0 vertex or a self-loop); the caller runs the

@@ -19,13 +19,12 @@ over dense vertex indices ``0 .. n-1``:
 * ``port_targets`` (KT0 plans; ``None`` on KT1 plans) — the hidden
   port table flattened the same way: entry ``neighbor_offsets[i] + p``
   is the dense index behind port ``p`` of vertex ``i``;
-* ``walk_setup`` — everything the lockstep walk kernels read, built
+* ``walk_setup`` — everything the lockstep walk loop reads, built
   lazily once per plan so a seed batch costs the same however many
   batches share the plan: the table a walker moves through
   (``neighbor_indices`` under KT1, ``port_targets`` under KT0), the
-  offsets and degrees, each as a plain list, the per-vertex bit widths
-  ``randrange`` draws, and the common degree and its bit width (both 0
-  on irregular plans).  It is ``None`` when no walk can run in
+  offsets and degrees, each as a plain list, and the per-vertex bit
+  widths ``randrange`` draws.  It is ``None`` when no walk can run in
   lockstep: a degree-0 vertex, or a table slot leading a vertex to
   itself.  That verdict is cached too, so the O(m) self-loop scan runs
   once per plan;
@@ -291,22 +290,21 @@ class ExecutionPlan:
 
 
 def _walk_setup(plan: ExecutionPlan) -> tuple | None:
-    """Build ``plan.walk_setup``: the lockstep walk kernels' inputs.
+    """Build ``plan.walk_setup``: the lockstep walk loop's inputs.
 
-    Returns ``(table, offsets, degrees, bits, uniform, width)``, or
-    ``None`` when the serial engine must run the walk instead.
+    Returns ``(table, offsets, degrees, bits)``, or ``None`` when the
+    serial engine must run the walk instead.
     """
     degrees = list(plan.degrees)
     lowest = min(degrees, default=0)
     if lowest == 0:
         # randrange(0) raises in the serial engine; let it.
         return None
-    # Lists index measurably faster than array('q') in the kernels
+    # Lists index measurably faster than array('q') in the walk loop
     # (CPython specializes list subscripts and returns the stored int
-    # objects instead of boxing a fresh one per lookup), which buys
-    # ~25% off every tape round.  Mapping the table through one shared
-    # int object per vertex costs one pointer per arc, not a freshly
-    # boxed int per arc.
+    # objects instead of boxing a fresh one per lookup).  Mapping the
+    # table through one shared int object per vertex costs one pointer
+    # per arc, not a freshly boxed int per arc.
     flat = (
         plan.neighbor_indices
         if plan.port_model is PortModel.KT1
@@ -315,12 +313,13 @@ def _walk_setup(plan: ExecutionPlan) -> tuple | None:
     table = list(map(list(range(plan.n)).__getitem__, flat))
     uniform = lowest if lowest == max(degrees) else 0
     if _table_has_self_loops(table, degrees, uniform):
-        # Move counting infers moves from position changes, which a
-        # self-loop traversal would defeat.
+        # The loop counts every non-lazy round as a move, but the
+        # engine counts a KT1 hop onto the walker's own vertex as a
+        # stay.
         return None
     bits = list(map(int.bit_length, degrees))
     offsets = list(plan.neighbor_offsets)
-    return table, offsets, degrees, bits, uniform, uniform.bit_length()
+    return table, offsets, degrees, bits
 
 
 def _table_has_self_loops(table: list, degrees: list, uniform: int) -> bool:

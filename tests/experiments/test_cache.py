@@ -181,6 +181,29 @@ class TestCorruptLineWarning:
             assert main([*args, "--resume"]) == 0
         assert "0 trials executed, 3 served from cache" in capsys.readouterr().out
 
+    def test_resume_recomputes_a_record_outside_int64(self, capsys, tmp_path):
+        # JSON carries any int, but no sweep table can fold a round
+        # count past int64: the line is corrupt, and its trial reruns.
+        args = [
+            "sweep", "--name", "wide", "--family", "er-min-degree", "--n", "40",
+            "--algorithm", "trivial", "--seeds", "3", "--workers", "1",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "cold.jsonl"),
+        ]
+        assert main(args) == 0
+        (path,) = (tmp_path / "cache").glob("*.jsonl")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        last = json.loads(lines[-1])
+        last["record"]["rounds"] = 10**20
+        path.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n")
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="skipped 1 corrupt line"):
+            assert main([*args[:-1], str(tmp_path / "resumed.jsonl")]) == 0
+        assert "1 trials executed, 2 served from cache" in capsys.readouterr().out
+        assert (tmp_path / "resumed.jsonl").read_bytes() == (
+            tmp_path / "cold.jsonl"
+        ).read_bytes()
+
     def test_iter_indexed_clean_file_is_silent(self, tmp_path):
         record = one_record()
         with ResultCache(tmp_path, "clean") as cache:

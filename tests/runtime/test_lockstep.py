@@ -25,10 +25,13 @@ import hashlib
 import json
 import multiprocessing
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.baselines.random_walk import RandomWalker
 from repro.core.api import ALGORITHMS, prepare_rendezvous
 from repro.core.constants import Constants
 from repro.core.no_whiteboard import NoWhiteboardA
@@ -50,11 +53,7 @@ from repro.graphs.lowerbound import cliques_sharing_vertex
 from repro.graphs.ports import PortLabeling, PortModel
 from repro.runtime import lockstep
 from repro.runtime import plan as plan_module
-from repro.runtime.lockstep import (
-    lockstep_supported,
-    run_lockstep_batch,
-    walk_choice_tape,
-)
+from repro.runtime.lockstep import lockstep_supported, run_lockstep_batch
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.actions import Move, Stay, WaitUntil
 from repro.runtime.agent import AgentProgram
@@ -211,111 +210,208 @@ class TestDifferentialFuzzMatrix:
         )
 
 
-class TestTapePinning:
-    """The pre-drawn tapes replay the serial RNG streams call-for-call."""
+def _replay_walkers(plan, seed, a, b, budget):
+    """Both serial walkers' calls at laziness 0.5, made by hand round by round.
 
-    def test_tape_reproduces_serial_draw_sequence(self):
-        """walk_choice_tape == hand-replayed random()/randrange() calls."""
+    Returns ``((rounds, a, b, moves_a, moves_b), rng_a, rng_b)`` as the
+    engine would leave them: stopped at the meeting or the budget.
+    """
+    offsets = plan.neighbor_offsets
+    table = plan.neighbor_indices
+    degrees = plan.degrees
+    rngs = (random.Random(f"{seed}:a"), random.Random(f"{seed}:b"))
+    pos, moves, rounds = [a, b], [0, 0], 0
+    while pos[0] != pos[1] and rounds < budget:
+        rounds += 1
+        for i, rng in enumerate(rngs):
+            if rng.random() < 0.5:
+                continue
+            port = rng.randrange(degrees[pos[i]])
+            pos[i] = table[offsets[pos[i]] + port]
+            moves[i] += 1
+    return (rounds, *pos, *moves), *rngs
+
+
+def _walk(plan, seed, a, b, budget):
+    """The lockstep walk loop at laziness 0.5 on fresh generators;
+    returns them too."""
+    rng_a, rng_b = random.Random(f"{seed}:a"), random.Random(f"{seed}:b")
+    played = lockstep._walk_trial(
+        plan.walk_setup, rng_a, rng_b, 0.5, 0.5, a, b, budget
+    )
+    return played, rng_a, rng_b
+
+
+class _KeptGenerator(RandomWalker):
+    """A ``RandomWalker`` that keeps the generator the engine gives it."""
+
+    def run(self, ctx):
+        self.rng = ctx.rng
+        return super().run(ctx)
+
+
+class TestWalkDrawStream:
+    """The walk loop replays the serial RNG streams call-for-call."""
+
+    def test_loop_reproduces_serial_draw_sequence(self):
+        """_walk_trial == hand-replayed random()/randrange() calls."""
         graph = random_graph_with_min_degree(40, 6, random.Random("tape"))
         plan = ExecutionPlan.compile(graph)
-        offsets = list(plan.neighbor_offsets)
-        table = list(plan.neighbor_indices)
-        degrees = list(plan.degrees)
-        bits = [d.bit_length() for d in degrees]
+        outcomes = set()
         for seed in range(5):
-            serial_rng = random.Random(f"{seed}:a")
-            pos, expected = 7, []
-            for _ in range(400):
-                if serial_rng.random() < 0.5:
-                    expected.append(pos)
-                else:
-                    port = serial_rng.randrange(degrees[pos])
-                    pos = table[offsets[pos] + port]
-                    expected.append(pos)
-            tape_rng = random.Random(f"{seed}:a")
-            tape, moves = walk_choice_tape(
-                tape_rng, 7, 400, offsets, table, degrees, bits, 0.5
-            )
-            assert tape == expected, f"seed {seed} tape diverged"
-            assert moves == sum(
-                1 for prev, cur in zip([7, *tape], tape) if prev != cur
-            )
-            # Call-for-call: the generators end in the same exact state.
-            assert tape_rng.getstate() == serial_rng.getstate()
+            for budget in (0, 1, 40, 400, 10**6):
+                expected, serial_a, serial_b = _replay_walkers(
+                    plan, seed, 7, 30, budget
+                )
+                played, rng_a, rng_b = _walk(plan, seed, 7, 30, budget)
+                assert played == expected, f"seed {seed} diverged"
+                # Call-for-call: the generators end in the same exact state.
+                assert rng_a.getstate() == serial_a.getstate()
+                assert rng_b.getstate() == serial_b.getstate()
+                outcomes.add(played[1] == played[2])
+        assert outcomes == {True, False}, "want met and exhausted trials"
 
-    def test_tape_matches_reference_scheduler_trace(self):
-        """Tape positions == the frozen scheduler's per-round trace."""
-        from repro.baselines.random_walk import RandomWalker
-
+    def test_loop_matches_reference_scheduler_trace(self):
+        """Positions after every round == the frozen scheduler's trace."""
         graph = random_regular_graph(30, 4, random.Random("trace"))
         plan = ExecutionPlan.compile(graph)
         ids = plan.ids
-        offsets = list(plan.neighbor_offsets)
-        table = list(plan.neighbor_indices)
-        degrees = list(plan.degrees)
-        bits = [d.bit_length() for d in degrees]
         seed = 3
         result = ReferenceSyncScheduler(
             graph, RandomWalker(), RandomWalker(), ids[0], ids[1],
             seed=seed, whiteboards=False, max_rounds=500, record_trace=True,
         ).run()
-        for name, start in (("a", 0), ("b", 1)):
-            tape, _ = walk_choice_tape(
-                random.Random(f"{seed}:{name}"), start, result.rounds,
-                offsets, table, degrees, bits, 0.5,
+        assert result.met and len(result.trace) == result.rounds > 1
+        for rnd, at_a, at_b in result.trace:
+            # Capped after round ``rnd``, the loop stands where the
+            # trace puts both agents after that round's moves.
+            played, _, _ = _walk(plan, seed, 0, 1, rnd + 1)
+            assert played[0] == rnd + 1
+            assert (ids[played[1]], ids[played[2]]) == (at_a, at_b), (
+                f"the walkers diverged from the trace at round {rnd}"
             )
-            column = 1 if name == "a" else 2
-            for entry in result.trace:
-                rnd = entry[0]
-                assert ids[tape[rnd]] == entry[column], (
-                    f"agent {name} diverged from the trace at round {rnd}"
-                )
 
-    def test_tapes_byte_identical_across_start_methods(self):
-        """fork and spawn children draw the exact same tapes."""
+    def test_loop_byte_identical_across_start_methods(self):
+        """fork and spawn children play the exact same draw streams."""
         for method in ("fork", "spawn"):
             if method not in multiprocessing.get_all_start_methods():
                 continue
             for case in [("er", 48, 8, 0), ("regular", 36, 6, 1)]:
-                child = _tape_digest_in_subprocess(method, case)
-                assert child == _tape_digest(*case), (
-                    f"{case} tape diverged under the {method} start method"
+                child = _walk_digest_in_subprocess(method, case)
+                assert child == _walk_digest(*case), (
+                    f"{case} walk diverged under the {method} start method"
                 )
 
+    def test_generators_end_where_the_engine_leaves_them(self, monkeypatch):
+        """A met seed draws no round past its meeting, on either generator."""
+        graph = random_graph_with_min_degree(48, 8, random.Random("rest"))
+        plan = ExecutionPlan.compile(graph)
+        armed = _armed(graph, "random-walk", range(8), max_rounds=10**6)
+        drawn = []
 
-def _tape_digest(family: str, n: int, delta: int, seed: int) -> str:
-    """SHA-256 over both agents' tapes for one deterministic instance."""
+        def kept(text):
+            drawn.append(random.Random(text))
+            return drawn[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lockstep, "random", SimpleNamespace(Random=kept))
+            results = run_lockstep_batch(plan, "random-walk", armed)
+        assert len(drawn) == 2 * len(armed)  # one per walker, a first
+        for (seed, _, _, start_a, start_b, budget), result, rng_a, rng_b in zip(
+            armed, results, drawn[::2], drawn[1::2]
+        ):
+            walkers = (_KeptGenerator(), _KeptGenerator())
+            engine = SyncScheduler(
+                graph, *walkers, start_a, start_b, seed=seed,
+                whiteboards=False, max_rounds=budget, plan=plan,
+            ).run()
+            assert result.met and result == engine
+            assert rng_a.getstate() == walkers[0].rng.getstate()
+            assert rng_b.getstate() == walkers[1].rng.getstate()
+
+
+@st.composite
+def walk_batches(draw):
+    """A plan and walk seeds armed with ``RandomWalker(laziness)``."""
+    family = draw(st.sampled_from(["er-min-degree", "regular", "powerlaw"]))
+    n = draw(st.integers(4, 32))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if family == "regular":
+        degree = draw(st.integers(1, n - 1))
+        degree += n * degree % 2  # an odd n needs an even degree
+        graph = random_regular_graph(n, degree, rng)
+    elif family == "powerlaw":
+        graph = powerlaw_graph_with_floor(n, draw(st.integers(1, n - 2)), rng)
+    else:
+        graph = random_graph_with_min_degree(n, draw(st.integers(1, n - 1)), rng)
+    if draw(st.booleans()):
+        graph = dilate_id_space(graph, draw(st.integers(2, 9)), rng)
+    port_model = draw(st.sampled_from([PortModel.KT1, PortModel.KT0]))
+    labeling = (
+        PortLabeling(graph, rng=rng) if port_model is PortModel.KT0 else None
+    )
+    ids = graph.vertices
+    laziness = st.sampled_from([0.5, 0.0])
+    armed = []
+    for seed in draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4)):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 2))
+        b += b >= a  # distinct starts
+        budget = draw(
+            st.one_of(st.sampled_from([0, 1, 2_000]), st.integers(2, 64))
+        )
+        armed.append((
+            seed, RandomWalker(draw(laziness)), RandomWalker(draw(laziness)),
+            ids[a], ids[b], budget,
+        ))
+    return ExecutionPlan.compile(graph, labeling, port_model), armed
+
+
+# The example count comes from the active profile: Hypothesis's default
+# in tier-1, ten times that under HYPOTHESIS_PROFILE=deep.
+@settings(derandomize=True, deadline=None)
+@given(walk_batches())
+def test_walk_loop_equals_the_engine_reset_loop(batch):
+    """Field for field, the loop's results are the engine's."""
+    plan, armed = batch
+    # The loop never touches the programs, so the engine runs them fresh.
+    kernel = run_lockstep_batch(plan, "random-walk", armed)
+    engine = harness._engine_results(
+        plan.graph, plan, armed, plan.port_model, False, None
+    )
+    assert kernel == list(engine)
+
+
+def _walk_digest(family: str, n: int, delta: int, seed: int) -> str:
+    """SHA-256 over the loop's outcomes and final generator states for
+    one deterministic instance, across starts and budgets."""
     rng = random.Random(f"tape-determinism:{family}:{n}:{delta}:{seed}")
     if family == "regular":
         graph = random_regular_graph(n, delta, rng)
     else:
         graph = random_graph_with_min_degree(n, delta, rng)
     plan = ExecutionPlan.compile(graph)
-    offsets = list(plan.neighbor_offsets)
-    table = list(plan.neighbor_indices)
-    degrees = list(plan.degrees)
-    bits = [d.bit_length() for d in degrees]
     digest = hashlib.sha256()
-    for name, start in (("a", 0), ("b", 1)):
-        tape, moves = walk_choice_tape(
-            random.Random(f"{seed}:{name}"), start, 2_000,
-            offsets, table, degrees, bits, 0.5,
-        )
-        digest.update(json.dumps([moves, tape]).encode())
+    for a, b in ((0, 1), (2, n - 1)):
+        for budget in (1, 17, 2_000):
+            played, rng_a, rng_b = _walk(plan, seed, a, b, budget)
+            digest.update(json.dumps(
+                [played, rng_a.getstate(), rng_b.getstate()]
+            ).encode())
     return digest.hexdigest()
 
 
-def _tape_digest_child(queue, family, n, delta, seed):
+def _walk_digest_child(queue, family, n, delta, seed):
     try:
-        queue.put(("ok", _tape_digest(family, n, delta, seed)))
+        queue.put(("ok", _walk_digest(family, n, delta, seed)))
     except Exception as error:  # pragma: no cover - surfaced as test failure
         queue.put(("error", repr(error)))
 
 
-def _tape_digest_in_subprocess(method: str, case: tuple) -> str:
+def _walk_digest_in_subprocess(method: str, case: tuple) -> str:
     context = multiprocessing.get_context(method)
     queue = context.Queue()
-    process = context.Process(target=_tape_digest_child, args=(queue, *case))
+    process = context.Process(target=_walk_digest_child, args=(queue, *case))
     process.start()
     try:
         status, payload = queue.get(timeout=60)
